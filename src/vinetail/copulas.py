@@ -6,10 +6,13 @@ Both families are driven by an exponent measure V:
     IEV:  C(u, v) = u + v - 1 + exp{-V(-1/ln(1-u), -1/ln(1-v))}
 
 The h-function is the conditional distribution d C(u, v) / d v, and all four
-operations (cdf, h-function, its numerical inverse, density) are evaluated
-through the log-scale variables z = -ln u (EV) and x = -ln(1-u) (IEV), which
-is where the exponential-margin sample clouds live.  Everything broadcasts
-over numpy arrays.
+operations (cdf, h-function, its inverse, density) are evaluated through the
+log-scale variables z = -ln u (EV) and x = -ln(1-u) (IEV), which is where the
+exponential-margin sample clouds live.  The inverse is solved in that
+coordinate too: safeguarded Newton on s = ln t, with the slope taken from
+the same measure partials as the density and bisection as the fallback, so
+that it stays accurate out to t = 35 and beyond.  Everything broadcasts over
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ IEV = "iev"
 
 # inputs within this distance of {0, 1} are clamped before log transforms
 _EDGE = 1e-15
-_HINV_TOL = 1e-10
-_HINV_MAXITER = 200
+# h-inverse solve in s = ln t: bracket floor, step tolerance, iteration cap
+_T_MIN = 1e-300
+_S_TOL = 1e-12
+_SOLVE_MAXITER = 100
 
 
 def _check_unit(name, a, lo_open=False, hi_open=False):
@@ -126,52 +131,95 @@ class PairCopula:
         out = np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, inner))
         return _maybe_scalar(np.clip(out, 0.0, 1.0))
 
+    def _density_parts(self, tu, tv):
+        """V and V1*V2 - V12 at (1/tu, 1/tv): the measure terms of the density."""
+        au, av = 1.0 / tu, 1.0 / tv
+        m = self.measure
+        return m._v(au, av), m._v1(au, av) * m._v2(au, av) - m._v12(au, av)
+
     def density(self, u, v):
         """Copula density c(u, v) on the open unit square."""
         u = _check_unit("u", u, lo_open=True, hi_open=True)
         v = _check_unit("v", v, lo_open=True, hi_open=True)
         tu, tv = self._t(u), self._t(v)
-        au, av = 1.0 / tu, 1.0 / tv
-        V = self.measure._v(au, av)
-        V1 = self.measure._v1(au, av)
-        V2 = self.measure._v2(au, av)
-        V12 = self.measure._v12(au, av)
+        V, K = self._density_parts(tu, tv)
         # for both families 1/(uv) (EV) and 1/((1-u)(1-v)) (IEV) equal e^(tu+tv)
-        out = np.exp(tu + tv - V) * (V1 * V2 - V12) / (tu * tv) ** 2
+        out = np.exp(tu + tv - V) * K / (tu * tv) ** 2
         return _maybe_scalar(np.maximum(out, 0.0))
 
     def hinv(self, p, v):
-        """u with hfunc(u, v) = p, by bracketed bisection plus a Newton polish.
+        """u with hfunc(u, v) = p, by safeguarded Newton on the log scale.
 
-        Monotonicity of the h-function in u guarantees the bracket; failure
-        to shrink it within the iteration cap signals an implementation bug
-        and raises ConvergenceError.
+        With w = measure._cond_exponent the h-function is e^w (EV) or
+        1 - e^w (IEV), so the root solves w(t, tv) = w* with w* = ln p or
+        ln(1 - p) in the log-scale coordinate t of u.  The solve runs in
+        s = ln t on G(s) = ln(-w) - ln(-w*), which increases in s and is
+        close to linear at both ends; see ``_solve_t``.  Inputs are
+        validated once per call; p = 0 and p = 1 map to u = 0 and u = 1.
         """
         p = _check_unit("p", p)
         v = _check_unit("v", v)
         if np.any(v <= 0.0) or np.any(v >= 1.0):
             raise DegenerateConditionerError("h-function conditioner must lie strictly inside (0, 1)")
         p_b, v_b = np.broadcast_arrays(p, v)
-        lo = np.zeros(p_b.shape)
-        hi = np.ones(p_b.shape)
-        for _ in range(_HINV_MAXITER):
-            if np.all(hi - lo <= 1e-12):
-                break
-            mid = 0.5 * (lo + hi)
-            below = self.hfunc(mid, v_b) < p_b
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        else:
-            raise ConvergenceError(
-                "h-function inversion failed to bracket within 200 iterations",
-                {"max_width": float(np.max(hi - lo))},
-            )
-        u = 0.5 * (lo + hi)
-        # one Newton step with the analytic density, kept inside the bracket
-        inside = (u > _EDGE) & (u < 1.0 - _EDGE)
-        dens = np.where(inside, self.density(np.clip(u, _EDGE, 1.0 - _EDGE), v_b), np.inf)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            step = (self.hfunc(u, v_b) - p_b) / dens
-        u = np.where(np.isfinite(step), np.clip(u - step, lo, hi), u)
-        u = np.where(p_b <= 0.0, 0.0, np.where(p_b >= 1.0, 1.0, u))
+        u = np.where(p_b >= 1.0, 1.0, 0.0)
+        inner = (p_b > 0.0) & (p_b < 1.0)
+        if np.any(inner):
+            pi = p_b[inner]
+            wstar = np.log(pi) if self.is_ev else np.log1p(-pi)
+            t = self._solve_t(wstar, self._t(_clamped(v_b[inner])))
+            u[inner] = np.exp(-t) if self.is_ev else -np.expm1(-t)
         return _maybe_scalar(u)
+
+    def _solve_t(self, wstar, tv):
+        """t > 0 with measure._cond_exponent(t, tv) = wstar < 0, on 1-d arrays.
+
+        Newton steps on G(s) = ln(-w(e^s, tv)) - ln(-wstar), started from
+        the independence root s = ln(-wstar), with the slope
+
+            dG/ds = e^(tv - V - w) (V1 V2 - V12) / (t tv^2 (-w))
+
+        (partials at (1/t, 1/tv)).  A step that is not finite, leaves the
+        bracket or fails to halve |G| (|2G| > |ds_prev G'|) is replaced by
+        bisection.  The bracket [ln _T_MIN, ln(tv - wstar)] always holds the
+        root, because -w >= t - tv for every exponent measure.  Only the
+        points not yet converged are iterated.
+        """
+        out = np.empty_like(wstar)
+        idx = np.arange(wstar.size)
+        lgoal = np.log(-wstar)
+        lo = np.full(idx.shape, np.log(_T_MIN))
+        hi = np.log(tv - wstar)
+        s = np.clip(lgoal, lo, hi)
+        ds_old = ds = hi - lo
+        for _ in range(_SOLVE_MAXITER):
+            t = np.exp(s)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                w = self.measure._cond_exponent(t, tv)
+                nw = np.maximum(-w, 0.0)
+                g = np.log(nw) - lgoal
+                V, K = self._density_parts(t, tv)
+                dg = np.exp(tv - V - w) * K / (t * tv * tv * nw)
+                lo = np.where(g < 0.0, s, lo)
+                hi = np.where(g > 0.0, s, hi)
+                new = s - g / dg
+                bisect = ~np.isfinite(new) | (new < lo) | (new > hi) | (np.abs(2.0 * g) > np.abs(ds_old * dg))
+            new = np.where(g == 0.0, s, np.where(bisect, 0.5 * (lo + hi), new))
+            ds_old, ds, s = ds, new - s, new
+            done = (g == 0.0) | (np.abs(ds) <= _S_TOL) | (hi - lo <= _S_TOL)
+            if done.any():
+                out[idx[done]] = s[done]
+                keep = ~done
+                if not keep.any():
+                    return np.exp(out)
+                idx, tv, lgoal, lo, hi, s, ds, ds_old = (
+                    a[keep] for a in (idx, tv, lgoal, lo, hi, s, ds, ds_old)
+                )
+        raise ConvergenceError(
+            f"h-function inversion did not converge within {_SOLVE_MAXITER} iterations",
+            {
+                "unconverged": int(idx.size),
+                "max_bracket_width": float(np.max(hi - lo)),
+                "max_last_step": float(np.max(np.abs(ds))),
+            },
+        )

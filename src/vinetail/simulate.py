@@ -12,6 +12,7 @@ recorded in the output metadata together with the spec hash.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -91,6 +92,9 @@ class SampleCloud:
 
     @classmethod
     def from_binary(cls, path) -> "SampleCloud":
+        """Read a cloud written by ``to_binary``, with the provenance kept in
+        its ``.meta.json`` sidecar when that file exists."""
+        path = str(path)
         with open(path, "rb") as fh:
             head = fh.read(16)
             if len(head) != 16 or head[:8] != _MAGIC:
@@ -98,9 +102,38 @@ class SampleCloud:
             version, _ = struct.unpack("<II", head[8:])
             if version != _VERSION:
                 raise SpecError(f"unsupported cloud file version {version}")
-            n, d, scale, seed = struct.unpack("<QQdq", fh.read(32))
-            data = np.frombuffer(fh.read(n * d * 8), dtype="<f8").reshape(n, d)
-        return cls(values=data.copy(), seed=int(seed), scale=float(scale))
+            fields = fh.read(32)
+            if len(fields) != 32:
+                raise SpecError("truncated cloud file: incomplete header")
+            n, d, scale, seed = struct.unpack("<QQdq", fields)
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size != n * d * 8:
+                raise SpecError(f"cloud file payload has {size} bytes, the header's {n} x {d} needs {n * d * 8}")
+            data = np.frombuffer(fh.read(size), dtype="<f8").reshape(n, d)
+        cloud = cls(values=data.copy(), seed=int(seed), scale=float(scale))
+        meta_path = path + ".meta.json"
+        return cloud._with_meta(meta_path) if os.path.exists(meta_path) else cloud
+
+    def _with_meta(self, meta_path) -> "SampleCloud":
+        try:
+            with open(meta_path) as fh:
+                meta = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise SpecError(f"unreadable cloud metadata {meta_path}: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise SpecError(f"cloud metadata {meta_path} must be a JSON object")
+        for key, value in (("n", self.n), ("d", self.d), ("seed", self.seed), ("scale", self.scale)):
+            if meta.get(key) != value:
+                raise SpecError(f"cloud metadata {key}={meta.get(key)!r} disagrees with the file header ({value!r})")
+        chunk_size = meta.get("chunk_size", CHUNK)
+        if not isinstance(chunk_size, int) or chunk_size < 1:
+            raise SpecError(f"cloud metadata chunk_size={chunk_size!r} is not a positive integer")
+        return replace(
+            self,
+            spec_hash=str(meta.get("spec_hash", "")),
+            generator=str(meta.get("generator", "")),
+            chunk_size=chunk_size,
+        )
 
 
 def _open_uniforms(rng, shape):

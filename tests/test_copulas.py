@@ -5,6 +5,7 @@ from scipy.stats import qmc
 
 from vinetail import (
     AsymmetricLogistic,
+    ConvergenceError,
     DegenerateConditionerError,
     DomainError,
     Logistic,
@@ -152,3 +153,31 @@ def test_swapped_conditions_on_first_argument():
             fd = (pc.cdf(u + h, v) - pc.cdf(u - h, v)) / (2 * h)
             assert pc.swapped().hfunc(v, u) == pytest.approx(fd, abs=1e-6)
     assert pc.swapped().swapped() is pc
+
+
+@pytest.mark.parametrize("family", ["ev", "iev"])
+@pytest.mark.parametrize(
+    "measure",
+    [Logistic(0.3), Logistic(0.5), Logistic(0.7), AsymmetricLogistic(0.5, 0.3, 0.6)],
+    ids=repr,
+)
+def test_log_scale_solve_deep_tail(family, measure):
+    """t -> w = cond_exponent(t, tv) -> t on the exponential scale, out to
+    t = 35, past -ln(1e-15), where the clouds' deepest coordinates live."""
+    pc = PairCopula(family, measure)
+    t = np.geomspace(1e-3, 35.0, 80)
+    tv = np.concatenate([pc._t(np.linspace(0.01, 0.99, 9)), np.geomspace(1e-3, 35.0, 12)])
+    T, TV = (a.ravel() for a in np.meshgrid(t, tv))
+    w = measure._cond_exponent(T, TV)
+    assert np.all(w < 0.0)
+    assert np.max(np.abs(pc._solve_t(w, TV) - T)) <= 1e-6
+
+
+def test_hinv_reports_non_convergence(monkeypatch):
+    import vinetail.copulas as copulas
+
+    monkeypatch.setattr(copulas, "_SOLVE_MAXITER", 1)
+    with pytest.raises(ConvergenceError) as info:
+        ILOG.hinv(np.array([0.2, 0.7]), np.array([0.4, 0.9]))
+    assert info.value.diagnostics["unconverged"] == 2
+    assert info.value.diagnostics["max_bracket_width"] > 0.0

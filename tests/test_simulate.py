@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,7 @@ from vinetail import (
     Logistic,
     PairCopula,
     SampleCloud,
+    SpecError,
     VineSpec,
     sample_vine,
     scale_cloud,
@@ -192,3 +195,37 @@ def test_binary_roundtrip(tmp_path):
     assert head[:8] == b"VINETCLD"
     with pytest.raises(Exception):
         SampleCloud.from_binary(__file__)
+
+
+def test_binary_roundtrip_keeps_provenance(tmp_path):
+    cloud = sample_vine(tri_spec(), 300, seed=41, chunk_size=128)
+    path = tmp_path / "cloud.bin"
+    cloud.to_binary(path)
+    back = SampleCloud.from_binary(path)
+    assert (back.spec_hash, back.generator, back.chunk_size) == (cloud.spec_hash, cloud.generator, 128)
+    # without the sidecar only the header's fields survive
+    (tmp_path / "cloud.bin.meta.json").unlink()
+    bare = SampleCloud.from_binary(path)
+    assert np.array_equal(bare.values, cloud.values) and bare.spec_hash == ""
+
+
+@pytest.mark.parametrize("key, value", [("n", 299), ("d", 2), ("seed", 42), ("scale", 1.5)])
+def test_binary_sidecar_must_match_header(tmp_path, key, value):
+    path = tmp_path / "cloud.bin"
+    sample_vine(tri_spec(), 300, seed=41).to_binary(path)
+    meta_path = tmp_path / "cloud.bin.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(SpecError, match=rf"\b{key}="):
+        SampleCloud.from_binary(path)
+
+
+def test_truncated_binary_raises_spec_error(tmp_path):
+    path = tmp_path / "cloud.bin"
+    SampleCloud(values=np.ones((10, 3)), seed=0).to_binary(path)
+    data = path.read_bytes()
+    for cut in (8, len(data) - 20):
+        path.write_bytes(data[:-cut])
+        with pytest.raises(SpecError):
+            SampleCloud.from_binary(path)
