@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -202,13 +201,19 @@ def cmd_verify(args) -> int:
     return VERIFY_FAILURE if failed else OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as VinetailError, which main reports as JSON."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise VinetailError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vinetail",
         description="Tail dependence of vine copulas: eta coefficients, gauge geometry, simulation.",
     )
-    parser.add_argument("--threads", type=int, default=int(os.environ.get("VINETAIL_THREADS", "1")),
-                        help="worker cap for internal parallelism; results never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eta", help="compute a coefficient of tail dependence")
@@ -251,11 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help
         return INPUT_ERROR if exc.code not in (0, None) else OK
+    except VinetailError as exc:
+        return _emit_error(str(exc))
     try:
         return args.fn(args)
     except (ConvergenceError,) as exc:

@@ -414,43 +414,29 @@ def eta_mixed_trivariate(spec: VineSpec, C) -> EtaResult:
 # D-vine and C-vine recursions
 # ---------------------------------------------------------------------------
 
+def _eta_vine(spec: VineSpec, build_gauge, name: str) -> float:
+    if not spec.all_iev():
+        raise UnsupportedCombinationError(f"{name} requires all-IEV edges")
+    if not all(_is_logistic(pc) for pc in spec.edges.values()):
+        warnings.warn(f"non-logistic IEV edges: {name} falls back to numeric minimisation")
+        return eta_numeric(build_gauge(spec)).eta
+    if spec.d == 2:
+        return 1.0 / float(spec.copula(1, 2).measure.V(1.0, 1.0))
+    return 1.0 / build_gauge(spec)(np.ones(spec.d))
+
+
 def eta_dvine(spec: VineSpec) -> float:
     """eta_D for an all-IEV D-vine via the nested sub-vine recursion.
 
     Reciprocals of eta combine exactly like the block gauges evaluated at
-    the all-ones point; singletons contribute eta = 1.  Derived for
-    inverted-logistic components; other all-IEV measures fall back to
-    numeric minimisation of the recursive gauge (with a warning).
+    the all-ones point, so this is 1/g(1, ..., 1) through the gauge's own
+    evaluation plan.  Derived for inverted-logistic components; other
+    all-IEV measures fall back to numeric minimisation of the recursive
+    gauge (with a warning).
     """
     if spec.structure not in (DVINE, TRIVARIATE):
         raise UnsupportedCombinationError("eta_dvine requires a dvine structure")
-    if not spec.all_iev():
-        raise UnsupportedCombinationError("eta_dvine requires all-IEV edges")
-    d = spec.d
-    if not all(_is_logistic(pc) for pc in spec.edges.values()):
-        warnings.warn("non-logistic IEV edges: eta_dvine falls back to numeric minimisation")
-        return eta_numeric(gauge_dvine(spec)).eta
-    if d == 2:
-        return 1.0 / float(spec.copula(1, 2).measure.V(1.0, 1.0))
-
-    memo = {}
-
-    def r(i, j):  # reciprocal eta of the block [i, j]
-        key = (i, j)
-        if key not in memo:
-            if i == j:
-                memo[key] = 1.0
-            elif j == i + 1:
-                memo[key] = float(spec.copula(i, j).measure.V(1.0, 1.0))
-            else:
-                inner = r(i + 1, j - 1)
-                left = r(i, j - 1)
-                right = r(i + 1, j)
-                V = spec.copula(i, j).measure.V
-                memo[key] = inner + float(V(1.0 / (left - inner), 1.0 / (right - inner)))
-        return memo[key]
-
-    return 1.0 / r(1, d)
+    return _eta_vine(spec, gauge_dvine, "eta_dvine")
 
 
 def eta_cvine(spec: VineSpec) -> float:
@@ -458,33 +444,7 @@ def eta_cvine(spec: VineSpec) -> float:
     recursion, over the sub-vines {1..k} and {1..k-1, m}."""
     if spec.structure != CVINE:
         raise UnsupportedCombinationError("eta_cvine requires a cvine structure")
-    if not spec.all_iev():
-        raise UnsupportedCombinationError("eta_cvine requires all-IEV edges")
-    d = spec.d
-    if not all(_is_logistic(pc) for pc in spec.edges.values()):
-        warnings.warn("non-logistic IEV edges: eta_cvine falls back to numeric minimisation")
-        return eta_numeric(gauge_cvine(spec)).eta
-    if d == 2:
-        return 1.0 / float(spec.copula(1, 2).measure.V(1.0, 1.0))
-
-    memo = {}
-
-    def r(k, m):  # reciprocal eta of the set {1..k} U {m}
-        key = (k, m)
-        if key not in memo:
-            if k == 0:
-                memo[key] = 1.0
-            elif k == 1:
-                memo[key] = float(spec.copula(1, m).measure.V(1.0, 1.0))
-            else:
-                inner = r(k - 2, k - 1)
-                no_m = r(k - 1, k)
-                no_k = r(k - 1, m)
-                V = spec.copula(k, m).measure.V
-                memo[key] = inner + float(V(1.0 / (no_m - inner), 1.0 / (no_k - inner)))
-        return memo[key]
-
-    return 1.0 / r(d - 1, d)
+    return _eta_vine(spec, gauge_cvine, "eta_cvine")
 
 
 def eta_dvine_ilog_closed(alpha: float, d: int) -> float:

@@ -9,7 +9,8 @@ module builds gauges analytically:
   regularly varying spectral tails, asymmetric logistic),
 * every trivariate vine built from EV / inverted-EV pair copulas,
 * d-dimensional D-vines and C-vines with inverted-EV components, via the
-  nested sub-vine recursion,
+  nested sub-vine recursion, compiled into one evaluation plan per vine
+  that the scalar and array paths both run,
 
 and numerically: projections onto coordinate subsets by minimising over the
 dropped coordinates.
@@ -70,7 +71,8 @@ class Gauge:
     resolved analytically inside the evaluators.  Single points use a plain
     scalar code path when available (optimisers hammer that case), arrays
     the vectorised one; the two are checked against each other in the test
-    suite.
+    suite.  D-vine and C-vine gauges have one evaluation plan per vine,
+    which both paths run.
     """
 
     def __init__(self, dim: int, fn, tag: str, sfn=None):
@@ -422,6 +424,50 @@ def _require_all_iev(spec: VineSpec, op: str):
         raise UnsupportedCombinationError(f"{op} requires every edge to be an inverted extreme value copula")
 
 
+def _compile_vine(spec: VineSpec):
+    """The nested sub-vine recursion as a flat plan, one step per edge.
+
+    In a D-vine or C-vine, edge (a, b | D) joins the sub-vines on {a} u D
+    and {b} u D, which overlap in the sub-vine on D, so its node set has the
+    gauge g_D + V(1/(g_aD - g_D), 1/(g_bD - g_D)); tree-1 edges have D empty
+    and give V(1/x_a, 1/x_b).  Slots 0..d-1 hold the coordinates and slot
+    d + n the sub-vine gauge of the n-th edge in tree order, so the last
+    slot is the whole vine.  A step is (out, left, right, inner, V), with
+    inner None in tree 1.
+    """
+    slot = {frozenset([k]): k - 1 for k in range(1, spec.d + 1)}
+    plan = []
+    for label, pc in spec.edges.items():  # tree order: every operand is computed first
+        (a, b), cond = label.pair, frozenset(label.cond)
+        out = spec.d + len(plan)
+        plan.append((out, slot[cond | {a}], slot[cond | {b}], slot.get(cond), pc.measure._v))
+        slot[cond | {a, b}] = out
+    return plan
+
+
+def _run_plan(plan, vals, recip):
+    """Execute a compiled plan on vals, the d coordinates followed by one
+    free slot per step; recip is _srecip for floats, _recip for arrays."""
+    for out, left, right, inner, v in plan:
+        if inner is None:
+            vals[out] = v(recip(vals[left]), recip(vals[right]))
+        else:
+            g_d = vals[inner]
+            vals[out] = g_d + v(recip(vals[left] - g_d), recip(vals[right] - g_d))
+    return vals[-1]
+
+
+def _vine_gauge(spec: VineSpec, tag: str) -> Gauge:
+    d, plan = spec.d, _compile_vine(spec)
+    free = [None] * len(plan)
+    return Gauge(
+        d,
+        lambda x: _run_plan(plan, [x[..., k] for k in range(d)] + free, _recip),
+        tag,
+        sfn=lambda *xs: _run_plan(plan, [*xs, *free], _srecip),
+    )
+
+
 def gauge_dvine(spec: VineSpec) -> Gauge:
     """Gauge of an all-IEV D-vine via the nested sub-vine recursion.
 
@@ -435,49 +481,7 @@ def gauge_dvine(spec: VineSpec) -> Gauge:
     if spec.d < 3:
         raise UnsupportedCombinationError("the D-vine recursion needs dimension >= 3")
     _require_all_iev(spec, "gauge_dvine")
-    d = spec.d
-
-    def fn(x):
-        memo = {}
-
-        def block(i, j):
-            key = (i, j)
-            if key not in memo:
-                if i == j:
-                    memo[key] = x[..., i - 1]
-                elif j == i + 1:
-                    memo[key] = spec.copula(i, j).measure._v(_recip(x[..., i - 1]), _recip(x[..., j - 1]))
-                else:
-                    inner = block(i + 1, j - 1)
-                    left = block(i, j - 1)
-                    right = block(i + 1, j)
-                    top = spec.copula(i, j).measure
-                    memo[key] = inner + top._v(_recip(left - inner), _recip(right - inner))
-            return memo[key]
-
-        return block(1, d)
-
-    def sfn(*xs):
-        memo = {}
-
-        def block(i, j):
-            key = (i, j)
-            if key not in memo:
-                if i == j:
-                    memo[key] = xs[i - 1]
-                elif j == i + 1:
-                    memo[key] = spec.copula(i, j).measure._v(_srecip(xs[i - 1]), _srecip(xs[j - 1]))
-                else:
-                    inner = block(i + 1, j - 1)
-                    left = block(i, j - 1)
-                    right = block(i + 1, j)
-                    top = spec.copula(i, j).measure
-                    memo[key] = inner + top._v(_srecip(left - inner), _srecip(right - inner))
-            return memo[key]
-
-        return block(1, d)
-
-    return Gauge(d, fn, f"dvine(d={d})", sfn=sfn)
+    return _vine_gauge(spec, f"dvine(d={spec.d})")
 
 
 def gauge_cvine(spec: VineSpec) -> Gauge:
@@ -492,50 +496,7 @@ def gauge_cvine(spec: VineSpec) -> Gauge:
     if spec.d < 3:
         raise UnsupportedCombinationError("the C-vine recursion needs dimension >= 3")
     _require_all_iev(spec, "gauge_cvine")
-    d = spec.d
-
-    def fn(x):
-        memo = {}
-
-        def block(k, m):
-            # the index set {1, ..., k} U {m}; k = 0 is the singleton {m}
-            key = (k, m)
-            if key not in memo:
-                if k == 0:
-                    memo[key] = x[..., m - 1]
-                elif k == 1:
-                    memo[key] = spec.copula(1, m).measure._v(_recip(x[..., 0]), _recip(x[..., m - 1]))
-                else:
-                    inner = block(k - 2, k - 1)
-                    no_m = block(k - 1, k)
-                    no_k = block(k - 1, m)
-                    top = spec.copula(k, m).measure
-                    memo[key] = inner + top._v(_recip(no_m - inner), _recip(no_k - inner))
-            return memo[key]
-
-        return block(d - 1, d)
-
-    def sfn(*xs):
-        memo = {}
-
-        def block(k, m):
-            key = (k, m)
-            if key not in memo:
-                if k == 0:
-                    memo[key] = xs[m - 1]
-                elif k == 1:
-                    memo[key] = spec.copula(1, m).measure._v(_srecip(xs[0]), _srecip(xs[m - 1]))
-                else:
-                    inner = block(k - 2, k - 1)
-                    no_m = block(k - 1, k)
-                    no_k = block(k - 1, m)
-                    top = spec.copula(k, m).measure
-                    memo[key] = inner + top._v(_srecip(no_m - inner), _srecip(no_k - inner))
-            return memo[key]
-
-        return block(d - 1, d)
-
-    return Gauge(d, fn, f"cvine(d={d})", sfn=sfn)
+    return _vine_gauge(spec, f"cvine(d={spec.d})")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 from vinetail import Logistic, PairCopula, VineSpec
 from vinetail.cli import main
 
+from test_eta import ZERO_DENOMINATOR_VINES, zero_denominator_spec
+
 
 @pytest.fixture
 def ilog_spec(tmp_path):
@@ -169,10 +171,25 @@ def test_verify_detects_corruption(capsys, monkeypatch):
     assert any(",fail," in line for line in out.splitlines())
 
 
-def test_threads_flag_accepted(capsys, ilog_spec):
+def test_threads_flag_rejected(capsys, monkeypatch, ilog_spec):
     code, out = run(capsys, "--threads", "4", "eta", "--spec", ilog_spec)
+    assert code == 2
+    assert "error" in json.loads(out)
+    monkeypatch.setenv("VINETAIL_THREADS", "four")
+    code, out = run(capsys, "eta", "--builtin", "ilog:0.5")
     assert code == 0
-    assert json.loads(out)["eta"] == pytest.approx(0.6306019374818707, abs=1e-9)
+    assert json.loads(out)["eta"] == pytest.approx(2**-0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("structure, d, alphas, expected", ZERO_DENOMINATOR_VINES)
+def test_eta_spec_with_zero_denominator_recursion(capsys, tmp_path, structure, d, alphas, expected):
+    path = tmp_path / "vine.json"
+    path.write_text(zero_denominator_spec(structure, d, alphas).to_json())
+    code, out = run(capsys, "eta", "--spec", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["method"] == "closed"
+    assert doc["eta"] == pytest.approx(expected, rel=1e-15)
 
 
 def test_contour_dims_mismatch_exits_2(capsys):

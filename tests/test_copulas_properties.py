@@ -2,14 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from vinetail import AsymmetricLogistic, DomainError, Logistic, PairCopula
-
-# deterministic example sequence, so that the suite gives the same verdict on every run
-settings.register_profile("vinetail", max_examples=60, deadline=None, derandomize=True, database=None)
-settings.load_profile("vinetail")
 
 EDGE = 1e-15  # hfunc clamps u and v to [EDGE, 1 - EDGE]
 

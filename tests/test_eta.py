@@ -17,12 +17,14 @@ from vinetail import (
     eta_mixed_trivariate,
     eta_numeric,
     eta_trivariate_ilog_closed,
+    gauge_cvine,
     gauge_dvine,
     gauge_trivariate,
     gaussian_gauge,
     independence_gauge,
     inverted_ev_gauge,
 )
+from vinetail.vines import expected_edges
 
 RNG = np.random.default_rng(577215)
 
@@ -134,6 +136,46 @@ def test_recursion_with_unequal_parameters_matches_gauge():
     assert recursive == pytest.approx(at_ones, rel=1e-13)
     numeric = eta_numeric(gauge_dvine(spec))
     assert numeric.eta == pytest.approx(recursive, abs=1e-6)
+
+
+# all-IEV logistic vines, alphas in expected_edges order, whose recursion
+# meets sub-vine gauges equal in floating point (left == inner), with 1/g(1, ..., 1)
+ZERO_DENOMINATOR_VINES = [
+    ("cvine", 7, [0.90758, 0.760936, 0.615619, 0.448094, 0.51646, 0.82184, 0.793396, 0.523986,
+                  0.629718, 0.334553, 0.747658, 0.345719, 0.967938, 0.399419, 0.669867, 0.908511,
+                  0.362166, 0.938251, 0.356359, 0.809834, 0.91709], 0.3641797607770967),
+    ("dvine", 8, [0.562264, 0.630699, 0.697068, 0.629336, 0.778419, 0.937642, 0.337443, 0.566602,
+                  0.38045, 0.491009, 0.404904, 0.447214, 0.514923, 0.300052, 0.503554, 0.840824,
+                  0.95268, 0.346253, 0.390452, 0.459099, 0.549093, 0.528227, 0.57764, 0.85506,
+                  0.398024, 0.455999, 0.575243, 0.659172], 0.4332693608572072),
+]
+
+
+def zero_denominator_spec(structure, d, alphas):
+    edges = expected_edges(structure, d)
+    return VineSpec(d, structure, {e: ilog(a) for e, a in zip(edges, alphas)})
+
+
+@pytest.mark.parametrize("structure, d, alphas, expected", ZERO_DENOMINATOR_VINES)
+def test_recursion_resolves_zero_denominators(structure, d, alphas, expected):
+    eta = (eta_dvine if structure == "dvine" else eta_cvine)(zero_denominator_spec(structure, d, alphas))
+    assert eta == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("structure, a, C, evals, eta, argmin", [
+    ("dvine", 0.5, (1, 6), 19639, 0.7866772797115702,
+     [1.0000000414180865, 0.2861856314147276, 0.44120304060759813, 0.43564031805204845,
+      0.2367823706300909, 1.0]),
+    ("cvine", 0.45, (1, 3), 15408, 0.7320428479728127, [1, 0, 1, 0, 0, 0]),
+])
+def test_numeric_optimiser_path_is_pinned(structure, a, C, evals, eta, argmin):
+    # the gauge must stay bit-identical: any change in its rounding moves the
+    # Nelder-Mead path and with it the evaluation count
+    build = gauge_dvine if structure == "dvine" else gauge_cvine
+    res = eta_numeric(build(VineSpec.uniform(structure, 6, ilog(a))), C)
+    assert res.diagnostics["n_gauge_evals"] == evals
+    assert res.eta == pytest.approx(eta, abs=1e-13)
+    assert_allclose(res.argmin, argmin, rtol=0, atol=1e-13)
 
 
 def test_recursion_rejects_bad_specs():
