@@ -9,10 +9,12 @@ The h-function is the conditional distribution d C(u, v) / d v, and all four
 operations (cdf, h-function, its inverse, density) are evaluated through the
 log-scale variables z = -ln u (EV) and x = -ln(1-u) (IEV), which is where the
 exponential-margin sample clouds live.  The inverse is solved in that
-coordinate too: safeguarded Newton on s = ln t, with the slope taken from
-the same measure partials as the density and bisection as the fallback, so
-that it stays accurate out to t = 35 and beyond.  Everything broadcasts over
-numpy arrays.
+coordinate too: safeguarded Newton on s = ln t, with bisection as the
+fallback, so that it stays accurate out to t = 35 and beyond.  The measure
+enters through one kernel, ``measure._cond_parts``, which returns the
+conditional exponent w, V and ln(V1 V2 - V12) together: its w is the
+h-function, and V and ln K give both the density and the slope of the
+solve.  Everything broadcasts over numpy arrays.
 """
 
 from __future__ import annotations
@@ -131,21 +133,16 @@ class PairCopula:
         out = np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, inner))
         return _maybe_scalar(np.clip(out, 0.0, 1.0))
 
-    def _density_parts(self, tu, tv):
-        """V and V1*V2 - V12 at (1/tu, 1/tv): the measure terms of the density."""
-        au, av = 1.0 / tu, 1.0 / tv
-        m = self.measure
-        return m._v(au, av), m._v1(au, av) * m._v2(au, av) - m._v12(au, av)
-
     def density(self, u, v):
         """Copula density c(u, v) on the open unit square."""
         u = _check_unit("u", u, lo_open=True, hi_open=True)
         v = _check_unit("v", v, lo_open=True, hi_open=True)
         tu, tv = self._t(u), self._t(v)
-        V, K = self._density_parts(tu, tv)
-        # for both families 1/(uv) (EV) and 1/((1-u)(1-v)) (IEV) equal e^(tu+tv)
-        out = np.exp(tu + tv - V) * K / (tu * tv) ** 2
-        return _maybe_scalar(np.maximum(out, 0.0))
+        _, V, lnK = self.measure._cond_parts(tu, tv)
+        # for both families 1/(uv) (EV) and 1/((1-u)(1-v)) (IEV) equal
+        # e^(tu+tv); the density is that times e^(-V) K / (tu tv)^2, and a
+        # zero K (ln K = -inf) gives a zero density
+        return _maybe_scalar(np.exp(tu + tv - V + lnK - 2.0 * np.log(tu) - 2.0 * np.log(tv)))
 
     def hinv(self, p, v):
         """u with hfunc(u, v) = p, by safeguarded Newton on the log scale.
@@ -175,15 +172,17 @@ class PairCopula:
         """t > 0 with measure._cond_exponent(t, tv) = wstar < 0, on 1-d arrays.
 
         Newton steps on G(s) = ln(-w(e^s, tv)) - ln(-wstar), started from
-        the independence root s = ln(-wstar), with the slope
+        the independence root s = ln(-wstar).  One call of the measure
+        kernel, ``_cond_parts(t, tv) -> (w, V, ln K)`` with K = V1 V2 - V12
+        at (1/t, 1/tv), gives both G and its slope
 
-            dG/ds = e^(tv - V - w) (V1 V2 - V12) / (t tv^2 (-w))
+            dG/ds = exp(tv - V - w + ln K - s - 2 ln tv - ln(-w)).
 
-        (partials at (1/t, 1/tv)).  A step that is not finite, leaves the
-        bracket or fails to halve |G| (|2G| > |ds_prev G'|) is replaced by
-        bisection.  The bracket [ln _T_MIN, ln(tv - wstar)] always holds the
-        root, because -w >= t - tv for every exponent measure.  Only the
-        points not yet converged are iterated.
+        A step that is not finite, leaves the bracket or fails to halve |G|
+        (|2G| > |ds_prev G'|) is replaced by bisection.  The bracket
+        [ln _T_MIN, ln(tv - wstar)] always holds the root, because
+        -w >= t - tv for every exponent measure.  Only the points not yet
+        converged are iterated.
         """
         out = np.empty_like(wstar)
         idx = np.arange(wstar.size)
@@ -192,14 +191,15 @@ class PairCopula:
         hi = np.log(tv - wstar)
         s = np.clip(lgoal, lo, hi)
         ds_old = ds = hi - lo
+        # the parts of the slope's exponent that do not move with s
+        tv_part = tv - 2.0 * np.log(tv)
         for _ in range(_SOLVE_MAXITER):
             t = np.exp(s)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                w = self.measure._cond_exponent(t, tv)
-                nw = np.maximum(-w, 0.0)
-                g = np.log(nw) - lgoal
-                V, K = self._density_parts(t, tv)
-                dg = np.exp(tv - V - w) * K / (t * tv * tv * nw)
+                w, V, lnK = self.measure._cond_parts(t, tv)
+                lnw = np.log(np.maximum(-w, 0.0))
+                g = lnw - lgoal
+                dg = np.exp(tv_part - V - w + lnK - s - lnw)
                 lo = np.where(g < 0.0, s, lo)
                 hi = np.where(g > 0.0, s, hi)
                 new = s - g / dg
@@ -209,11 +209,11 @@ class PairCopula:
             done = (g == 0.0) | (np.abs(ds) <= _S_TOL) | (hi - lo <= _S_TOL)
             if done.any():
                 out[idx[done]] = s[done]
-                keep = ~done
-                if not keep.any():
+                keep = np.flatnonzero(~done)
+                if keep.size == 0:
                     return np.exp(out)
-                idx, tv, lgoal, lo, hi, s, ds, ds_old = (
-                    a[keep] for a in (idx, tv, lgoal, lo, hi, s, ds, ds_old)
+                idx, tv, tv_part, lgoal, lo, hi, s, ds, ds_old = (
+                    a.take(keep) for a in (idx, tv, tv_part, lgoal, lo, hi, s, ds, ds_old)
                 )
         raise ConvergenceError(
             f"h-function inversion did not converge within {_SOLVE_MAXITER} iterations",

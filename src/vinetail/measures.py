@@ -69,7 +69,10 @@ class ExponentMeasure:
     """Interface for bivariate exponent measures.
 
     Any implementation supplying V, its partials and tail orders plugs into
-    every downstream module (pair copulas, gauges, eta, simulation).
+    every downstream module (pair copulas, gauges, eta, simulation).  The
+    h-function, its inverse and the copula density read the measure through
+    one kernel, ``_cond_parts``; its default is built from the partials, and
+    it is the one hook a new measure overrides for speed.
     """
 
     def V(self, x, y):
@@ -111,6 +114,19 @@ class ExponentMeasure:
         au, av = 1.0 / tu, 1.0 / tv
         with np.errstate(divide="ignore"):
             return tv - self._v(au, av) + np.log(-self._v2(au, av)) - 2.0 * np.log(tv)
+
+    def _cond_parts(self, tu, tv):
+        """(w, V, ln K) at (1/tu, 1/tv), with K = V1 V2 - V12.
+
+        w is ``_cond_exponent``; V and K are the measure terms of the copula
+        density and of the slope of the h-inverse solve.  K is clamped at 0
+        before the log, so a rounding-negative K gives ln K = -inf and a zero
+        density, never NaN.
+        """
+        au, av = 1.0 / tu, 1.0 / tv
+        K = self._v1(au, av) * self._v2(au, av) - self._v12(au, av)
+        with np.errstate(divide="ignore"):
+            return self._cond_exponent(tu, tv), self._v(au, av), np.log(np.maximum(K, 0.0))
 
     # raw evaluators on validated float arrays; subclasses implement these
     def _v(self, x, y):
@@ -193,19 +209,36 @@ class Logistic(ExponentMeasure):
         return TailOrders(s1=s, s2=s, c1=c, c2=c)
 
     def _cond_exponent(self, tu, tv):
-        # exact rearrangement: with r = (min/max)^(1/alpha) the 2 ln(tv)
-        # term cancels against ln(-V2), leaving expm1/log1p forms with full
+        return self._cond_parts(tu, tv)[0]
+
+    def _cond_parts(self, tu, tv):
+        # one power serves all three outputs: with q = 1/alpha, m = max(tu, tv),
+        # r = (min/m)^q, l1p = ln(1 + r) and grow = (1 + r)^alpha - 1,
+        # S = tu^q + tv^q = m^q (1 + r), V = S^alpha = m (1 + grow) and
+        # K = (tu tv)^(q+1) S^(alpha-2) (V + q - 1).  w is the exact
+        # rearrangement of the conditional exponent: the 2 ln(tv) term
+        # cancels against ln(-V2), leaving expm1/log1p forms with full
         # relative precision however small the conditional mass is
         a = self.alpha
         q = 1.0 / a
-        m = np.maximum(tu, tv)
-        r = (np.minimum(tu, tv) / m) ** q
-        l1p = np.log1p(r)
+        # V holds m until it is scaled in place; the h-inverse calls this on
+        # every Newton step, so the kernel keeps few arrays alive at once
+        V = np.maximum(tu, tv)
+        l1p = np.log1p((np.minimum(tu, tv) / V) ** q)
         grow = np.expm1(a * l1p)
-        low = -tv * grow + (a - 1.0) * l1p
         with np.errstate(divide="ignore", invalid="ignore"):
-            high = (tv - tu) - tu * grow + (q - 1.0) * (np.log(tv) - np.log(tu)) + (a - 1.0) * l1p
-        return np.where(tv >= tu, low, high)
+            ltu, ltv = np.log(tu), np.log(tv)
+            w = np.where(
+                tv >= tu,
+                -tv * grow + (a - 1.0) * l1p,
+                (tv - tu) - tu * grow + (q - 1.0) * (ltv - ltu) + (a - 1.0) * l1p,
+            )
+            V *= 1.0 + grow
+            lnK = (q + 1.0) * (ltu + ltv)
+            lnK += (1.0 - 2.0 * q) * np.maximum(ltu, ltv)
+            lnK += (a - 2.0) * l1p
+            lnK += np.log(V + (q - 1.0))
+        return w, V, lnK
 
     def transposed(self) -> "Logistic":
         return self
@@ -290,6 +323,33 @@ class AsymmetricLogistic(ExponentMeasure):
         p = self._p(x, y)
         w = ((1.0 - self.theta1) * (1.0 - self.theta2)) ** q
         return ((a - 1.0) / a) * w * (x * y) ** (-q - 1.0) * p ** (a - 2.0)
+
+    def _cond_exponent(self, tu, tv):
+        # exact rearrangement, as for Logistic: with A = (1-theta1) tu,
+        # B = (1-theta2) tv, rho = (A/B)^(1/alpha), l = log1p(rho) and
+        # E = (alpha-1) l <= 0,
+        #   w = -theta1 tu - B expm1(alpha l) + ln(theta2 + (1-theta2) e^E),
+        # three terms <= 0, so nothing cancels however small w is
+        if self._degenerate:
+            # V = tu + tv at (1/tu, 1/tv), so w = -tu, in the broadcast shape
+            return -tu - 0.0 * tv
+        a, t1, t2 = self.alpha, self.theta1, self.theta2
+        q = 1.0 / a
+        A, B = (1.0 - t1) * tu, (1.0 - t2) * tv
+        big = A > B
+        # rho overflows where A >> B, so take r = (min/max)^q <= 1: then
+        # l = log1p(r) + q ln(A/B) and B expm1(alpha l) = (A - B) + A grow
+        # where A > B
+        l1p = np.log1p((np.minimum(A, B) / np.maximum(A, B)) ** q)
+        grow = np.expm1(a * l1p)
+        E = (a - 1.0) * (l1p + np.where(big, q * np.log(A / B), 0.0))
+        with np.errstate(divide="ignore"):
+            # log1p keeps relative precision near E = 0; logaddexp stays
+            # finite where e^E underflows
+            lnmix = np.where(
+                E > -1.0, np.log1p((1.0 - t2) * np.expm1(E)), np.logaddexp(np.log(t2), np.log1p(-t2) + E)
+            )
+        return -t1 * tu - np.where(big, (A - B) + A * grow, B * grow) + lnmix
 
     def tail_orders(self) -> TailOrders:
         raise UnsupportedMeasureError("asymmetric logistic spectral measure has atoms at {0} and {1}")

@@ -24,6 +24,8 @@ from .vines import CVINE, DVINE, TRIVARIATE, VineSpec
 __all__ = ["SampleCloud", "sample_vine", "scale_cloud"]
 
 CHUNK = 65536
+# rows formatted per block by SampleCloud.to_csv
+_CSV_BLOCK = 4096
 _MAGIC = b"VINETCLD"
 _VERSION = 1
 
@@ -63,10 +65,14 @@ class SampleCloud:
 
     def to_csv(self, path):
         header = ",".join(f"x{i}" for i in range(1, self.d + 1))
+        # 17 significant digits round-trip every double; rows go through
+        # tolist() a block at a time, so the Python floats of the whole
+        # cloud never exist at once
+        row = ",".join(["%.17g"] * self.d) + "\n"
         with open(path, "w", newline="") as fh:
             fh.write(header + "\n")
-            for row in self.values:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            for start in range(0, self.n, _CSV_BLOCK):
+                fh.writelines(row % tuple(r) for r in self.values[start : start + _CSV_BLOCK].tolist())
         self._write_meta(str(path))
 
     def to_binary(self, path):

@@ -99,6 +99,15 @@ def test_hinv_roundtrip(pc):
     assert pc.hinv(1.0, 0.5) == 1.0
 
 
+def test_hinv_recovers_small_conditional_mass():
+    # hfunc is about 4e-13 here; AsymmetricLogistic(alpha, 0, 0) is
+    # Logistic(alpha) in value, and both solve back to u in full precision
+    u = 1.62e-5
+    for measure in (AsymmetricLogistic(0.375, 0.0, 0.0), Logistic(0.375)):
+        pc = PairCopula("iev", measure)
+        assert abs(pc.hinv(pc.hfunc(u, 0.5), 0.5) - u) <= 1e-12 * u
+
+
 @pytest.mark.parametrize("pc", [ILOG, EVLOG, ALOG_EV])
 def test_density_integrates_to_one(pc):
     pts = qmc.Halton(2, seed=11).random(100_000)

@@ -143,3 +143,30 @@ def test_vectorised_evaluation():
     vec = m.V(x, y)
     assert vec.shape == (64,)
     assert_allclose(vec, [m.V(a, b) for a, b in zip(x, y)], rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "params,tu,tv,expected",
+    [
+        # 400-digit mpmath values of tv - V + ln(-V2) - 2 ln(tv) at (1/tu, 1/tv)
+        ((0.3, 0.2, 0.7), 1e-4, 2.0, -2.0000000047227369e-5),
+        ((0.375, 0.0, 0.0), 1.62e-5, 0.6931471805599453, -3.9513711285221259e-13),
+        ((0.5, 0.3, 0.6), 2e-3, 5.0, -6.0058799990876202e-4),
+        ((0.6, 0.4, 0.0), 3.0, 0.5, -3.5235178704170694),
+        # (A/B)^(1/alpha) overflows: A = (1-theta1) tu, B = (1-theta2) tv
+        ((0.1, 0.0, 0.5), 500.0, 1e-12, -500.69314718055945),
+        ((0.25, 0.0, 0.0), 30.0, 1e-15, -143.81992132971852),
+    ],
+)
+def test_asymmetric_logistic_conditional_exponent_exact(params, tu, tv, expected):
+    w = AsymmetricLogistic(*params)._cond_exponent(np.array([tu]), np.array([tv]))
+    assert_allclose(w, expected, rtol=1e-14)
+
+
+def test_asymmetric_logistic_degenerate_conditional_exponent():
+    # a weight at 1 leaves V = 1/x + 1/y, whose conditional exponent is -tu
+    tu, tv = np.array([0.5, 2.0]), np.array([[1.0], [3.0], [7.0]])
+    for m in (AsymmetricLogistic(0.3, 1.0, 0.2), AsymmetricLogistic(0.7, 0.4, 1.0)):
+        w = m._cond_exponent(tu, tv)
+        assert w.shape == (3, 2)
+        assert np.all(w == -tu)

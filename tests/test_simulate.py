@@ -184,6 +184,21 @@ def test_csv_roundtrip(tmp_path):
     assert cloud.spec_hash in meta and '"seed": 31' in meta
 
 
+def test_csv_text_is_pinned(tmp_path):
+    # every value in 17 significant digits, the shortest form that
+    # round-trips all doubles
+    values = np.array([[0.0, 1e-300, 1e300], [0.1, 1.0 / 3.0, 2.0], [np.nextafter(1.0, 2.0), 1.5e-5, 123456789.0]])
+    path = tmp_path / "cloud.csv"
+    SampleCloud(values=values, seed=0).to_csv(path)
+    assert path.read_text() == (
+        "x1,x2,x3\n"
+        "0,1e-300,1.0000000000000001e+300\n"
+        "0.10000000000000001,0.33333333333333331,2\n"
+        "1.0000000000000002,1.5e-05,123456789\n"
+    )
+    assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1), values)
+
+
 def test_binary_roundtrip(tmp_path):
     cloud = sample_vine(tri_spec(), 500, seed=37)
     path = tmp_path / "cloud.bin"
