@@ -97,12 +97,22 @@ def _parse_set(text: str, d: int):
     return tuple(sorted(set(labels)))
 
 
+def _json_safe(value):
+    """A diagnostics value as JSON: tuples become lists, numpy scalars floats."""
+    if isinstance(value, (tuple, list)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, np.generic):
+        return float(value)
+    return value
+
+
 def _result_json(res: EtaResult) -> str:
     return json.dumps(
         {
             "eta": res.eta,
             "argmin": [float(v) for v in np.atleast_1d(res.argmin)],
             "method": res.method,
+            "diagnostics": {k: _json_safe(v) for k, v in res.diagnostics.items()},
         }
     )
 

@@ -7,16 +7,17 @@ eta_C is recovered from a gauge g as
 which this module evaluates three ways, in order of preference: closed
 forms where they exist (bivariate gallery, inverted-logistic trivariate,
 the D-/C-vine recursions, the mixed trivariate cases), one-dimensional
-root solves for the stationary points with proved unique roots, and
-multi-start constrained numerical minimisation as the general fallback.
+root solves for the stationary points with proved unique roots, and, as
+the general fallback, numerical minimisation over that box: one
+bound-constrained Nelder-Mead solve in x per start and a polish of the
+best point, within a budget set by the number of starts and not by the
+number of box faces.
 1/g(1, ..., 1) is always a lower bound for eta, with equality exactly when
 the minimiser sits at the all-ones point.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -74,96 +75,86 @@ def _normalise_labels(C, dim):
 # generic numeric minimisation
 # ---------------------------------------------------------------------------
 
-def _nm(objective, y0, maxfev):
-    return optimize.minimize(
-        objective,
-        y0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-6, "fatol": 1e-10, "maxfev": maxfev, "maxiter": maxfev},
-    )
-
-
 def eta_numeric(g: Gauge, C=None, n_starts: int = 8, maxfev: int = 400) -> EtaResult:
-    """eta_C by constrained multi-start minimisation of the gauge.
+    """eta_C by bound-constrained multi-start minimisation of the gauge.
 
-    Constrained coordinates are reparameterised as x = 1 + exp(y) and free
-    coordinates as x = exp(y); on top of the log-spaced starts, the corner
-    candidate (ones on C, zeros elsewhere) is evaluated exactly and every
-    boundary subspace (a subset of the free coordinates pinned to zero) is
-    scanned, so minima on the boundary are found exactly rather than
-    approached through the reparameterisation.
+    Each start runs one Nelder-Mead solve directly in x over the box
+    x_i >= 1 (i in C), x_i >= 0 (i not in C); the simplex is clipped to the
+    box, so minima on its faces (x_c = 1, x_k = 0) are reached exactly.
+    The starts are corner + s for n_starts log-spaced s in [0.05, 20] and
+    a near-corner s = 1e-8, where the corner (ones on C, zeros elsewhere)
+    is the lower bound.  The corner is evaluated exactly as one more
+    candidate.  The best point is polished by restarts on fresh simplices
+    with the evaluations the starts left unused, so at most
+    (n_starts + 1) * maxfev + 2 evaluations are made in all.  It is then
+    rescaled by homogeneity so that its smallest C coordinate is one, and
+    the corner is taken when it matches the optimum to rounding.
     """
     d = g.dim
     C = _normalise_labels(C if C is not None else range(1, d + 1), d)
     if len(C) < 2:
         raise DomainError("eta is defined for index sets with at least two variables")
     cons = [c - 1 for c in C]
-    free = [k for k in range(d) if k + 1 not in C]
+    corner = np.zeros(d)
+    corner[cons] = 1.0
+    bounds = optimize.Bounds(corner, np.inf)
 
     evals = {"count": 0}
-    scalar = g.scalar_evaluator()  # points built below are always valid
+    scalar = g.scalar_evaluator()  # bounded Nelder-Mead keeps every vertex in the box
 
     def gauge_at(x):
         evals["count"] += 1
-        return float(scalar(*x))
+        return float(scalar(*x.tolist()))
 
-    def run(pinned, scale, budget):
-        """One Nelder-Mead run with the coordinates in `pinned` fixed at 0."""
-        active_free = [k for k in free if k not in pinned]
-        n_cons = len(cons)
+    def solve(x0, budget, simplex=None):
+        return optimize.minimize(
+            gauge_at,
+            x0,
+            method="Nelder-Mead",
+            bounds=bounds,
+            options={"xatol": 1e-6, "fatol": 1e-10, "maxfev": budget, "maxiter": budget,
+                     "initial_simplex": simplex},
+        )
 
-        def unpack(y):
-            x = [0.0] * d
-            for pos, k in enumerate(cons):
-                x[k] = 1.0 + math.exp(min(float(y[pos]), 700.0))
-            for pos, k in enumerate(active_free):
-                x[k] = math.exp(min(float(y[n_cons + pos]), 700.0))
-            return x
-
-        y0 = np.full(n_cons + len(active_free), np.log(scale))
-        res = _nm(lambda y: gauge_at(unpack(y)), y0, budget)
-        return float(res.fun), np.array(unpack(res.x))
-
-    candidates = []
-
-    # exact corner: ones on C, zeros on the free coordinates
-    corner = np.zeros(d)
-    corner[cons] = 1.0
-    corner_val = gauge_at(corner.tolist())
-    candidates.append((corner_val, corner, "corner"))
-
-    scales = np.geomspace(0.05, 20.0, int(n_starts))
+    corner_val = gauge_at(corner)
+    candidates = [(corner_val, corner)]
     full_runs = []
-    for s in scales:
-        val, x = run((), s, maxfev)
-        full_runs.append(val)
-        candidates.append((val, x, f"start{s:.3g}"))
-    val, x = run((), 1e-8, maxfev)
-    full_runs.append(val)
-    candidates.append((val, x, "near-corner"))
+    for s in [*np.geomspace(0.05, 20.0, int(n_starts)), 1e-8]:
+        res = solve(corner + s, maxfev)
+        full_runs.append(float(res.fun))
+        candidates.append((float(res.fun), res.x))
 
-    for r in range(1, len(free) + 1):
-        for pinned in itertools.combinations(free, r):
-            for s in (0.05, 1.0, 20.0):
-                val, x = run(pinned, s, maxfev)
-                candidates.append((val, x, f"boundary{pinned}"))
-
-    best_val, best_x, _ = min(candidates, key=lambda c: c[0])
+    best_val, best_x = min(candidates, key=lambda c: c[0])
     if not np.isfinite(best_val):
         raise ConvergenceError("no minimisation start produced a finite gauge value",
                                {"C": C, "candidates": len(candidates)})
+
+    # polish: clipping to the box can collapse a simplex onto a face or a
+    # corner next to the minimum, so restart from the best point on fresh
+    # simplices, ten times smaller after each restart that does not
+    # improve, with what the starts left of (n_starts + 1) * maxfev
+    budget = len(full_runs) * maxfev - (evals["count"] - 1)
+    scale = 0.05
+    while budget > d and scale > 1e-6:
+        step = np.where(best_x > 0.0, best_x, 0.005) * scale
+        res = solve(best_x, budget, np.vstack([best_x, best_x + np.diag(step)]))
+        budget -= res.nfev
+        if res.fun < best_val - 1e-10:
+            best_val, best_x = float(res.fun), res.x
+        else:
+            scale *= 0.1
 
     # homogeneity clean-up: scale so that min over C equals one exactly
     m = float(np.min(best_x[cons]))
     if m > 0 and abs(m - 1.0) > 1e-12:
         best_x = best_x / m
-        best_val = gauge_at(best_x.tolist())
+        best_val = gauge_at(best_x)
 
     # snap to the corner when the optimum matches it to rounding
     if corner_val <= best_val + 1e-12:
         best_val, best_x = corner_val, corner
 
-    spread = float(np.max(full_runs) - np.min(full_runs)) if full_runs else 0.0
+    spread = float(np.max(full_runs) - np.min(full_runs))
     diagnostics = {
         "n_starts": len(full_runs),
         "spread": spread,

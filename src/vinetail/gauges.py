@@ -88,10 +88,15 @@ class Gauge:
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.dim:
             raise DomainError(f"gauge expects points with last axis of length {self.dim}")
+        if x.ndim == 1 and self._sfn is not None:
+            # one point: checking the floats in Python beats two array passes
+            xs = x.tolist()
+            for v in xs:
+                if not v >= 0.0:  # also false for NaN
+                    raise DomainError("gauge arguments must be nonnegative reals")
+            return float(self._sfn(*xs))
         if np.any(np.isnan(x)) or np.any(x < 0.0):
             raise DomainError("gauge arguments must be nonnegative reals")
-        if x.ndim == 1 and self._sfn is not None:
-            return float(self._sfn(*x.tolist()))
         out = np.asarray(self._fn(x))
         return float(out) if out.ndim == 0 else out
 

@@ -17,6 +17,7 @@ which the exact analytic limits are returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +158,7 @@ class Logistic(ExponentMeasure):
         if not 0.0 < alpha <= 1.0:
             raise ParameterError(f"logistic dependence parameter must be in (0, 1], got {alpha}")
         self.alpha = alpha
+        self._q = 1.0 / alpha
 
     def __repr__(self):
         return f"Logistic(alpha={self.alpha})"
@@ -167,11 +169,11 @@ class Logistic(ExponentMeasure):
     def _v(self, x, y):
         # arguments live in (0, inf]; infinite arguments take the exact
         # marginal limits V(inf, y) = 1/y, V(x, inf) = 1/x, V(inf, inf) = 0
-        q = 1.0 / self.alpha
+        q = self._q
         if type(x) is float and type(y) is float:
-            if x == np.inf:
-                return 0.0 if y == np.inf else 1.0 / y
-            if y == np.inf:
+            if x == math.inf:
+                return 0.0 if y == math.inf else 1.0 / y
+            if y == math.inf:
                 return 1.0 / x
             return (x ** (-q) + y ** (-q)) ** self.alpha
         out = (x ** (-q) + y ** (-q)) ** self.alpha

@@ -204,3 +204,24 @@ def test_full_suite_registers_monte_carlo_checks():
     names = [name for name, _ in checks._FULL_ONLY]
     assert "mc-eta-crosscheck" in names
     assert "cloud-coverage" in names
+
+
+def test_eta_json_carries_diagnostics(capsys, ilog_spec):
+    code, out = run(capsys, "eta", "--spec", ilog_spec, "--set", "1,3", "--method", "numeric")
+    assert code == 0 and out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["method"] == "numeric"
+    assert doc["eta"] == pytest.approx(0.7395, abs=1e-4)
+    diag = doc["diagnostics"]
+    assert diag["n_starts"] == 9 and diag["n_gauge_evals"] > 0
+    assert isinstance(diag["spread"], float) and isinstance(diag["suspicious_landscape"], bool)
+    code, out = run(capsys, "eta", "--spec", ilog_spec, "--set", "1,2")
+    assert code == 0 and json.loads(out)["diagnostics"] == {"pair": [1, 2]}
+
+
+def test_result_json_converts_numpy_scalars():
+    from vinetail.cli import _result_json
+    from vinetail.eta import EtaResult
+
+    res = EtaResult(0.5, np.ones(2), "root", {"v": np.float32(0.25), "k": (np.int64(3), 1.5)})
+    assert json.loads(_result_json(res))["diagnostics"] == {"v": 0.25, "k": [3.0, 1.5]}

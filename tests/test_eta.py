@@ -162,20 +162,57 @@ def test_recursion_resolves_zero_denominators(structure, d, alphas, expected):
     assert eta == pytest.approx(expected, rel=1e-15)
 
 
-@pytest.mark.parametrize("structure, a, C, evals, eta, argmin", [
-    ("dvine", 0.5, (1, 6), 19639, 0.7866772797115702,
-     [1.0000000414180865, 0.2861856314147276, 0.44120304060759813, 0.43564031805204845,
-      0.2367823706300909, 1.0]),
-    ("cvine", 0.45, (1, 3), 15408, 0.7320428479728127, [1, 0, 1, 0, 0, 0]),
-])
-def test_numeric_optimiser_path_is_pinned(structure, a, C, evals, eta, argmin):
+@pytest.mark.parametrize("structure, a, C, evals, eta, argmin, eta_before", [
+    ("dvine", 0.5, (1, 6), 3601, 0.7866772990874522,
+     [1.0, 0.23695341641542678, 0.4356887129719023, 0.44118680167323876, 0.2859843111895362, 1.0],
+     0.7866772797115702),
+    ("cvine", 0.45, (1, 3), 1923, 0.7320428479728127, [1, 0, 1, 0, 0, 0], 0.7320428479728127),
+], ids=["dvine", "cvine"])
+def test_numeric_optimiser_path_is_pinned(structure, a, C, evals, eta, argmin, eta_before):
     # the gauge must stay bit-identical: any change in its rounding moves the
-    # Nelder-Mead path and with it the evaluation count
+    # Nelder-Mead path and with it the evaluation count.  The D-vine is
+    # symmetric under reversal, so the mirror image of this argmin is a
+    # minimiser too.  eta_before is what the pinned-subset solver returned.
     build = gauge_dvine if structure == "dvine" else gauge_cvine
     res = eta_numeric(build(VineSpec.uniform(structure, 6, ilog(a))), C)
     assert res.diagnostics["n_gauge_evals"] == evals
     assert res.eta == pytest.approx(eta, abs=1e-13)
     assert_allclose(res.argmin, argmin, rtol=0, atol=1e-13)
+    assert res.eta == pytest.approx(eta_before, abs=1e-6)
+
+
+@pytest.mark.parametrize("alphas", [[0.516893, 0.642191, 0.417231], [0.515846, 0.688727, 0.38182]])
+def test_numeric_reaches_minimum_on_constrained_face(alphas):
+    # the minimum sits at the corner (1, 1, 1) of the box, where g has a kink
+    res = eta_numeric(gauge_trivariate(VineSpec.trivariate(*(lgst(a) for a in alphas))), (1, 3))
+    assert res.eta == pytest.approx(1.0, abs=1e-9)
+
+
+def test_numeric_matches_root_solve_with_boundary_minimum():
+    spec = VineSpec.trivariate(ilog(0.352981), lgst(0.623491), lgst(0.352631))
+    res = eta_numeric(gauge_trivariate(spec), (1, 3))
+    assert res.eta == pytest.approx(eta_mixed_trivariate(spec, (1, 3)).eta, abs=1e-8)
+
+
+def test_numeric_polish_leaves_collapsed_corner():
+    # the simplices of all eight log-spaced starts collapse onto the corner
+    # (1, 1, 1); the minimum sits at x1 = 1.0053 on the edge x2 = x3 = 1
+    spec = VineSpec.trivariate(ilog(0.366609), ilog(0.370434), lgst(0.334335))
+    res = eta_numeric(gauge_trivariate(spec))
+    assert res.eta == pytest.approx(eta_mixed_trivariate(spec, (1, 2, 3)).eta, abs=1e-8)
+
+
+def test_numeric_dvine_end_pair_at_default_budget():
+    # reference value: the same solve at 16 starts and maxfev=20000
+    res = eta_numeric(gauge_dvine(VineSpec.uniform("dvine", 7, ilog(0.5))), (1, 7))
+    assert res.eta == pytest.approx(0.7990078876, abs=1e-8)
+
+
+def test_numeric_evaluations_do_not_grow_with_free_subsets():
+    n_starts, maxfev = 8, 400
+    for d in range(3, 9):
+        res = eta_numeric(gauge_dvine(VineSpec.uniform("dvine", d, ilog(0.5))), (1, d), n_starts, maxfev)
+        assert res.diagnostics["n_gauge_evals"] <= (n_starts + 1) * maxfev + 2
 
 
 def test_recursion_rejects_bad_specs():

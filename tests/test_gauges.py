@@ -330,3 +330,23 @@ def test_gauge_input_validation():
         g((1.0, -0.5))
     with pytest.raises(DomainError):
         g((1.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("bad", [
+    1.0,
+    [1.0, 2.0, 3.0],
+    [1.0, 2.0, 3.0, 4.0, 5.0],
+    [np.nan, 1.0, 1.0, 1.0],
+    [1.0, 1.0, 1.0, np.nan],
+    [1.0, -1e-300, 1.0, 1.0],
+    [1.0, 1.0, -np.inf, 1.0],
+])
+def test_single_point_validation(bad):
+    g = gauge_dvine(VineSpec.uniform("dvine", 4, ilog(0.5)))
+    assert g._sfn is not None
+    with pytest.raises(DomainError):
+        g(bad)
+    with pytest.raises(DomainError):
+        g(np.asarray(bad))
+    # -0.0 passes the check, as it does on the array path
+    assert g([0.0, 2.0, -0.0, 1.0]) == g(np.array([[0.0, 2.0, -0.0, 1.0]]))[0]
