@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .copulas import EV, IEV, PairCopula
+from .copulas import EV, IEV
 from .errors import ConvergenceError, DomainError, ParameterError, UnsupportedCombinationError
 from .gauges import Gauge, _minimise_coordinate, gauge_cvine, gauge_dvine, gauge_trivariate
 from .measures import Logistic
@@ -325,12 +325,7 @@ def eta_mixed_trivariate(spec: VineSpec, C) -> EtaResult:
     fams = (c12.family, c23.family, c13.family)
 
     if fams[0] == IEV and fams[1] == EV:
-        mirrored = VineSpec.trivariate(
-            PairCopula(c23.family, c23.measure.transposed()),
-            PairCopula(c12.family, c12.measure.transposed()),
-            PairCopula(c13.family, c13.measure.transposed()),
-        )
-        res = eta_mixed_trivariate(mirrored, C)
+        res = eta_mixed_trivariate(spec.mirrored(), C)
         return EtaResult(eta=res.eta, argmin=np.asarray(res.argmin)[::-1].copy(),
                          method=res.method, diagnostics=res.diagnostics | {"relabelled": "x1<->x3"})
 

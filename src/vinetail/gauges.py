@@ -7,10 +7,12 @@ module builds gauges analytically:
 
 * six bivariate families (independence, Gaussian, inverted EV, EV with
   regularly varying spectral tails, asymmetric logistic),
-* every trivariate vine built from EV / inverted-EV pair copulas,
-* d-dimensional D-vines and C-vines with inverted-EV components, via the
-  nested sub-vine recursion, compiled into one evaluation plan per vine
-  that the scalar and array paths both run,
+* every vine whose tree 1 is inverted EV, via the nested sub-vine
+  recursion compiled into one evaluation plan per vine: d-dimensional
+  D-vines and C-vines with inverted-EV components, and the trivariate vines
+  with either family on edge {13|2},
+* the trivariate vines with an EV copula in tree 1, by piecewise formulas
+  (the patterns with EV only on edge {23} by the x1 <-> x3 mirror),
 
 and numerically: projections onto coordinate subsets by minimising over the
 dropped coordinates.
@@ -71,8 +73,8 @@ class Gauge:
     resolved analytically inside the evaluators.  Single points use a plain
     scalar code path when available (optimisers hammer that case), arrays
     the vectorised one; the two are checked against each other in the test
-    suite.  D-vine and C-vine gauges have one evaluation plan per vine,
-    which both paths run.
+    suite.  Vine gauges with an inverted-EV tree 1 have one evaluation plan
+    per vine and path, compiled from the same recursion.
     """
 
     def __init__(self, dim: int, fn, tag: str, sfn=None):
@@ -92,11 +94,11 @@ class Gauge:
             # one point: checking the floats in Python beats two array passes
             xs = x.tolist()
             for v in xs:
-                if not v >= 0.0:  # also false for NaN
-                    raise DomainError("gauge arguments must be nonnegative reals")
+                if not 0.0 <= v < math.inf:  # also false for NaN
+                    raise DomainError("gauge arguments must be finite nonnegative reals")
             return float(self._sfn(*xs))
-        if np.any(np.isnan(x)) or np.any(x < 0.0):
-            raise DomainError("gauge arguments must be nonnegative reals")
+        if not np.all((x >= 0.0) & (x < np.inf)):  # also false for NaN
+            raise DomainError("gauge arguments must be finite nonnegative reals")
         out = np.asarray(self._fn(x))
         return float(out) if out.ndim == 0 else out
 
@@ -153,6 +155,12 @@ def _bev_eval(x1, x2, s1, s2):
     return (2.0 + sm) * np.maximum(x1, x2) - (1.0 + sm) * np.minimum(x1, x2)
 
 
+def _bev_eval_s(x1, x2, s1, s2):
+    # scalar twin of _bev_eval
+    sm, hi, lo = (s1, x1, x2) if x1 >= x2 else (s2, x2, x1)
+    return (2.0 + sm) * hi - (1.0 + sm) * lo
+
+
 def bev_gauge(s1: float, s2: float) -> Gauge:
     """Extreme value copula whose spectral density has regularly varying
     tails with exponents s1 (w -> 1) and s2 (w -> 0), both > -1.
@@ -160,17 +168,12 @@ def bev_gauge(s1: float, s2: float) -> Gauge:
     Piecewise linear; the slope switch uses ">= selects s1" at the tie,
     where both branches coincide anyway.
     """
-    orders = TailOrders(s1, s2, np.nan, np.nan)  # validates the exponents
-
-    def sfn(x1, x2):
-        sm = orders.s1 if x1 >= x2 else orders.s2
-        return (2.0 + sm) * max(x1, x2) - (1.0 + sm) * min(x1, x2)
-
+    TailOrders(s1, s2, np.nan, np.nan)  # validates the exponents
     return Gauge(
         2,
-        lambda x: _bev_eval(x[..., 0], x[..., 1], orders.s1, orders.s2),
+        lambda x: _bev_eval(x[..., 0], x[..., 1], s1, s2),
         f"bev(s1={s1}, s2={s2})",
-        sfn=sfn,
+        sfn=lambda x1, x2: _bev_eval_s(x1, x2, s1, s2),
     )
 
 
@@ -230,19 +233,6 @@ def _orders(pc: PairCopula, where: str) -> TailOrders:
         ) from exc
 
 
-def _tri_iii(m12, m23, m13, x1, x2, x3):
-    a = m12._v(_recip(x1), _recip(x2))
-    b = m23._v(_recip(x2), _recip(x3))
-    return x2 + m13._v(_recip(a - x2), _recip(b - x2))
-
-
-def _tri_iie(m12, m23, t13, x1, x2, x3):
-    a = m12._v(_recip(x1), _recip(x2))
-    b = m23._v(_recip(x2), _recip(x3))
-    sm = np.where(a >= b, t13.s1, t13.s2)
-    return (2.0 + sm) * np.maximum(a, b) - (1.0 + sm) * np.minimum(a, b)
-
-
 def _tri_eii(t12, m23, m13, t13, x1, x2, x3):
     b = m23._v(_recip(x2), _recip(x3))
     low = (2.0 + t13.s1) * (1.0 + t12.s2) * (x2 - x1) + b
@@ -253,19 +243,13 @@ def _tri_eii(t12, m23, m13, t13, x1, x2, x3):
 def _tri_eie(t12, m23, t13, x1, x2, x3):
     b = m23._v(_recip(x2), _recip(x3))
     low = x2 + (1.0 + t12.s2) * (x2 - x1) + (2.0 + t13.s2) * (b - x2)
-    b1 = (2.0 + t12.s1) * (x1 - x2)
-    b2 = b - x2
-    sm = np.where(b1 >= b2, t13.s1, t13.s2)
-    high = x2 + (2.0 + sm) * np.maximum(b1, b2) - (1.0 + sm) * np.minimum(b1, b2)
+    high = x2 + _bev_eval((2.0 + t12.s1) * (x1 - x2), b - x2, t13.s1, t13.s2)
     return np.where(x1 <= x2, low, high)
 
 
 def _tri_eei(t12, t23, m13, t13, x1, x2, x3):
     below1, below3 = x1 < x2, x3 < x2
-    a = (1.0 + t12.s2) * (x2 - x1)
-    b = (1.0 + t23.s1) * (x2 - x3)
-    sm = np.where(a >= b, t13.s1, t13.s2)
-    r1 = x2 + (2.0 + sm) * np.maximum(a, b) - (1.0 + sm) * np.minimum(a, b)
+    r1 = x2 + _bev_eval((1.0 + t12.s2) * (x2 - x1), (1.0 + t23.s1) * (x2 - x3), t13.s1, t13.s2)
     r2 = x2 + (2.0 + t13.s1) * (1.0 + t12.s2) * (x2 - x1) + (2.0 + t23.s2) * (x3 - x2)
     r3 = x2 + (2.0 + t13.s2) * (1.0 + t23.s1) * (x2 - x3) + (2.0 + t12.s1) * (x1 - x2)
     r4 = x2 + m13._v(
@@ -287,10 +271,7 @@ def _tri_eee(t12, t23, m13, t13, x1, x2, x3):
     )
     r2 = x2 + (2.0 + t13.s2) * (2.0 + t23.s2) * (x3 - x2) + (1.0 + t12.s2) * (x2 - x1)
     r3 = x2 + (2.0 + t13.s1) * (2.0 + t12.s1) * (x1 - x2) + (1.0 + t23.s1) * (x2 - x3)
-    b1 = (2.0 + t12.s1) * (x1 - x2)
-    b2 = (2.0 + t23.s2) * (x3 - x2)
-    sm = np.where(b1 >= b2, t13.s1, t13.s2)
-    r4 = x2 + (2.0 + sm) * np.maximum(b1, b2) - (1.0 + sm) * np.minimum(b1, b2)
+    r4 = x2 + _bev_eval((2.0 + t12.s1) * (x1 - x2), (2.0 + t23.s2) * (x3 - x2), t13.s1, t13.s2)
     return np.where(
         at_most1,
         np.where(at_most3, r1, r2),
@@ -299,19 +280,6 @@ def _tri_eee(t12, t23, m13, t13, x1, x2, x3):
 
 
 # scalar twins of the pattern evaluators (single points; plain float maths)
-
-def _tri_iii_s(m12, m23, m13, x1, x2, x3):
-    a = m12._v(_srecip(x1), _srecip(x2))
-    b = m23._v(_srecip(x2), _srecip(x3))
-    return x2 + m13._v(_srecip(a - x2), _srecip(b - x2))
-
-
-def _tri_iie_s(m12, m23, t13, x1, x2, x3):
-    a = m12._v(_srecip(x1), _srecip(x2))
-    b = m23._v(_srecip(x2), _srecip(x3))
-    sm, hi, lo = (t13.s1, a, b) if a >= b else (t13.s2, b, a)
-    return (2.0 + sm) * hi - (1.0 + sm) * lo
-
 
 def _tri_eii_s(t12, m23, m13, t13, x1, x2, x3):
     b = m23._v(_srecip(x2), _srecip(x3))
@@ -324,19 +292,13 @@ def _tri_eie_s(t12, m23, t13, x1, x2, x3):
     b = m23._v(_srecip(x2), _srecip(x3))
     if x1 <= x2:
         return x2 + (1.0 + t12.s2) * (x2 - x1) + (2.0 + t13.s2) * (b - x2)
-    b1 = (2.0 + t12.s1) * (x1 - x2)
-    b2 = b - x2
-    sm, hi, lo = (t13.s1, b1, b2) if b1 >= b2 else (t13.s2, b2, b1)
-    return x2 + (2.0 + sm) * hi - (1.0 + sm) * lo
+    return x2 + _bev_eval_s((2.0 + t12.s1) * (x1 - x2), b - x2, t13.s1, t13.s2)
 
 
 def _tri_eei_s(t12, t23, m13, t13, x1, x2, x3):
     if x1 < x2:
         if x3 < x2:
-            a = (1.0 + t12.s2) * (x2 - x1)
-            b = (1.0 + t23.s1) * (x2 - x3)
-            sm, hi, lo = (t13.s1, a, b) if a >= b else (t13.s2, b, a)
-            return x2 + (2.0 + sm) * hi - (1.0 + sm) * lo
+            return x2 + _bev_eval_s((1.0 + t12.s2) * (x2 - x1), (1.0 + t23.s1) * (x2 - x3), t13.s1, t13.s2)
         return x2 + (2.0 + t13.s1) * (1.0 + t12.s2) * (x2 - x1) + (2.0 + t23.s2) * (x3 - x2)
     if x3 < x2:
         return x2 + (2.0 + t13.s2) * (1.0 + t23.s1) * (x2 - x3) + (2.0 + t12.s1) * (x1 - x2)
@@ -356,18 +318,19 @@ def _tri_eee_s(t12, t23, m13, t13, x1, x2, x3):
         return x2 + (2.0 + t13.s2) * (2.0 + t23.s2) * (x3 - x2) + (1.0 + t12.s2) * (x2 - x1)
     if x3 <= x2:
         return x2 + (2.0 + t13.s1) * (2.0 + t12.s1) * (x1 - x2) + (1.0 + t23.s1) * (x2 - x3)
-    b1 = (2.0 + t12.s1) * (x1 - x2)
-    b2 = (2.0 + t23.s2) * (x3 - x2)
-    sm, hi, lo = (t13.s1, b1, b2) if b1 >= b2 else (t13.s2, b2, b1)
-    return x2 + (2.0 + sm) * hi - (1.0 + sm) * lo
+    return x2 + _bev_eval_s((2.0 + t12.s1) * (x1 - x2), (2.0 + t23.s2) * (x3 - x2), t13.s1, t13.s2)
 
 
 def gauge_trivariate(spec: VineSpec) -> Gauge:
     """Gauge of a trivariate vine with edges {12}, {23}, {13|2}.
 
-    Dispatches on the (c12, c23, c13|2) family pattern; the patterns with
-    the extreme value copula on edge {23} instead of {12} are evaluated by
-    relabelling x1 <-> x3, under which edge {12} swaps with {23}.
+    With inverted EV copulas on both tree-1 edges the vine is the d = 3 case
+    of the nested sub-vine recursion, whatever the family of edge {13|2},
+    and runs through its evaluation plan.  The patterns with an extreme
+    value copula in tree 1 dispatch on the (c12, c23, c13|2) family pattern
+    to piecewise formulas; those with it on edge {23} only are evaluated on
+    the x1 <-> x3 mirror (``VineSpec.mirrored``), under which edge {12}
+    swaps with {23}.
     """
     if not (spec.d == 3 and spec.structure in (TRIVARIATE, DVINE)):
         raise UnsupportedCombinationError("gauge_trivariate needs a trivariate vine with edges 12, 23, 13|2")
@@ -375,14 +338,11 @@ def gauge_trivariate(spec: VineSpec) -> Gauge:
     fams = (c12.family, c23.family, c13.family)
     tag = "trivariate-vine(" + ",".join(fams) + ")"
 
+    if fams[0] == IEV and fams[1] == IEV:
+        return _vine_gauge(spec, tag)
     if fams[0] == IEV and fams[1] == EV:
         # mirror pattern: evaluate the relabelled vine at (x3, x2, x1)
-        mirrored = VineSpec.trivariate(
-            PairCopula(c23.family, c23.measure.transposed()),
-            PairCopula(c12.family, c12.measure.transposed()),
-            PairCopula(c13.family, c13.measure.transposed()),
-        )
-        inner = gauge_trivariate(mirrored)
+        inner = gauge_trivariate(spec.mirrored())
         return Gauge(
             3,
             lambda x: inner._fn(x[..., ::-1]),
@@ -390,16 +350,9 @@ def gauge_trivariate(spec: VineSpec) -> Gauge:
             sfn=lambda x1, x2, x3: inner._sfn(x3, x2, x1),
         )
 
-    m12, m23, m13 = c12.measure, c23.measure, c13.measure
+    m23, m13 = c23.measure, c13.measure
 
-    if fams == (IEV, IEV, IEV):
-        fn = lambda x: _tri_iii(m12, m23, m13, x[..., 0], x[..., 1], x[..., 2])
-        sfn = lambda x1, x2, x3: _tri_iii_s(m12, m23, m13, x1, x2, x3)
-    elif fams == (IEV, IEV, EV):
-        t13 = _orders(c13, "13|2")
-        fn = lambda x: _tri_iie(m12, m23, t13, x[..., 0], x[..., 1], x[..., 2])
-        sfn = lambda x1, x2, x3: _tri_iie_s(m12, m23, t13, x1, x2, x3)
-    elif fams == (EV, IEV, IEV):
+    if fams == (EV, IEV, IEV):
         t12, t13 = _orders(c12, "12"), _orders(c13, "13|2")
         fn = lambda x: _tri_eii(t12, m23, m13, t13, x[..., 0], x[..., 1], x[..., 2])
         sfn = lambda x1, x2, x3: _tri_eii_s(t12, m23, m13, t13, x1, x2, x3)
@@ -421,7 +374,7 @@ def gauge_trivariate(spec: VineSpec) -> Gauge:
 
 
 # ---------------------------------------------------------------------------
-# D-vine and C-vine recursions (all inverted extreme value components)
+# the nested sub-vine recursion (inverted extreme value tree 1)
 # ---------------------------------------------------------------------------
 
 def _require_all_iev(spec: VineSpec, op: str):
@@ -429,25 +382,37 @@ def _require_all_iev(spec: VineSpec, op: str):
         raise UnsupportedCombinationError(f"{op} requires every edge to be an inverted extreme value copula")
 
 
-def _compile_vine(spec: VineSpec):
+def _compile_vine(spec: VineSpec, recip, bev):
     """The nested sub-vine recursion as a flat plan, one step per edge.
 
-    In a D-vine or C-vine, edge (a, b | D) joins the sub-vines on {a} u D
-    and {b} u D, which overlap in the sub-vine on D, so its node set has the
-    gauge g_D + V(1/(g_aD - g_D), 1/(g_bD - g_D)); tree-1 edges have D empty
-    and give V(1/x_a, 1/x_b).  Slots 0..d-1 hold the coordinates and slot
-    d + n the sub-vine gauge of the n-th edge in tree order, so the last
-    slot is the whole vine.  A step is (out, left, right, inner, V), with
-    inner None in tree 1.
+    Edge (a, b | D) joins the sub-vines on {a} u D and {b} u D, which
+    overlap in the sub-vine on D, so its node set has the gauge
+    g_D + g_e(g_aD - g_D, g_bD - g_D), where g_e is the edge's own bivariate
+    gauge: V(1/., 1/.) for an inverted EV edge, the bev gauge of its tail
+    orders for an EV edge.  Tree-1 steps have no g_D and give g_e(x_a, x_b).
+    The recursion needs inverted EV edges below the top tree; the callers
+    check that.  Slots 0..d-1 hold the coordinates and slot d + n the
+    sub-vine gauge of the n-th edge in tree order, so the last slot is the
+    whole vine.  A step is (out, left, right, inner, v), with inner None in
+    tree 1; v takes the reciprocals of the two operands, so it is V itself
+    for an inverted EV edge.  recip and bev are the helpers of the path
+    (scalar or array) that runs the plan.
     """
     slot = {frozenset([k]): k - 1 for k in range(1, spec.d + 1)}
     plan = []
     for label, pc in spec.edges.items():  # tree order: every operand is computed first
         (a, b), cond = label.pair, frozenset(label.cond)
         out = spec.d + len(plan)
-        plan.append((out, slot[cond | {a}], slot[cond | {b}], slot.get(cond), pc.measure._v))
+        v = pc.measure._v if pc.family == IEV else _bev_step(_orders(pc, str(label)), recip, bev)
+        plan.append((out, slot[cond | {a}], slot[cond | {b}], slot.get(cond), v))
         slot[cond | {a, b}] = out
     return plan
+
+
+def _bev_step(orders: TailOrders, recip, bev):
+    # recip undoes the reciprocal the plan applies (1/0 = inf and back)
+    s1, s2 = orders.s1, orders.s2
+    return lambda p, q: bev(recip(p), recip(q), s1, s2)
 
 
 def _run_plan(plan, vals, recip):
@@ -463,13 +428,14 @@ def _run_plan(plan, vals, recip):
 
 
 def _vine_gauge(spec: VineSpec, tag: str) -> Gauge:
-    d, plan = spec.d, _compile_vine(spec)
+    d = spec.d
+    plan, splan = _compile_vine(spec, _recip, _bev_eval), _compile_vine(spec, _srecip, _bev_eval_s)
     free = [None] * len(plan)
     return Gauge(
         d,
         lambda x: _run_plan(plan, [x[..., k] for k in range(d)] + free, _recip),
         tag,
-        sfn=lambda *xs: _run_plan(plan, [*xs, *free], _srecip),
+        sfn=lambda *xs: _run_plan(splan, [*xs, *free], _srecip),
     )
 
 

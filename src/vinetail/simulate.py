@@ -149,6 +149,7 @@ def _open_uniforms(rng, shape):
     return np.clip(w, 1e-15, 1.0 - 1e-15)
 
 
+# middle-first order: reusing w1 = F(x1|x2) saves _cascade_dvine's one hfunc per row at d = 3
 def _cascade_trivariate(spec, w):
     c12, c23, c13 = spec.copula(1, 2), spec.copula(2, 3), spec.copula(1, 3)
     u2 = w[:, 1]

@@ -149,6 +149,20 @@ class VineSpec:
     def all_iev(self) -> bool:
         return all(pc.family == IEV for pc in self.edges.values())
 
+    def mirrored(self) -> "VineSpec":
+        """The trivariate vine relabelled by x1 <-> x3.
+
+        Edges 12 and 23 swap and every measure is transposed, so
+        (X3, X2, X1) follows the result when (X1, X2, X3) follows self.
+        """
+        if self.d != 3 or self.structure == CVINE:
+            raise SpecError(f"the x1 <-> x3 mirror needs a vine with edges 12, 23, 13|2, not {self!r}")
+        return VineSpec(3, self.structure, {
+            "12": self.copula(2, 3).swapped(),
+            "23": self.copula(1, 2).swapped(),
+            "13|2": self.copula(1, 3).swapped(),
+        })
+
     @classmethod
     def trivariate(cls, c12: PairCopula, c23: PairCopula, c13_2: PairCopula) -> "VineSpec":
         return cls(3, TRIVARIATE, {"12": c12, "23": c23, "13|2": c13_2})

@@ -189,6 +189,48 @@ def test_mirror_patterns_relabel():
     assert_allclose(mirror(pts), direct(pts[:, ::-1]), rtol=1e-13)
 
 
+def _folded_oracle_points():
+    pts = RNG.uniform(0.0, 3.0, (600, 3))
+    for k in range(3):
+        pts[k::10, k] = 0.0
+    # tree-1 ties a = b: x2 = 0 with x1 = x3 gives a = x1 = b, and
+    # x1 = x3 = 0 gives a = x2 = b
+    pts[3::10, 1] = 0.0
+    pts[3::10, 2] = pts[3::10, 0]
+    pts[4::10, [0, 2]] = 0.0
+    return pts
+
+
+@pytest.mark.parametrize("alphas, rtol", [
+    ((0.3, 0.7, 0.45), 1e-15),
+    ((0.8, 0.35, 0.6), 1e-15),
+    # an EV top edge with alpha 0.2 has s = 3: bev weighs the rounding of
+    # its arguments by 2 + s and 1 + s
+    ((0.8, 0.35, 0.2), 2e-15),
+])
+@pytest.mark.parametrize("top", ["iev", "ev"])
+def test_iev_tree1_patterns_match_their_formulas(top, alphas, rtol):
+    # the iii and iie patterns run through the vine plan; these are their
+    # formulas in the tree-1 gauges a = g12(x1, x2) and b = g23(x2, x3)
+    a12, a23, a13 = alphas
+    g = tri(ilog(a12), ilog(a23), PairCopula(top, Logistic(a13)))
+    pts = _folded_oracle_points()
+    x2 = pts[:, 1]
+    a = inverted_ev_gauge(Logistic(a12))(pts[:, :2])
+    b = inverted_ev_gauge(Logistic(a23))(pts[:, 1:])
+    assert np.any((a == b) & (a > 0.0))
+    if top == "iev":
+        # x2 + V13(1/(a - x2), 1/(b - x2)); rounding-negative gaps are 0
+        gaps = np.maximum(np.column_stack([a - x2, b - x2]), 0.0)
+        oracle = x2 + inverted_ev_gauge(Logistic(a13))(gaps)
+    else:
+        t = Logistic(a13).tail_orders()
+        s = np.where(a >= b, t.s1, t.s2)
+        oracle = (2.0 + s) * np.maximum(a, b) - (1.0 + s) * np.minimum(a, b)
+    assert_allclose(g(pts), oracle, rtol=rtol, atol=0.0)
+    assert_allclose([g(p) for p in pts], oracle, rtol=rtol, atol=0.0)
+
+
 def test_ev_edges_need_tail_orders():
     alog_ev = PairCopula("ev", AsymmetricLogistic(0.5, 0.3, 0.5))
     with pytest.raises(UnsupportedCombinationError):
@@ -340,6 +382,10 @@ def test_gauge_input_validation():
     [1.0, 1.0, 1.0, np.nan],
     [1.0, -1e-300, 1.0, 1.0],
     [1.0, 1.0, -np.inf, 1.0],
+    [np.inf, 1.0, 1.0, 1.0],
+    [1.0, np.inf, 1.0, 1.0],
+    [1.0, 1.0, 1.0, np.inf],
+    [[1.0, 1.0, 1.0, 1.0], [1.0, np.inf, 1.0, 1.0]],  # array path
 ])
 def test_single_point_validation(bad):
     g = gauge_dvine(VineSpec.uniform("dvine", 4, ilog(0.5)))

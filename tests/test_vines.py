@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vinetail import Logistic, PairCopula, SpecError, VineSpec
+from vinetail import AsymmetricLogistic, Logistic, PairCopula, SpecError, VineSpec, VinetailError
 from vinetail.vines import EdgeLabel, expected_edges
 
 
@@ -89,3 +89,30 @@ def test_families_and_all_iev():
     assert spec.families() == ("iev", "ev", "iev")
     assert not spec.all_iev()
     assert VineSpec.uniform("cvine", 5, ilog(0.2)).all_iev()
+
+
+def test_mirror_swaps_outer_edges_and_transposes():
+    c12 = PairCopula("ev", AsymmetricLogistic(0.5, 0.3, 0.8))
+    c23 = ilog(0.4)
+    c13 = PairCopula("iev", AsymmetricLogistic(0.6, 0.9, 0.2))
+    spec = VineSpec.trivariate(c12, c23, c13)
+    m = spec.mirrored()
+    assert m.structure == "trivariate"
+    assert m.families() == ("iev", "ev", "iev")
+    assert m.copula(1, 2).measure == c23.measure  # Logistic is exchangeable
+    assert m.copula(2, 3).measure.to_dict() == {"type": "asymmetric_logistic", "alpha": 0.5,
+                                                "theta1": 0.8, "theta2": 0.3}
+    assert m.copula(1, 3).measure.to_dict()["theta1"] == 0.2
+    assert m.mirrored().to_dict() == spec.to_dict()
+    dvine = VineSpec(3, "dvine", {"12": c12, "23": c23, "13|2": c13})
+    assert dvine.mirrored().structure == "dvine"
+    assert dvine.mirrored().mirrored().to_dict() == dvine.to_dict()
+
+
+def test_mirror_needs_a_trivariate_vine():
+    # a 4-d D-vine has a 13|2 edge of its own, so only the dimension check
+    # keeps it from being mirrored into a wrong trivariate spec
+    with pytest.raises(VinetailError):
+        VineSpec.uniform("dvine", 4, ilog(0.5)).mirrored()
+    with pytest.raises(VinetailError):
+        VineSpec.uniform("cvine", 3, ilog(0.5)).mirrored()
