@@ -8,10 +8,10 @@ which this module evaluates three ways, in order of preference: closed
 forms where they exist (bivariate gallery, inverted-logistic trivariate,
 the D-/C-vine recursions, the mixed trivariate cases), one-dimensional
 root solves for the stationary points with proved unique roots, and, as
-the general fallback, numerical minimisation over that box: one
-bound-constrained Nelder-Mead solve in x per start and a polish of the
-best point, within a budget set by the number of starts and not by the
-number of box faces.
+the general fallback, numerical minimisation over that box with the
+gauge box minimiser ``gauges._minimise_gauge``: one bound-constrained
+Nelder-Mead solve in x per start and a polish of the best point, within a
+budget set by the number of starts and not by the number of box faces.
 1/g(1, ..., 1) is always a lower bound for eta, with equality exactly when
 the minimiser sits at the all-ones point.
 """
@@ -26,7 +26,7 @@ from scipy import optimize
 
 from .copulas import EV, IEV
 from .errors import ConvergenceError, DomainError, ParameterError, UnsupportedCombinationError
-from .gauges import Gauge, _minimise_coordinate, gauge_cvine, gauge_dvine, gauge_trivariate
+from .gauges import Gauge, _minimise_gauge, gauge_cvine, gauge_dvine, gauge_trivariate
 from .measures import Logistic
 from .vines import CVINE, DVINE, TRIVARIATE, VineSpec
 
@@ -78,17 +78,17 @@ def _normalise_labels(C, dim):
 def eta_numeric(g: Gauge, C=None, n_starts: int = 8, maxfev: int = 400) -> EtaResult:
     """eta_C by bound-constrained multi-start minimisation of the gauge.
 
-    Each start runs one Nelder-Mead solve directly in x over the box
-    x_i >= 1 (i in C), x_i >= 0 (i not in C); the simplex is clipped to the
-    box, so minima on its faces (x_c = 1, x_k = 0) are reached exactly.
-    The starts are corner + s for n_starts log-spaced s in [0.05, 20] and
-    a near-corner s = 1e-8, where the corner (ones on C, zeros elsewhere)
-    is the lower bound.  The corner is evaluated exactly as one more
-    candidate.  The best point is polished by restarts on fresh simplices
-    with the evaluations the starts left unused, so at most
-    (n_starts + 1) * maxfev + 2 evaluations are made in all.  It is then
-    rescaled by homogeneity so that its smallest C coordinate is one, and
-    the corner is taken when it matches the optimum to rounding.
+    The box x_i >= 1 (i in C), x_i >= 0 (i not in C) has every coordinate
+    free, so ``gauges._minimise_gauge`` runs one Nelder-Mead solve directly
+    in x per start, with the simplex clipped to the box so that minima on
+    its faces (x_c = 1, x_k = 0) are reached exactly.  The starts are
+    corner + s for n_starts log-spaced s in [0.05, 20] and a near-corner
+    s = 1e-8, where the corner (ones on C, zeros elsewhere) is the lower
+    bound and one more candidate.  The best point is polished by restarts
+    on fresh simplices with the evaluations the starts left unused, so at
+    most (n_starts + 1) * maxfev + 2 evaluations are made in all.  It is
+    then rescaled by homogeneity so that its smallest C coordinate is one,
+    and the corner is taken when it matches the optimum to rounding.
     """
     d = g.dim
     C = _normalise_labels(C if C is not None else range(1, d + 1), d)
@@ -97,69 +97,29 @@ def eta_numeric(g: Gauge, C=None, n_starts: int = 8, maxfev: int = 400) -> EtaRe
     cons = [c - 1 for c in C]
     corner = np.zeros(d)
     corner[cons] = 1.0
-    bounds = optimize.Bounds(corner, np.inf)
 
-    evals = {"count": 0}
-    scalar = g.scalar_evaluator()  # bounded Nelder-Mead keeps every vertex in the box
-
-    def gauge_at(x):
-        evals["count"] += 1
-        return float(scalar(*x.tolist()))
-
-    def solve(x0, budget, simplex=None):
-        return optimize.minimize(
-            gauge_at,
-            x0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"xatol": 1e-6, "fatol": 1e-10, "maxfev": budget, "maxiter": budget,
-                     "initial_simplex": simplex},
-        )
-
-    corner_val = gauge_at(corner)
-    candidates = [(corner_val, corner)]
-    full_runs = []
-    for s in [*np.geomspace(0.05, 20.0, int(n_starts)), 1e-8]:
-        res = solve(corner + s, maxfev)
-        full_runs.append(float(res.fun))
-        candidates.append((float(res.fun), res.x))
-
-    best_val, best_x = min(candidates, key=lambda c: c[0])
+    best_val, best_x, corner_val, runs, n_evals = _minimise_gauge(g, corner, range(d), n_starts, maxfev)
     if not np.isfinite(best_val):
         raise ConvergenceError("no minimisation start produced a finite gauge value",
-                               {"C": C, "candidates": len(candidates)})
-
-    # polish: clipping to the box can collapse a simplex onto a face or a
-    # corner next to the minimum, so restart from the best point on fresh
-    # simplices, ten times smaller after each restart that does not
-    # improve, with what the starts left of (n_starts + 1) * maxfev
-    budget = len(full_runs) * maxfev - (evals["count"] - 1)
-    scale = 0.05
-    while budget > d and scale > 1e-6:
-        step = np.where(best_x > 0.0, best_x, 0.005) * scale
-        res = solve(best_x, budget, np.vstack([best_x, best_x + np.diag(step)]))
-        budget -= res.nfev
-        if res.fun < best_val - 1e-10:
-            best_val, best_x = float(res.fun), res.x
-        else:
-            scale *= 0.1
+                               {"C": C, "candidates": len(runs) + 1})
 
     # homogeneity clean-up: scale so that min over C equals one exactly
     m = float(np.min(best_x[cons]))
     if m > 0 and abs(m - 1.0) > 1e-12:
         best_x = best_x / m
-        best_val = gauge_at(best_x)
+        best_val = float(g.scalar_evaluator()(*best_x.tolist()))  # the evaluator n_gauge_evals counts
+        n_evals += 1
 
     # snap to the corner when the optimum matches it to rounding
     if corner_val <= best_val + 1e-12:
         best_val, best_x = corner_val, corner
 
-    spread = float(np.max(full_runs) - np.min(full_runs))
+    spread = float(np.max(runs) - np.min(runs))
     diagnostics = {
-        "n_starts": len(full_runs),
+        "n_starts": len(runs),
         "spread": spread,
         "suspicious_landscape": bool(spread > 1e-4),
-        "n_gauge_evals": evals["count"],
+        "n_gauge_evals": n_evals,
         "best_value": best_val,
     }
     return EtaResult(eta=1.0 / best_val, argmin=best_x, method=NUMERIC, diagnostics=diagnostics)
@@ -246,30 +206,16 @@ def _is_logistic(pc):
     return isinstance(pc.measure, Logistic)
 
 
-def _free_coordinate_min(gauge, point, j):
-    """Minimise the gauge over coordinate j with the others held fixed."""
-    x = np.array(point, dtype=float)
-
-    def f(t):
-        x[j] = t
-        return float(gauge(x))
-
-    hi = max(10.0 * float(np.max(np.delete(x, j))), 1.05 * f(0.0), 1e-6)
-    t_star, val = _minimise_coordinate(f, hi)
-    x[j] = t_star
-    return val, x
-
-
 def _pair_margin_eta(spec, gauge, i, j, other):
     """eta for a pair directly linked in tree 1 (its copula is the margin)."""
     pc = spec.copula(i, j)
-    point = np.zeros(3)
-    point[[i - 1, j - 1]] = 1.0
+    lower = np.zeros(3)
+    lower[[i - 1, j - 1]] = 1.0
     if pc.family == EV:
         eta = 1.0
     else:
         eta = 1.0 / float(pc.measure.V(1.0, 1.0))
-    _, x = _free_coordinate_min(gauge, point, other - 1)
+    x = _minimise_gauge(gauge, lower, [other - 1])[1]
     return EtaResult(eta=eta, argmin=x, method=CLOSED, diagnostics={"pair": (i, j)})
 
 
@@ -406,8 +352,6 @@ def _eta_vine(spec: VineSpec, build_gauge, name: str) -> float:
     if not all(_is_logistic(pc) for pc in spec.edges.values()):
         warnings.warn(f"non-logistic IEV edges: {name} falls back to numeric minimisation")
         return eta_numeric(build_gauge(spec)).eta
-    if spec.d == 2:
-        return 1.0 / float(spec.copula(1, 2).measure.V(1.0, 1.0))
     return 1.0 / build_gauge(spec)(np.ones(spec.d))
 
 

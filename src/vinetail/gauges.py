@@ -15,7 +15,8 @@ module builds gauges analytically:
   (the patterns with EV only on edge {23} by the x1 <-> x3 mirror),
 
 and numerically: projections onto coordinate subsets by minimising over the
-dropped coordinates.
+dropped coordinates.  One box-constrained minimiser, ``_minimise_gauge``,
+serves the projections and ``eta.eta_numeric`` alike.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ import numpy as np
 from scipy import optimize
 
 from .copulas import EV, IEV, PairCopula
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    ParameterError,
-    UnsupportedCombinationError,
-)
+from .errors import DomainError, ParameterError, UnsupportedCombinationError
 from .measures import ExponentMeasure, TailOrders
 from .vines import CVINE, DVINE, TRIVARIATE, VineSpec
 
@@ -449,8 +445,6 @@ def gauge_dvine(spec: VineSpec) -> Gauge:
     """
     if spec.structure not in (DVINE, TRIVARIATE):
         raise UnsupportedCombinationError("gauge_dvine requires a dvine structure")
-    if spec.d < 3:
-        raise UnsupportedCombinationError("the D-vine recursion needs dimension >= 3")
     _require_all_iev(spec, "gauge_dvine")
     return _vine_gauge(spec, f"dvine(d={spec.d})")
 
@@ -464,8 +458,6 @@ def gauge_cvine(spec: VineSpec) -> Gauge:
     """
     if spec.structure != CVINE:
         raise UnsupportedCombinationError("gauge_cvine requires a cvine structure")
-    if spec.d < 3:
-        raise UnsupportedCombinationError("the C-vine recursion needs dimension >= 3")
     _require_all_iev(spec, "gauge_cvine")
     return _vine_gauge(spec, f"cvine(d={spec.d})")
 
@@ -474,38 +466,117 @@ def gauge_cvine(spec: VineSpec) -> Gauge:
 # projections and boundary geometry
 # ---------------------------------------------------------------------------
 
-_PROJ_SEEDS = 8
+def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400):
+    """Minimise g over the box x >= lower, moving only the coordinates in free.
 
-
-def _minimise_coordinate(f, hi, xatol=1e-10):
-    """Minimise a scalar function over [0, hi] with log-spaced multi-starts.
-
-    Runs a bounded Brent search on each of the panels between consecutive
-    log-spaced seeds, plus the exact endpoints as candidates.
+    lower needs a positive coordinate.  The other coordinates stay at lower,
+    and the corner x = lower is always a candidate.  One free coordinate runs a bounded Brent search on each
+    panel between log-spaced seeds in [0, hi] above its lower bound, where
+    hi = max(10 m, 1.05 g(lower)) and m = max(lower): the containment
+    g(x) >= max(x) puts every minimiser below g(lower).  Two or more free
+    run one bound-constrained Nelder-Mead solve per start lower + s m, for
+    n_starts log-spaced s in [0.05, 20] and a near-corner s = 1e-8, then
+    polish the best point with the evaluations the starts left of
+    (n_starts + 1) * maxfev.  Returns the best value, its argmin, g(lower),
+    the value each start reached and the number of evaluations.
     """
-    if hi <= 0.0:
-        return 0.0, f(0.0)
-    seeds = np.concatenate([[0.0], np.geomspace(hi * 1e-6, hi, _PROJ_SEEDS)])
-    best_t, best_v = 0.0, f(0.0)
-    v_hi = f(hi)
-    if v_hi < best_v:
-        best_t, best_v = hi, v_hi
-    for lo, up in zip(seeds[:-1], seeds[1:]):
-        res = optimize.minimize_scalar(f, bounds=(lo, up), method="bounded", options={"xatol": xatol})
-        if res.fun < best_v:
-            best_t, best_v = float(res.x), float(res.fun)
-    return best_t, best_v
+    lower = np.asarray(lower, dtype=float)
+    free = list(free)
+    scalar = g.scalar_evaluator()
+    xs = lower.tolist()
+    corner_val = float(scalar(*xs))
+    n_evals = 1
+    m = max(xs)
+
+    if len(free) == 1:
+        # a list holds the point: minimize_scalar passes np.float64, which the
+        # scalar plans run far slower than float
+        j = free[0]
+
+        def f(t):
+            nonlocal n_evals
+            n_evals += 1
+            xs[j] = float(t)
+            return float(scalar(*xs))
+
+        lo_j = best_t = xs[j]
+        best_val, runs = corner_val, []
+        hi = max(10.0 * m, 1.05 * corner_val)
+        seeds = lo_j + np.concatenate([[0.0], np.geomspace(hi * 1e-6, hi, int(n_starts))])
+        v_hi = f(lo_j + hi)
+        if v_hi < best_val:
+            best_t, best_val = lo_j + hi, v_hi
+        for lo, up in zip(seeds[:-1], seeds[1:]):
+            res = optimize.minimize_scalar(f, bounds=(lo, up), method="bounded", options={"xatol": 1e-10})
+            runs.append(float(res.fun))
+            if res.fun < best_val:
+                best_t, best_val = float(res.x), float(res.fun)
+        best_x = lower.copy()
+        best_x[j] = best_t
+        return best_val, best_x, corner_val, runs, n_evals
+
+    if len(free) == len(xs):
+        def fun(t):
+            nonlocal n_evals
+            n_evals += 1
+            return float(scalar(*t.tolist()))
+    else:
+        def fun(t):
+            nonlocal n_evals
+            n_evals += 1
+            for k, v in zip(free, t.tolist()):
+                xs[k] = v
+            return float(scalar(*xs))
+
+    lo = lower[free]
+    bounds = optimize.Bounds(lo, np.inf)  # bounded Nelder-Mead keeps every vertex in the box
+
+    def solve(t0, budget, simplex=None):
+        return optimize.minimize(
+            fun,
+            t0,
+            method="Nelder-Mead",
+            bounds=bounds,
+            options={"xatol": 1e-6, "fatol": 1e-10, "maxfev": budget, "maxiter": budget,
+                     "initial_simplex": simplex},
+        )
+
+    best_val, best_t, runs = corner_val, lo, []
+    for s in [*np.geomspace(0.05, 20.0, int(n_starts)), 1e-8]:
+        res = solve(lo + s * m, maxfev)
+        runs.append(float(res.fun))
+        if res.fun < best_val:
+            best_val, best_t = float(res.fun), res.x
+
+    # polish: clipping to the box can collapse a simplex onto a face or a
+    # corner next to the minimum, so restart from the best point on fresh
+    # simplices, ten times smaller after each restart that does not
+    # improve.  The step floor 0.005 m lets a simplex built at a coordinate
+    # the near-corner start left at about 1e-8 leave that face.
+    budget = len(runs) * maxfev - (n_evals - 1)
+    scale = 0.05
+    while np.isfinite(best_val) and budget > len(free) and scale > 1e-6:
+        step = np.maximum(best_t, 0.005 * m) * scale
+        res = solve(best_t, budget, np.vstack([best_t, best_t + np.diag(step)]))
+        budget -= res.nfev
+        if res.fun < best_val - 1e-10:
+            best_val, best_t = float(res.fun), res.x
+        else:
+            scale *= 0.1
+    best_x = lower.copy()
+    best_x[free] = best_t
+    return best_val, best_x, corner_val, runs, n_evals
 
 
 def gauge_project(g: Gauge, keep) -> Gauge:
     """Lower-dimensional gauge: minimise g over the dropped coordinates.
 
-    keep is a set of 1-based coordinate labels.  Uses per-coordinate bounded
-    Brent searches (the limit-set containment g(x) >= max(x) bounds every
-    dropped coordinate by the current minimum value), cyclic coordinate
-    descent when more than one coordinate is dropped, and a Nelder-Mead
-    polish.  Non-convergence raises with diagnostics rather than returning
-    silently.
+    keep is a set of 1-based coordinate labels.  Each point is the box
+    minimum of g with the kept coordinates fixed at their values and the
+    dropped ones >= 0 (``_minimise_gauge``): bounded Brent searches when one
+    coordinate is dropped, multi-start bounded Nelder-Mead when more are.
+    The corner, with every dropped coordinate at zero, is a candidate, so a
+    projection never reads above g(x, 0).
     """
     keep = tuple(sorted(set(int(k) for k in keep)))
     if not keep or any(k < 1 or k > g.dim for k in keep):
@@ -516,55 +587,11 @@ def gauge_project(g: Gauge, keep) -> Gauge:
         return g
 
     def minimise_point(x_keep):
-        point = np.zeros(g.dim)
-        point[kept_idx] = x_keep
         if np.all(x_keep == 0.0):
             return 0.0
-        top = float(g(point))  # dropped coordinates at zero
-        hi = max(10.0 * float(np.max(x_keep)), 1.05 * top)
-        if len(dropped) == 1:
-            j = dropped[0]
-
-            def f(t):
-                point[j] = t
-                return float(g(point))
-
-            _, val = _minimise_coordinate(f, hi)
-            point[j] = 0.0
-            return min(val, top)
-
-        best = top
-        current = point.copy()
-        for sweep in range(60):
-            moved = 0.0
-            for j in dropped:
-
-                def f(t, j=j):
-                    trial = current.copy()
-                    trial[j] = t
-                    return float(g(trial))
-
-                t_star, val = _minimise_coordinate(f, hi)
-                moved = max(moved, abs(current[j] - t_star))
-                current[j] = t_star
-            value = float(g(current))
-            if moved < 1e-8:
-                best = min(best, value)
-                break
-        else:
-            raise ConvergenceError(
-                "projection coordinate descent did not stabilise",
-                {"keep": keep, "point": x_keep.tolist(), "last_move": moved},
-            )
-        # Nelder-Mead polish over the dropped block
-        def fdrop(t):
-            trial = current.copy()
-            trial[dropped] = np.abs(t)
-            return float(g(trial))
-
-        res = optimize.minimize(fdrop, current[dropped], method="Nelder-Mead",
-                                options={"xatol": 1e-10, "fatol": 1e-12})
-        return min(best, float(res.fun))
+        lower = np.zeros(g.dim)
+        lower[kept_idx] = x_keep
+        return _minimise_gauge(g, lower, dropped)[0]
 
     def fn(x):
         x = np.asarray(x, dtype=float)

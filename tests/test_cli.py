@@ -225,3 +225,19 @@ def test_result_json_converts_numpy_scalars():
 
     res = EtaResult(0.5, np.ones(2), "root", {"v": np.float32(0.25), "k": (np.int64(3), 1.5)})
     assert json.loads(_result_json(res))["diagnostics"] == {"v": 0.25, "k": [3.0, 1.5]}
+
+
+@pytest.mark.parametrize("structure", ["dvine", "cvine"])
+def test_two_dimensional_spec(capsys, tmp_path, structure):
+    # a 2-d vine is its one tree-1 edge, so eta is the pair's 2^-alpha
+    path = tmp_path / "pair.json"
+    path.write_text(VineSpec(2, structure, {"12": PairCopula("iev", Logistic(0.4))}).to_json())
+    for method in ("auto", "numeric"):
+        code, out = run(capsys, "eta", "--spec", str(path), "--method", method)
+        assert code == 0
+        assert json.loads(out)["eta"] == pytest.approx(2.0**-0.4, abs=1e-9)
+    code, out = run(capsys, "contour", "--spec", str(path), "--resolution", "9")
+    assert code == 0
+    rows = np.array([[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]])
+    assert rows.shape == (9, 5)
+    assert np.allclose(rows[:, 4], 1.0, atol=1e-10)

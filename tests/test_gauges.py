@@ -23,6 +23,7 @@ from vinetail import (
     inverted_ev_gauge,
     simplex_directions,
 )
+from vinetail.vines import expected_edges
 
 RNG = np.random.default_rng(1618)
 
@@ -326,7 +327,7 @@ def test_projection_matches_grid_minimum():
 
 
 def test_projection_two_dropped_coordinates():
-    """Cyclic coordinate descent over two dropped coordinates, checked
+    """Bounded Nelder-Mead over two dropped coordinates, checked
     against a 401 x 401 brute-force grid (grid value 1.36576904...)."""
     edges = {"12": ilog(0.3), "23": ilog(0.5), "34": ilog(0.7),
              "13|2": ilog(0.4), "24|3": ilog(0.6), "14|23": ilog(0.55)}
@@ -335,6 +336,32 @@ def test_projection_two_dropped_coordinates():
     val = g14((1.0, 1.0))
     assert val == pytest.approx(1.3657650966, abs=1e-6)
     assert val <= 1.3657690423 + 1e-9  # never above the brute-force grid
+
+
+def dvine4(alphas):
+    return VineSpec(4, "dvine", {e: ilog(a) for e, a in zip(expected_edges("dvine", 4), alphas)})
+
+
+def test_projection_off_tree1_pair_lies_in_its_bounds():
+    # minimising over x1 and x3 used to stop with "did not stabilise"
+    g = gauge_dvine(dvine4([0.56426, 0.520418, 0.641805, 0.321789, 0.530049, 0.538621]))
+    x = np.array([0.372367, 0.707567])
+    val = gauge_project(g, (2, 4))(x)
+    assert np.max(x) <= val <= g([0.0, x[0], 0.0, x[1]])
+
+
+def test_projection_tree1_pair_matches_margin():
+    spec = dvine4([0.66628, 0.435393, 0.472873, 0.671552, 0.60109, 0.458283])
+    x = np.array([1.678018, 0.051226])
+    val = gauge_project(gauge_dvine(spec), (1, 2))(x)
+    assert val == pytest.approx(inverted_ev_gauge(spec.copula(1, 2).measure)(x), abs=1e-6)
+
+
+def test_projection_polish_leaves_collapsed_face():
+    # the near-corner start leaves x3 at about 1e-8; a polish simplex sized
+    # from that coordinate cannot leave the face x3 = 0
+    g = gauge_dvine(dvine4([0.488077, 0.579518, 0.416815, 0.633143, 0.343542, 0.653497]))
+    assert gauge_project(g, (2, 4))((1.166474, 0.090259)) <= 1.1667034449 + 1e-9
 
 
 def test_projection_validates_keep():

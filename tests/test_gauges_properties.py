@@ -1,10 +1,23 @@
-"""Property tests of the D-vine and C-vine gauges and of eta_dvine/eta_cvine."""
+"""Property tests of the D-vine and C-vine gauges, their projections and
+eta_dvine/eta_cvine."""
+
+from itertools import combinations
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vinetail import Logistic, PairCopula, VineSpec, eta_cvine, eta_dvine, gauge_cvine, gauge_dvine
+from vinetail import (
+    Logistic,
+    PairCopula,
+    VineSpec,
+    eta_cvine,
+    eta_dvine,
+    gauge_cvine,
+    gauge_dvine,
+    gauge_project,
+    inverted_ev_gauge,
+)
 from vinetail.vines import expected_edges
 
 BUILD = {"dvine": (gauge_dvine, eta_dvine), "cvine": (gauge_cvine, eta_cvine)}
@@ -68,3 +81,25 @@ def test_scalar_path_matches_array_path(data):
 @given(vines())
 def test_eta_is_reciprocal_gauge_at_ones(spec):
     assert BUILD[spec.structure][1](spec) == 1.0 / gauge(spec)(np.ones(spec.d))
+
+
+KEEPS_4 = [keep for r in (2, 3) for keep in combinations(range(1, 5), r)]
+
+
+@given(st.lists(st.floats(0.3, 0.7), min_size=6, max_size=6), st.lists(coordinate, min_size=3, max_size=3))
+def test_dvine4_projections(alphas, xs):
+    # onto every pair and triple: a tree-1 pair's projection is its IEV margin
+    # gauge; any other lies in [max(x), g(x, 0)]
+    edges = {e: PairCopula("iev", Logistic(a)) for e, a in zip(expected_edges("dvine", 4), alphas)}
+    spec = VineSpec(4, "dvine", edges)
+    g = gauge_dvine(spec)
+    for keep in KEEPS_4:
+        x = np.array(xs[:len(keep)])
+        val = gauge_project(g, keep)(x)
+        if len(keep) == 2 and keep[1] == keep[0] + 1:
+            ref = inverted_ev_gauge(spec.copula(*keep).measure)(x)
+            assert abs(val - ref) <= 1e-6 * ref
+        else:
+            full = np.zeros(4)
+            full[[k - 1 for k in keep]] = x
+            assert np.max(x) * (1.0 - 1e-13) <= val <= g(full)
