@@ -7,7 +7,8 @@ eta_C is recovered from a gauge g as
 which this module evaluates three ways, in order of preference: closed
 forms where they exist (bivariate gallery, inverted-logistic trivariate,
 the D-/C-vine recursions, the mixed trivariate cases), one-dimensional
-root solves for the stationary points with proved unique roots, and, as
+root solves for the stationary points with proved unique roots (``_bisect``,
+scipy's bisection on Python floats, raising ``ConvergenceError``), and, as
 the general fallback, numerical minimisation over that box with the
 gauge box minimiser ``gauges._minimise_gauge``: one bound-constrained
 Nelder-Mead solve in x per start and a polish of the best point, within a
@@ -22,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .copulas import EV, IEV
 from .errors import ConvergenceError, DomainError, ParameterError, UnsupportedCombinationError
@@ -48,6 +48,38 @@ NUMERIC = "numeric"
 _ROOT_LO = 1e-12
 _ROOT_HI = 1.0 - 1e-12
 _ROOT_XTOL = 1e-12
+_ROOT_RTOL = 4 * 2.0**-52  # 4 eps, the smallest relative tolerance scipy allows
+
+
+def _bisect(f, a, b, xtol=_ROOT_XTOL, maxiter=200):
+    """Root of f on [a, b] by bisection on Python floats: scipy's
+    ``optimize.bisect`` step for step, with its relative tolerance 4 eps.
+
+    Raises ConvergenceError, with the bracket and the values seen, where
+    scipy raises ValueError (no sign change, or a NaN value) or RuntimeError
+    (no convergence within maxiter halvings).
+    """
+    fa, fb = f(a), f(b)
+    if not fa * fb <= 0.0:  # also true when either value is NaN
+        raise ConvergenceError("bisection needs f(a) and f(b) of opposite signs",
+                               {"a": a, "b": b, "f(a)": fa, "f(b)": fb})
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    x, dm = a, b - a
+    for _ in range(maxiter):
+        dm *= 0.5
+        xm = x + dm
+        fm = f(xm)
+        if fm != fm:
+            raise ConvergenceError("bisection met a NaN value", {"a": a, "b": b, "x": xm})
+        if fm * fa >= 0.0:
+            x = xm
+        if fm == 0.0 or abs(dm) < xtol + _ROOT_RTOL * abs(xm):
+            return xm
+    raise ConvergenceError(f"bisection did not converge in {maxiter} halvings",
+                           {"a": a, "b": b, "x": x, "step": dm, "maxiter": maxiter})
 
 
 @dataclass(frozen=True)
@@ -191,8 +223,7 @@ def eta13_trivariate_ilog(alpha: float, beta: float, gamma: float, force_root: b
         raise ConvergenceError("stationarity equation not bracketed on (0, 1); "
                                "uniqueness of the root makes this an implementation bug",
                                {"f(lo)": flo, "f(hi)": fhi})
-    v = optimize.bisect(lambda t: _ilog_g1v1_deriv(a, b, c, t), lo, hi,
-                        xtol=_ROOT_XTOL, maxiter=200)
+    v = _bisect(lambda t: _ilog_g1v1_deriv(a, b, c, t), lo, hi)
     eta = 1.0 / _ilog_g1v1(a, b, c, v)
     return EtaResult(eta=eta, argmin=np.array([1.0, v, 1.0]), method=ROOT,
                      diagnostics={"v": v})
@@ -232,7 +263,7 @@ def _eta13_eii_root(alpha, beta, gamma):
             + B ** (1.0 / gamma - 1.0) * dB
         )
 
-    v = optimize.bisect(deriv, _ROOT_LO, _ROOT_HI, xtol=_ROOT_XTOL, maxiter=200)
+    v = _bisect(deriv, _ROOT_LO, _ROOT_HI)
     A = (1.0 - v) / alpha
     B = (1.0 + v ** (1.0 / beta)) ** beta - v
     g = v + (A ** (1.0 / gamma) + B ** (1.0 / gamma)) ** gamma
@@ -245,7 +276,7 @@ def _eta13_eie_root(alpha, beta):
     def f(v):
         return (1.0 + v ** (1.0 / beta)) ** beta - (1.0 - v) / alpha - v
 
-    v = optimize.bisect(f, _ROOT_LO, _ROOT_HI, xtol=_ROOT_XTOL, maxiter=200)
+    v = _bisect(f, _ROOT_LO, _ROOT_HI)
     return (1.0 + v ** (1.0 / beta)) ** (-beta), v
 
 
@@ -296,15 +327,15 @@ def eta_mixed_trivariate(spec: VineSpec, C) -> EtaResult:
             eta = min(1.0 / v12_11, 1.0 / v23_11)
             # the minimum sits where the smaller tree-1 term catches the larger
             if v12_11 >= v23_11:
-                x3 = optimize.bisect(
+                x3 = _bisect(
                     lambda t: float(c23.measure.V(1.0, 1.0 / t)) - v12_11,
-                    1.0, max(v12_11, 1.0) + 1e-9, xtol=_ROOT_XTOL, maxiter=200,
+                    1.0, max(v12_11, 1.0) + 1e-9,
                 ) if v12_11 > v23_11 else 1.0
                 arg = np.array([1.0, 1.0, x3])
             else:
-                x1 = optimize.bisect(
+                x1 = _bisect(
                     lambda t: float(c12.measure.V(1.0 / t, 1.0)) - v23_11,
-                    1.0, max(v23_11, 1.0) + 1e-9, xtol=_ROOT_XTOL, maxiter=200,
+                    1.0, max(v23_11, 1.0) + 1e-9,
                 )
                 arg = np.array([x1, 1.0, 1.0])
             return EtaResult(eta=eta, argmin=arg, method=CLOSED, diagnostics={})

@@ -16,15 +16,21 @@ module builds gauges analytically:
 
 and numerically: projections onto coordinate subsets by minimising over the
 dropped coordinates.  One box-constrained minimiser, ``_minimise_gauge``,
-serves the projections and ``eta.eta_numeric`` alike.
+serves the projections and ``eta.eta_numeric`` alike.  Its two solvers,
+``_nelder_mead`` and ``_fminbound``, repeat scipy's bounded Nelder-Mead and
+bounded Brent step for step on Python floats, so the scalar evaluators get
+floats with no array round trip, and importing the package does not load
+scipy.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
-from scipy import optimize
 
 from .copulas import EV, IEV, PairCopula
 from .errors import DomainError, ParameterError, UnsupportedCombinationError
@@ -466,19 +472,163 @@ def gauge_cvine(spec: VineSpec) -> Gauge:
 # projections and boundary geometry
 # ---------------------------------------------------------------------------
 
+def _nelder_mead(f, sim, lower, maxfev):
+    """Bounded Nelder-Mead on Python floats: scipy's
+    ``minimize(method="Nelder-Mead", bounds=Bounds(lower, inf))`` step for
+    step, with xatol 1e-6, fatol 1e-10 and maxiter = maxfev (which never
+    binds first: every iteration costs at least one evaluation).
+
+    f takes a list of floats.  sim holds the n + 1 starting vertices, lists
+    inside the box x >= lower.  Trial points are clipped to lower and use
+    scipy's coefficients: reflection 1, expansion 2, contraction and shrink
+    1/2.  The vertices are ordered by a stable sort, so tied values keep
+    their order on every CPU (numpy's argsort breaks ties by its SIMD
+    dispatch).  A step that would need more than maxfev evaluations is
+    dropped, as in scipy, except that a shrink keeps the vertices it has
+    moved.  Returns the best vertex, its value and the evaluation count.
+    """
+    n = len(lower)
+    nfev = min(n + 1, maxfev)
+    fsim = [f(x) for x in sim[:nfev]] + [math.inf] * (n + 1 - nfev)
+    order = sorted(range(n + 1), key=fsim.__getitem__)
+    sim, fsim = [sim[k] for k in order], [fsim[k] for k in order]
+    while nfev < maxfev:
+        best, f0 = sim[0], fsim[0]
+        if all(abs(f0 - fk) <= 1e-10 for fk in fsim[1:]) and all(
+                abs(v - b) <= 1e-6 for x in sim[1:] for v, b in zip(x, best)):
+            break
+        # the centroid of all but the worst vertex, summed in vertex order
+        xbar = [reduce(add, col) / n for col in zip(*sim[:-1])]
+        worst = sim[-1]
+        xr = [lo if (v := 2 * a - w) <= lo else v for a, w, lo in zip(xbar, worst, lower)]
+        fxr = f(xr)
+        nfev += 1
+        new = None
+        if fxr < f0:
+            if nfev >= maxfev:
+                break
+            xe = [lo if (v := 3 * a - 2 * w) <= lo else v for a, w, lo in zip(xbar, worst, lower)]
+            fxe = f(xe)
+            nfev += 1
+            new = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            new = (xr, fxr)
+        elif nfev >= maxfev:
+            break
+        elif fxr < fsim[-1]:
+            xc = [lo if (v := 1.5 * a - 0.5 * w) <= lo else v for a, w, lo in zip(xbar, worst, lower)]
+            fxc = f(xc)
+            nfev += 1
+            if fxc <= fxr:
+                new = (xc, fxc)
+        else:
+            xcc = [lo if (v := 0.5 * a + 0.5 * w) <= lo else v for a, w, lo in zip(xbar, worst, lower)]
+            fxcc = f(xcc)
+            nfev += 1
+            if fxcc < fsim[-1]:
+                new = (xcc, fxcc)
+        if new is None:  # shrink towards the best vertex
+            for j in range(1, n + 1):
+                sim[j] = [lo if (v := b + 0.5 * (x - b)) <= lo else v for x, b, lo in zip(sim[j], best, lower)]
+                if nfev >= maxfev:
+                    break
+                fsim[j] = f(sim[j])
+                nfev += 1
+            order = sorted(range(n + 1), key=fsim.__getitem__)
+            sim, fsim = [sim[k] for k in order], [fsim[k] for k in order]
+        else:  # only the worst vertex changed: insert it after its ties
+            del sim[-1], fsim[-1]
+            k = bisect.bisect_right(fsim, new[1])
+            sim.insert(k, new[0])
+            fsim.insert(k, new[1])
+    return sim[0], fsim[0], nfev
+
+
+def _fminbound(f, lo, hi, xatol):
+    """Bounded Brent minimisation of f on [lo, hi] on Python floats: scipy's
+    ``minimize_scalar(method="bounded")`` step for step, with its maxiter of
+    500.  Returns the minimiser, its value and the evaluation count."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = -tol1 if xm - xf < 0.0 else tol1
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0.0 else xf + step
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx, num
+
+
 def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400):
     """Minimise g over the box x >= lower, moving only the coordinates in free.
 
     lower needs a positive coordinate.  The other coordinates stay at lower,
-    and the corner x = lower is always a candidate.  One free coordinate runs a bounded Brent search on each
-    panel between log-spaced seeds in [0, hi] above its lower bound, where
+    and the corner x = lower is always a candidate.  One free coordinate
+    runs a bounded Brent search (``_fminbound``) on each panel between
+    log-spaced seeds in [0, hi] above its lower bound, where
     hi = max(10 m, 1.05 g(lower)) and m = max(lower): the containment
     g(x) >= max(x) puts every minimiser below g(lower).  Two or more free
-    run one bound-constrained Nelder-Mead solve per start lower + s m, for
-    n_starts log-spaced s in [0.05, 20] and a near-corner s = 1e-8, then
-    polish the best point with the evaluations the starts left of
-    (n_starts + 1) * maxfev.  Returns the best value, its argmin, g(lower),
-    the value each start reached and the number of evaluations.
+    run one bounded Nelder-Mead solve (``_nelder_mead``) per start
+    lower + s m, for n_starts log-spaced s in [0.05, 20] and a near-corner
+    s = 1e-8, then polish the best point with the evaluations the starts
+    left of (n_starts + 1) * maxfev.  Both solvers run on Python floats, so
+    the scalar evaluator gets floats straight from them.  Returns the best
+    value, its argmin, g(lower), the value each start reached and the number
+    of evaluations.
     """
     lower = np.asarray(lower, dtype=float)
     free = list(free)
@@ -489,64 +639,50 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
     m = max(xs)
 
     if len(free) == 1:
-        # a list holds the point: minimize_scalar passes np.float64, which the
-        # scalar plans run far slower than float
         j = free[0]
 
         def f(t):
-            nonlocal n_evals
-            n_evals += 1
-            xs[j] = float(t)
+            xs[j] = t
             return float(scalar(*xs))
 
         lo_j = best_t = xs[j]
         best_val, runs = corner_val, []
         hi = max(10.0 * m, 1.05 * corner_val)
-        seeds = lo_j + np.concatenate([[0.0], np.geomspace(hi * 1e-6, hi, int(n_starts))])
+        seeds = [lo_j + s for s in [0.0, *np.geomspace(hi * 1e-6, hi, int(n_starts)).tolist()]]
         v_hi = f(lo_j + hi)
+        n_evals += 1
         if v_hi < best_val:
             best_t, best_val = lo_j + hi, v_hi
         for lo, up in zip(seeds[:-1], seeds[1:]):
-            res = optimize.minimize_scalar(f, bounds=(lo, up), method="bounded", options={"xatol": 1e-10})
-            runs.append(float(res.fun))
-            if res.fun < best_val:
-                best_t, best_val = float(res.x), float(res.fun)
+            t, val, nfev = _fminbound(f, lo, up, 1e-10)
+            n_evals += nfev
+            runs.append(val)
+            if val < best_val:
+                best_t, best_val = t, val
         best_x = lower.copy()
         best_x[j] = best_t
         return best_val, best_x, corner_val, runs, n_evals
 
     if len(free) == len(xs):
         def fun(t):
-            nonlocal n_evals
-            n_evals += 1
-            return float(scalar(*t.tolist()))
+            return float(scalar(*t))
     else:
         def fun(t):
-            nonlocal n_evals
-            n_evals += 1
-            for k, v in zip(free, t.tolist()):
+            for k, v in zip(free, t):
                 xs[k] = v
             return float(scalar(*xs))
 
-    lo = lower[free]
-    bounds = optimize.Bounds(lo, np.inf)  # bounded Nelder-Mead keeps every vertex in the box
-
-    def solve(t0, budget, simplex=None):
-        return optimize.minimize(
-            fun,
-            t0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"xatol": 1e-6, "fatol": 1e-10, "maxfev": budget, "maxiter": budget,
-                     "initial_simplex": simplex},
-        )
-
+    lo = [xs[k] for k in free]
     best_val, best_t, runs = corner_val, lo, []
-    for s in [*np.geomspace(0.05, 20.0, int(n_starts)), 1e-8]:
-        res = solve(lo + s * m, maxfev)
-        runs.append(float(res.fun))
-        if res.fun < best_val:
-            best_val, best_t = float(res.fun), res.x
+    for s in [*np.geomspace(0.05, 20.0, int(n_starts)).tolist(), 1e-8]:
+        x0 = [a + s * m for a in lo]
+        # scipy's default simplex for a start with no zero coordinate
+        sim = [x0] + [x0[:k] + [1.05 * x0[k]] + x0[k + 1:] for k in range(len(x0))]
+        t, val, nfev = _nelder_mead(fun, sim, lo, maxfev)
+        n_evals += nfev
+        runs.append(val)
+        if val < best_val:
+            best_val, best_t = val, t
 
     # polish: clipping to the box can collapse a simplex onto a face or a
     # corner next to the minimum, so restart from the best point on fresh
@@ -555,12 +691,14 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
     # the near-corner start left at about 1e-8 leave that face.
     budget = len(runs) * maxfev - (n_evals - 1)
     scale = 0.05
-    while np.isfinite(best_val) and budget > len(free) and scale > 1e-6:
-        step = np.maximum(best_t, 0.005 * m) * scale
-        res = solve(best_t, budget, np.vstack([best_t, best_t + np.diag(step)]))
-        budget -= res.nfev
-        if res.fun < best_val - 1e-10:
-            best_val, best_t = float(res.fun), res.x
+    while math.isfinite(best_val) and budget > len(free) and scale > 1e-6:
+        sim = [best_t] + [best_t[:k] + [t + max(t, 0.005 * m) * scale] + best_t[k + 1:]
+                          for k, t in enumerate(best_t)]
+        t, val, nfev = _nelder_mead(fun, sim, lo, budget)
+        n_evals += nfev
+        budget -= nfev
+        if val < best_val - 1e-10:
+            best_val, best_t = val, t
         else:
             scale *= 0.1
     best_x = lower.copy()
