@@ -17,6 +17,7 @@ import numpy as np
 
 from .copulas import PairCopula
 from .empirical import cloud_coverage, eta_hat, threshold_at
+from .errors import DomainError
 from .eta import (
     eta13_trivariate_ilog,
     eta_cvine,
@@ -270,7 +271,7 @@ _FULL_ONLY = [
 
 def run_suite(suite: str = "quick") -> list[CheckResult]:
     if suite not in SUITES:
-        raise ValueError(f"suite must be one of {SUITES}")
+        raise DomainError(f"suite must be one of {SUITES}, got {suite!r}")
     full = suite == "full"
     checks = _QUICK + (_FULL_ONLY if full else [])
     results = []

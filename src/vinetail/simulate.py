@@ -1,8 +1,15 @@
 """Seedable vine-copula simulation on exponential margins.
 
-Sampling runs the standard h-function cascade: uniforms are pushed through
-inverse conditional distributions edge by edge, tree by tree, so that the
-joint law of each draw is exactly the vine density of the specification.
+Sampling runs the pair-copula cascade of Aas, Czado, Frigessi & Bakken
+(2009): uniforms are pushed through inverse conditional distributions edge
+by edge, tree by tree, so that the joint law of each draw is exactly the
+vine density of the specification.  One plan, compiled from the vine's edge
+labels, serves every structure; each inversion keeps the conditional
+distribution it produces, so h-functions are spent only on conditioners
+that no inversion left behind.  The variables are drawn in the order
+1, ..., d for D- and C-vines and 2, 1, 3 for the trivariate vine, whose
+cascade then needs no h-function at all.
+
 Clouds are generated in fixed-size chunks whose substreams derive from
 SeedSequence(seed, spawn_key=(chunk,)), making results independent of any
 parallel execution plan; the PCG64 generator carries 128-bit state and is
@@ -19,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AlreadyScaledError, DomainError, SpecError
-from .vines import CVINE, DVINE, TRIVARIATE, VineSpec
+from .vines import TRIVARIATE, VineSpec
 
 __all__ = ["SampleCloud", "sample_vine", "scale_cloud"]
 
@@ -149,75 +156,58 @@ def _open_uniforms(rng, shape):
     return np.clip(w, 1e-15, 1.0 - 1e-15)
 
 
-# middle-first order: reusing w1 = F(x1|x2) saves _cascade_dvine's one hfunc per row at d = 3
-def _cascade_trivariate(spec, w):
-    c12, c23, c13 = spec.copula(1, 2), spec.copula(2, 3), spec.copula(1, 3)
-    u2 = w[:, 1]
-    u1 = c12.hinv(w[:, 0], u2)
-    # F(x3 | x1, x2) inverts through the tree-2 copula given F(x1|x2) = w1
-    z = c13.swapped().hinv(w[:, 2], w[:, 0])
-    u3 = c23.swapped().hinv(z, u2)
-    return np.column_stack([u1, u2, u3])
+def _compile_cascade(spec: VineSpec):
+    """The pair-copula sampling cascade (Aas et al. 2009) as a flat plan.
+
+    Slot (a, D) holds F(x_a | x_D).  Variable i, drawn after the set S,
+    starts in slot (i, S) with its uniform and inverts one edge per tree,
+    from the edge on S u {i} down to tree 1; each inversion leaves
+    F(x_i | D) for a smaller D in its own slot.  A conditioner F(x_b | D)
+    not yet in a slot is built by h-functions the first time it is needed,
+    from the edge on D u {b}.  Slots 0..d-1 hold the uniforms (slot k for
+    variable k + 1).  A step is (method, pc, out, target, cond) with pc
+    oriented to condition on its second argument.  Returns the steps and
+    the slots of u_1, ..., u_d.
+    """
+    # the trivariate vine draws x2 first: F(x1 | x2) is then its own
+    # uniform, and the cascade needs no h-function
+    order = (2, 1, 3) if spec.structure == TRIVARIATE else tuple(range(1, spec.d + 1))
+    by_nodes = {frozenset(e.pair + e.cond): e for e in spec.edges}
+    slot = {(i, frozenset(order[:k])): i - 1 for k, i in enumerate(order)}
+    steps = []
+
+    def edge(a, cond):
+        # the edge on cond u {a} pairs a with one c in cond
+        label = by_nodes[cond | {a}]
+        (c,) = set(label.pair) - {a}
+        pc = spec.edges[label]
+        return (pc.swapped() if c == label.pair[0] else pc), c, cond - {c}
+
+    def add(method, pc, target, cond_slot):
+        steps.append((method, pc, spec.d + len(steps), target, cond_slot))
+        return steps[-1][2]
+
+    def conditioner(b, cond):
+        if (b, cond) not in slot:
+            pc, c, rest = edge(b, cond)
+            slot[b, cond] = add("hfunc", pc, conditioner(b, rest), conditioner(c, rest))
+        return slot[b, cond]
+
+    for k, i in enumerate(order):
+        cond = frozenset(order[:k])
+        while cond:
+            pc, c, rest = edge(i, cond)
+            slot[i, rest] = add("hinv", pc, slot[i, cond], conditioner(c, rest))
+            cond = rest
+    return steps, [slot[i, frozenset()] for i in range(1, spec.d + 1)]
 
 
-def _h(spec, pair, target, cond, cond_member):
-    pc = spec.copula(*pair)
-    if cond_member == pair[0]:
-        return pc.swapped().hfunc(target, cond)
-    return pc.hfunc(target, cond)
-
-
-def _hinv(spec, pair, target, cond, cond_member):
-    pc = spec.copula(*pair)
-    if cond_member == pair[0]:
-        return pc.swapped().hinv(target, cond)
-    return pc.hinv(target, cond)
-
-
-def _cascade_dvine(spec, w):
-    d = spec.d
-    x = {1: w[:, 0]}
-    v = {(1, 1): x[1]}
-    x[2] = _hinv(spec, (1, 2), w[:, 1], v[1, 1], cond_member=1)
-    v[2, 1] = x[2]
-    v[2, 2] = _h(spec, (1, 2), v[1, 1], v[2, 1], cond_member=2)
-    for i in range(3, d + 1):
-        t = w[:, i - 1]
-        for k in range(i - 1, 1, -1):
-            t = _hinv(spec, (i - k, i), t, v[i - 1, 2 * k - 2], cond_member=i - k)
-        t = _hinv(spec, (i - 1, i), t, v[i - 1, 1], cond_member=i - 1)
-        x[i] = t
-        if i == d:
-            break
-        v[i, 1] = x[i]
-        v[i, 2] = _h(spec, (i - 1, i), v[i - 1, 1], v[i, 1], cond_member=i)
-        v[i, 3] = _h(spec, (i - 1, i), v[i, 1], v[i - 1, 1], cond_member=i - 1)
-        for j in range(2, i - 1):
-            v[i, 2 * j] = _h(spec, (i - j, i), v[i - 1, 2 * j - 2], v[i, 2 * j - 1], cond_member=i)
-            v[i, 2 * j + 1] = _h(spec, (i - j, i), v[i, 2 * j - 1], v[i - 1, 2 * j - 2], cond_member=i - j)
-        if i > 2:
-            v[i, 2 * i - 2] = _h(spec, (1, i), v[i - 1, 2 * i - 4], v[i, 2 * i - 3], cond_member=i)
-    return np.column_stack([x[i] for i in range(1, d + 1)])
-
-
-def _cascade_cvine(spec, w):
-    d = spec.d
-    x = {1: w[:, 0]}
-    v = {(1, 1): x[1]}
-    for i in range(2, d + 1):
-        t = w[:, i - 1]
-        for k in range(i - 1, 0, -1):
-            t = _hinv(spec, (k, i), t, v[k, k], cond_member=k)
-        x[i] = t
-        if i == d:
-            break
-        v[i, 1] = t
-        for j in range(1, i):
-            v[i, j + 1] = _h(spec, (j, i), v[i, j], v[j, j], cond_member=j)
-    return np.column_stack([x[i] for i in range(1, d + 1)])
-
-
-_CASCADES = {TRIVARIATE: _cascade_trivariate, DVINE: _cascade_dvine, CVINE: _cascade_cvine}
+def _run_cascade(steps, outs, w):
+    vals = [w[:, k] for k in range(w.shape[1])] + [None] * len(steps)
+    for method, pc, out, target, cond in steps:
+        # through the instance, so that patches of PairCopula see every call
+        vals[out] = getattr(pc, method)(vals[target], vals[cond])
+    return np.column_stack([vals[s] for s in outs])
 
 
 def sample_vine(spec: VineSpec, n: int, seed: int, chunk_size: int = CHUNK) -> SampleCloud:
@@ -230,7 +220,9 @@ def sample_vine(spec: VineSpec, n: int, seed: int, chunk_size: int = CHUNK) -> S
     n = int(n)
     if n < 1:
         raise DomainError("sample count must be at least 1")
-    cascade = _CASCADES[spec.structure]
+    if not isinstance(chunk_size, int) or chunk_size < 1:
+        raise DomainError(f"chunk_size must be a positive integer, got {chunk_size!r}")
+    steps, outs = _compile_cascade(spec)
     out = np.empty((n, spec.d))
     start = 0
     chunk_idx = 0
@@ -238,7 +230,7 @@ def sample_vine(spec: VineSpec, n: int, seed: int, chunk_size: int = CHUNK) -> S
         m = min(chunk_size, n - start)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_idx,)))
         w = _open_uniforms(rng, (m, spec.d))
-        u = cascade(spec, w)
+        u = _run_cascade(steps, outs, w)
         out[start : start + m] = -np.log1p(-u)
         start += m
         chunk_idx += 1

@@ -206,6 +206,13 @@ def test_full_suite_registers_monte_carlo_checks():
     assert "cloud-coverage" in names
 
 
+def test_unknown_suite_raises_domain_error():
+    from vinetail import DomainError, checks
+
+    with pytest.raises(DomainError, match="bogus"):
+        checks.run_suite("bogus")
+
+
 def test_eta_json_carries_diagnostics(capsys, ilog_spec):
     code, out = run(capsys, "eta", "--spec", ilog_spec, "--set", "1,3", "--method", "numeric")
     assert code == 0 and out.count("\n") == 1

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from vinetail import (
     sample_vine,
     scale_cloud,
 )
+from vinetail.vines import expected_edges
 
 RNG = np.random.default_rng(141421)
 
@@ -30,6 +32,52 @@ def tri_spec(a=0.5, b=0.5, c=0.5):
 
 def clamp(a):
     return np.clip(a, 1e-13, 1 - 1e-13)
+
+
+def logistic_vine(structure, d, families=("iev",)):
+    """Logistic edges with alphas spread over [0.3, 0.8]; the families
+    repeat along the edges in tree order."""
+    labels = expected_edges(structure, d)
+    alphas = np.linspace(0.3, 0.8, len(labels))
+    return VineSpec(d, structure, {
+        label: PairCopula(fam, Logistic(a))
+        for label, fam, a in zip(labels, itertools.cycle(families), alphas)
+    })
+
+
+def chunk_uniforms(seed, n, d, chunk_size):
+    """Each chunk's uniforms, drawn and clipped off {0, 1} as sample_vine does."""
+    for c, start in enumerate(range(0, n, chunk_size)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
+        yield np.clip(rng.random((min(chunk_size, n - start), d)), 1e-15, 1.0 - 1e-15)
+
+
+def cascade_trivariate(spec, w):
+    """The hand-indexed trivariate cascade, x2 drawn first, as an oracle."""
+    c12, c23, c13 = spec.copula(1, 2), spec.copula(2, 3), spec.copula(1, 3)
+    u2 = w[:, 1]
+    u1 = c12.hinv(w[:, 0], u2)
+    z = c13.swapped().hinv(w[:, 2], w[:, 0])
+    u3 = c23.swapped().hinv(z, u2)
+    return np.column_stack([u1, u2, u3])
+
+
+def rosenblatt(spec, u):
+    """F(x_i | x_1, ..., x_{i-1}) for every column i, by h-functions only."""
+    by_nodes = {frozenset(e.pair + e.cond): e for e in spec.edges}
+    memo = {}
+
+    def cdf(a, cond):
+        if not cond:
+            return u[:, a - 1]
+        if (a, cond) not in memo:
+            label = by_nodes[cond | {a}]
+            (c,) = set(label.pair) - {a}
+            pc = spec.edges[label] if c == label.pair[1] else spec.edges[label].swapped()
+            memo[a, cond] = pc.hfunc(cdf(a, cond - {c}), cdf(c, cond - {c}))
+        return memo[a, cond]
+
+    return np.column_stack([cdf(i, frozenset(range(1, i))) for i in range(1, spec.d + 1)])
 
 
 def test_determinism_bit_identical():
@@ -169,6 +217,46 @@ def test_validation_errors():
         SampleCloud(values=np.array([[1.0, -2.0]]), seed=0)
     with pytest.raises(DomainError):
         scale_cloud(SampleCloud(values=np.ones((1, 2)), seed=0))
+
+
+@pytest.mark.parametrize("chunk_size", [0, -5, 2.5])
+def test_chunk_size_must_be_a_positive_integer(chunk_size):
+    with pytest.raises(DomainError, match="chunk_size"):
+        sample_vine(tri_spec(), 10, seed=1, chunk_size=chunk_size)
+
+
+@pytest.mark.parametrize("structure, d", [("trivariate", 3)] + [(s, d) for s in ("dvine", "cvine") for d in range(2, 8)])
+def test_cascade_work_per_chunk(monkeypatch, structure, d):
+    # one inversion per edge; the D-vine builds its conditioners
+    # F(x_k | x_{k+1}, ..., x_{i-1}) by h-functions, the C-vine's and the
+    # trivariate vine's are the uniforms of earlier draws
+    calls = {"hinv": 0, "hfunc": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(PairCopula, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(PairCopula, name, counted)
+    sample_vine(logistic_vine(structure, d), 100, seed=1)
+    hfunc = (d - 1) * (d - 2) // 2 if structure == "dvine" else 0
+    assert calls == {"hinv": d * (d - 1) // 2, "hfunc": hfunc}
+
+
+@pytest.mark.parametrize("families", list(itertools.product(("ev", "iev"), repeat=3)))
+def test_trivariate_draws_match_hand_cascade(families):
+    spec = logistic_vine("trivariate", 3, families)
+    cloud = sample_vine(spec, 3000, seed=43, chunk_size=1024)
+    want = np.vstack([-np.log1p(-cascade_trivariate(spec, w)) for w in chunk_uniforms(43, 3000, 3, 1024)])
+    assert np.array_equal(cloud.values, want)
+
+
+@pytest.mark.parametrize("families", [("iev",), ("iev", "ev")], ids=["iev", "mixed"])
+@pytest.mark.parametrize("structure, d", [(s, d) for s in ("dvine", "cvine") for d in range(2, 7)])
+def test_rosenblatt_transform_returns_the_uniforms(structure, d, families):
+    spec = logistic_vine(structure, d, families)
+    u = -np.expm1(-sample_vine(spec, 3000, seed=47, chunk_size=1024).values)
+    for k, w in enumerate(chunk_uniforms(47, 3000, d, 1024)):
+        assert_allclose(rosenblatt(spec, u[1024 * k : 1024 * k + len(w)]), w, rtol=0, atol=1e-9)
 
 
 def test_csv_roundtrip(tmp_path):
