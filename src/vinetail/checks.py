@@ -196,14 +196,16 @@ def check_structural(full):
         fd1 = (m.V(x + h, y) - m.V(x - h, y)) / (2 * h)
         worst_fd = max(worst_fd, abs(fd1 - m.V1(x, y)) / abs(m.V1(x, y)))
     ok_fd = worst_fd < 1e-6
-    # branch agreement of the piecewise gauges at region boundaries: the two
-    # formulas, evaluated a single ulp either side of the tie, must coincide
+    # branch agreement of the patterns with an EV tree-1 edge, where a side
+    # switches: the two forms, a single ulp either side of the tie, coincide
     worst_edge = 0.0
     for spec in [
         VineSpec.trivariate(_log(0.5), _ilog(0.25), _ilog(0.5)),
         VineSpec.trivariate(_log(0.5), _ilog(0.25), _log(0.5)),
         VineSpec.trivariate(_log(0.5), _log(0.25), _ilog(0.5)),
         VineSpec.trivariate(_log(0.5), _log(0.25), _log(0.5)),
+        VineSpec.trivariate(_ilog(0.5), _log(0.25), _ilog(0.5)),
+        VineSpec.trivariate(_ilog(0.5), _log(0.25), _log(0.5)),
     ]:
         gg = gauge_trivariate(spec)
         for _ in range(50):

@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample a vine copula cloud")
     p.add_argument("--spec", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=float, required=True, help="sample count; integral notation such as 1e6 is accepted")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--scale", action="store_true", help="divide by ln(n)")
     p.add_argument("--out", required=True)

@@ -8,6 +8,7 @@ errors are first order only and ignore the slowly varying factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,12 +59,17 @@ def _require_unscaled(cloud):
         raise DomainError("estimator needs an unscaled cloud on exponential margins")
 
 
+def _threshold(u) -> float:
+    u = float(u)
+    if not 0.0 < u < math.inf:  # also false for NaN
+        raise DomainError(f"threshold must be positive and finite, got {u}")
+    return u
+
+
 def chi_hat(cloud: SampleCloud, C, u: float) -> TailEstimate:
     """e^u * P_hat(min over C > u), the finite-level version of chi_C."""
     _require_unscaled(cloud)
-    u = float(u)
-    if u <= 0.0:
-        raise DomainError("threshold must be positive")
+    u = _threshold(u)
     t = min_over_set(cloud, C)
     n = cloud.n
     k = int(np.count_nonzero(t > u))
@@ -76,9 +82,7 @@ def chi_hat(cloud: SampleCloud, C, u: float) -> TailEstimate:
 def eta_hat(cloud: SampleCloud, C, u: float) -> TailEstimate:
     """Mean-excess estimate of eta_C over the threshold u, clipped to (0, 1]."""
     _require_unscaled(cloud)
-    u = float(u)
-    if u <= 0.0:
-        raise DomainError("threshold must be positive")
+    u = _threshold(u)
     t = min_over_set(cloud, C)
     excess = t[t > u] - u
     k = excess.size
@@ -90,6 +94,8 @@ def eta_hat(cloud: SampleCloud, C, u: float) -> TailEstimate:
 
 def threshold_at(cloud: SampleCloud, C, percentile: float = 95.0) -> float:
     """Empirical percentile of T = min over C, the default threshold rule."""
+    if not 0.0 <= percentile <= 100.0:  # also false for NaN
+        raise DomainError(f"percentile must be in [0, 100], got {percentile}")
     return float(np.percentile(min_over_set(cloud, C), percentile))
 
 
@@ -97,8 +103,8 @@ def cloud_coverage(cloud: SampleCloud, g: Gauge, slack: float) -> float:
     """Fraction of a scaled cloud with g(x) <= 1 + slack."""
     if not cloud.scaled:
         raise DomainError("coverage is a diagnostic for ln(n)-scaled clouds")
-    if slack < 0.0:
-        raise DomainError("slack must be nonnegative")
+    if not slack >= 0.0:  # also true for NaN
+        raise DomainError(f"slack must be nonnegative, got {slack}")
     if g.dim != cloud.d:
         raise DomainError(f"gauge dimension {g.dim} does not match cloud dimension {cloud.d}")
     vals = g(cloud.values)

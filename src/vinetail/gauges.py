@@ -7,12 +7,12 @@ module builds gauges analytically:
 
 * six bivariate families (independence, Gaussian, inverted EV, EV with
   regularly varying spectral tails, asymmetric logistic),
-* every vine whose tree 1 is inverted EV, via the nested sub-vine
-  recursion compiled into one evaluation plan per vine: d-dimensional
-  D-vines and C-vines with inverted-EV components, and the trivariate vines
-  with either family on edge {13|2},
-* the trivariate vines with an EV copula in tree 1, by piecewise formulas
-  (the patterns with EV only on edge {23} by the x1 <-> x3 mirror),
+* the vines, via the nested sub-vine recursion compiled into one
+  evaluation plan per vine: d-dimensional D-vines and C-vines with
+  inverted-EV components, and the trivariate vines in all eight EV /
+  inverted-EV family patterns.  Each plan step applies its edge's own
+  bivariate gauge to two margins; a margin's side (upper, or lower below
+  an EV tree-1 edge) selects the form,
 
 and numerically: projections onto coordinate subsets by minimising over the
 dropped coordinates.  One box-constrained minimiser, ``_minimise_gauge``,
@@ -32,7 +32,7 @@ from operator import add
 
 import numpy as np
 
-from .copulas import EV, IEV, PairCopula
+from .copulas import EV, PairCopula
 from .errors import DomainError, ParameterError, UnsupportedCombinationError
 from .measures import ExponentMeasure, TailOrders
 from .vines import CVINE, DVINE, TRIVARIATE, VineSpec
@@ -75,8 +75,9 @@ class Gauge:
     resolved analytically inside the evaluators.  Single points use a plain
     scalar code path when available (optimisers hammer that case), arrays
     the vectorised one; the two are checked against each other in the test
-    suite.  Vine gauges with an inverted-EV tree 1 have one evaluation plan
-    per vine and path, compiled from the same recursion.
+    suite.  Vine gauges have one evaluation plan per vine and path, compiled
+    from the same recursion: the scalar plan evaluates only the form each
+    point's sides select, the array plan blends the reachable forms.
     """
 
     def __init__(self, dim: int, fn, tag: str, sfn=None):
@@ -222,216 +223,122 @@ def gauge_bivariate(case: str, **params) -> Gauge:
 
 
 # ---------------------------------------------------------------------------
-# trivariate vine gauges
+# vine gauges: the nested sub-vine recursion as one plan per vine
 # ---------------------------------------------------------------------------
 
-def _orders(pc: PairCopula, where: str) -> TailOrders:
+def _edge_rules(pc: PairCopula, where: str, recip, bev):
+    """The edge gauge g_e(p, q, vals) on the sides of its margins, indexed
+    [lower_p][lower_q]: V(1/p, 1/q) with both margins upper, the bev gauge
+    of the tail orders with both lower, and upper + (2 + s) lower
+    otherwise, with s1 when the lower margin is p and s2 when it is q."""
     try:
-        return pc.measure.tail_orders()
+        t = pc.measure.tail_orders()
     except Exception as exc:
         raise UnsupportedCombinationError(
             f"the component on edge {where} needs regularly varying spectral tails "
             f"for this family pattern: {exc}"
         ) from exc
+    v, s1, s2 = pc.measure._v, t.s1, t.s2
+    return {
+        False: {False: lambda p, q, vals: v(recip(p), recip(q)),
+                True: lambda p, q, vals: p + (2.0 + s2) * q},
+        True: {False: lambda p, q, vals: q + (2.0 + s1) * p,
+               True: lambda p, q, vals: bev(p, q, s1, s2)},
+    }
 
 
-def _tri_eii(t12, m23, m13, t13, x1, x2, x3):
-    b = m23._v(_recip(x2), _recip(x3))
-    low = (2.0 + t13.s1) * (1.0 + t12.s2) * (x2 - x1) + b
-    high = x2 + m13._v(_recip((x1 - x2) * (2.0 + t12.s1)), _recip(b - x2))
-    return np.where(x1 <= x2, low, high)
+def _pick_rule(sp, sq, rules):
+    """Scalar path: evaluate only the rule that the point's sides select."""
+    (i, j, f), (k, l, h) = sp, sq
+    return lambda p, q, vals: rules[(vals[i] < vals[j]) != f][(vals[k] < vals[l]) != h](p, q, vals)
 
 
-def _tri_eie(t12, m23, t13, x1, x2, x3):
-    b = m23._v(_recip(x2), _recip(x3))
-    low = x2 + (1.0 + t12.s2) * (x2 - x1) + (2.0 + t13.s2) * (b - x2)
-    high = x2 + _bev_eval((2.0 + t12.s1) * (x1 - x2), b - x2, t13.s1, t13.s2)
-    return np.where(x1 <= x2, low, high)
+def _blend_rules(sp, sq, rules):
+    """Array path: evaluate every reachable rule and blend them pointwise."""
+    (i, j, f), (k, l, h) = sp, sq
+    # a side known when compiling (i == j) reaches only its flip
+    (_, _, first), *rest = [(lp, lq, rules[lp][lq]) for lp in ((f,) if i == j else (False, True))
+                            for lq in ((h,) if k == l else (False, True))]
+
+    def rule(p, q, vals):
+        lower_p, lower_q = (vals[i] < vals[j]) != f, (vals[k] < vals[l]) != h
+        out = first(p, q, vals)
+        for lp, lq, form in rest:
+            out = np.where((lower_p == lp) & (lower_q == lq), form(p, q, vals), out)
+        return out
+
+    return rule
 
 
-def _tri_eei(t12, t23, m13, t13, x1, x2, x3):
-    below1, below3 = x1 < x2, x3 < x2
-    r1 = x2 + _bev_eval((1.0 + t12.s2) * (x2 - x1), (1.0 + t23.s1) * (x2 - x3), t13.s1, t13.s2)
-    r2 = x2 + (2.0 + t13.s1) * (1.0 + t12.s2) * (x2 - x1) + (2.0 + t23.s2) * (x3 - x2)
-    r3 = x2 + (2.0 + t13.s2) * (1.0 + t23.s1) * (x2 - x3) + (2.0 + t12.s1) * (x1 - x2)
-    r4 = x2 + m13._v(
-        _recip((2.0 + t12.s1) * (x1 - x2)),
-        _recip((2.0 + t23.s2) * (x3 - x2)),
-    )
-    return np.where(
-        below1,
-        np.where(below3, r1, r2),
-        np.where(below3, r3, r4),
-    )
-
-
-def _tri_eee(t12, t23, m13, t13, x1, x2, x3):
-    at_most1, at_most3 = x1 <= x2, x3 <= x2
-    r1 = x2 + m13._v(
-        _recip((1.0 + t12.s2) * (x2 - x1)),
-        _recip((1.0 + t23.s1) * (x2 - x3)),
-    )
-    r2 = x2 + (2.0 + t13.s2) * (2.0 + t23.s2) * (x3 - x2) + (1.0 + t12.s2) * (x2 - x1)
-    r3 = x2 + (2.0 + t13.s1) * (2.0 + t12.s1) * (x1 - x2) + (1.0 + t23.s1) * (x2 - x3)
-    r4 = x2 + _bev_eval((2.0 + t12.s1) * (x1 - x2), (2.0 + t23.s2) * (x3 - x2), t13.s1, t13.s2)
-    return np.where(
-        at_most1,
-        np.where(at_most3, r1, r2),
-        np.where(at_most3, r3, r4),
-    )
-
-
-# scalar twins of the pattern evaluators (single points; plain float maths)
-
-def _tri_eii_s(t12, m23, m13, t13, x1, x2, x3):
-    b = m23._v(_srecip(x2), _srecip(x3))
-    if x1 <= x2:
-        return (2.0 + t13.s1) * (1.0 + t12.s2) * (x2 - x1) + b
-    return x2 + m13._v(_srecip((x1 - x2) * (2.0 + t12.s1)), _srecip(b - x2))
-
-
-def _tri_eie_s(t12, m23, t13, x1, x2, x3):
-    b = m23._v(_srecip(x2), _srecip(x3))
-    if x1 <= x2:
-        return x2 + (1.0 + t12.s2) * (x2 - x1) + (2.0 + t13.s2) * (b - x2)
-    return x2 + _bev_eval_s((2.0 + t12.s1) * (x1 - x2), b - x2, t13.s1, t13.s2)
-
-
-def _tri_eei_s(t12, t23, m13, t13, x1, x2, x3):
-    if x1 < x2:
-        if x3 < x2:
-            return x2 + _bev_eval_s((1.0 + t12.s2) * (x2 - x1), (1.0 + t23.s1) * (x2 - x3), t13.s1, t13.s2)
-        return x2 + (2.0 + t13.s1) * (1.0 + t12.s2) * (x2 - x1) + (2.0 + t23.s2) * (x3 - x2)
-    if x3 < x2:
-        return x2 + (2.0 + t13.s2) * (1.0 + t23.s1) * (x2 - x3) + (2.0 + t12.s1) * (x1 - x2)
-    return x2 + m13._v(
-        _srecip((2.0 + t12.s1) * (x1 - x2)),
-        _srecip((2.0 + t23.s2) * (x3 - x2)),
-    )
-
-
-def _tri_eee_s(t12, t23, m13, t13, x1, x2, x3):
-    if x1 <= x2:
-        if x3 <= x2:
-            return x2 + m13._v(
-                _srecip((1.0 + t12.s2) * (x2 - x1)),
-                _srecip((1.0 + t23.s1) * (x2 - x3)),
-            )
-        return x2 + (2.0 + t13.s2) * (2.0 + t23.s2) * (x3 - x2) + (1.0 + t12.s2) * (x2 - x1)
-    if x3 <= x2:
-        return x2 + (2.0 + t13.s1) * (2.0 + t12.s1) * (x1 - x2) + (1.0 + t23.s1) * (x2 - x3)
-    return x2 + _bev_eval_s((2.0 + t12.s1) * (x1 - x2), (2.0 + t23.s2) * (x3 - x2), t13.s1, t13.s2)
-
-
-def gauge_trivariate(spec: VineSpec) -> Gauge:
-    """Gauge of a trivariate vine with edges {12}, {23}, {13|2}.
-
-    With inverted EV copulas on both tree-1 edges the vine is the d = 3 case
-    of the nested sub-vine recursion, whatever the family of edge {13|2},
-    and runs through its evaluation plan.  The patterns with an extreme
-    value copula in tree 1 dispatch on the (c12, c23, c13|2) family pattern
-    to piecewise formulas; those with it on edge {23} only are evaluated on
-    the x1 <-> x3 mirror (``VineSpec.mirrored``), under which edge {12}
-    swaps with {23}.
-    """
-    if not (spec.d == 3 and spec.structure in (TRIVARIATE, DVINE)):
-        raise UnsupportedCombinationError("gauge_trivariate needs a trivariate vine with edges 12, 23, 13|2")
-    c12, c23, c13 = spec.copula(1, 2), spec.copula(2, 3), spec.copula(1, 3)
-    fams = (c12.family, c23.family, c13.family)
-    tag = "trivariate-vine(" + ",".join(fams) + ")"
-
-    if fams[0] == IEV and fams[1] == IEV:
-        return _vine_gauge(spec, tag)
-    if fams[0] == IEV and fams[1] == EV:
-        # mirror pattern: evaluate the relabelled vine at (x3, x2, x1)
-        inner = gauge_trivariate(spec.mirrored())
-        return Gauge(
-            3,
-            lambda x: inner._fn(x[..., ::-1]),
-            tag,
-            sfn=lambda x1, x2, x3: inner._sfn(x3, x2, x1),
-        )
-
-    m23, m13 = c23.measure, c13.measure
-
-    if fams == (EV, IEV, IEV):
-        t12, t13 = _orders(c12, "12"), _orders(c13, "13|2")
-        fn = lambda x: _tri_eii(t12, m23, m13, t13, x[..., 0], x[..., 1], x[..., 2])
-        sfn = lambda x1, x2, x3: _tri_eii_s(t12, m23, m13, t13, x1, x2, x3)
-    elif fams == (EV, IEV, EV):
-        t12, t13 = _orders(c12, "12"), _orders(c13, "13|2")
-        fn = lambda x: _tri_eie(t12, m23, t13, x[..., 0], x[..., 1], x[..., 2])
-        sfn = lambda x1, x2, x3: _tri_eie_s(t12, m23, t13, x1, x2, x3)
-    elif fams == (EV, EV, IEV):
-        t12, t23, t13 = _orders(c12, "12"), _orders(c23, "23"), _orders(c13, "13|2")
-        fn = lambda x: _tri_eei(t12, t23, m13, t13, x[..., 0], x[..., 1], x[..., 2])
-        sfn = lambda x1, x2, x3: _tri_eei_s(t12, t23, m13, t13, x1, x2, x3)
-    elif fams == (EV, EV, EV):
-        t12, t23, t13 = _orders(c12, "12"), _orders(c23, "23"), _orders(c13, "13|2")
-        fn = lambda x: _tri_eee(t12, t23, m13, t13, x[..., 0], x[..., 1], x[..., 2])
-        sfn = lambda x1, x2, x3: _tri_eee_s(t12, t23, m13, t13, x1, x2, x3)
-    else:  # pragma: no cover - patterns above are exhaustive
-        raise UnsupportedCombinationError(f"no gauge for family pattern {fams}")
-    return Gauge(3, fn, tag, sfn=sfn)
-
-
-# ---------------------------------------------------------------------------
-# the nested sub-vine recursion (inverted extreme value tree 1)
-# ---------------------------------------------------------------------------
-
-def _require_all_iev(spec: VineSpec, op: str):
-    if not spec.all_iev():
-        raise UnsupportedCombinationError(f"{op} requires every edge to be an inverted extreme value copula")
-
-
-def _compile_vine(spec: VineSpec, recip, bev):
+def _compile_vine(spec: VineSpec, recip, bev, pick):
     """The nested sub-vine recursion as a flat plan, one step per edge.
 
     Edge (a, b | D) joins the sub-vines on {a} u D and {b} u D, which
     overlap in the sub-vine on D, so its node set has the gauge
-    g_D + g_e(g_aD - g_D, g_bD - g_D), where g_e is the edge's own bivariate
-    gauge: V(1/., 1/.) for an inverted EV edge, the bev gauge of its tail
-    orders for an EV edge.  Tree-1 steps have no g_D and give g_e(x_a, x_b).
-    The recursion needs inverted EV edges below the top tree; the callers
-    check that.  Slots 0..d-1 hold the coordinates and slot d + n the
-    sub-vine gauge of the n-th edge in tree order, so the last slot is the
-    whole vine.  A step is (out, left, right, inner, v), with inner None in
-    tree 1; v takes the reciprocals of the two operands, so it is V itself
-    for an inverted EV edge.  recip and bev are the helpers of the path
-    (scalar or array) that runs the plan.
+    g_D + g_e(p, q) with margins p = g_aD - g_D and q = g_bD - g_D; tree-1
+    steps have no g_D and take the coordinates as margins.  g_e is the
+    edge's own bivariate gauge, chosen by the sides of the margins
+    (``_edge_rules``).  A margin is upper, except one from an EV tree-1 edge
+    whose outer coordinate lies below the shared one (x1 < x2 for edge 12
+    of the trivariate vine, x3 < x2 for edge 23), which is lower; an EV
+    edge flips both sides of its own step.  So an inverted EV edge over
+    upper margins gives V(1/p, 1/q), and an EV edge over them the bev
+    gauge.  The recursion needs inverted EV edges below the top tree except
+    in tree 1 of the trivariate vine; the callers check that.
+
+    Slots 0..d-1 hold the coordinates and slot d + n the sub-vine gauge of
+    the n-th edge in tree order, so the last slot is the whole vine.  A step
+    is (out, left, right, inner, v, rule), with inner None in tree 1.  A
+    step over two upper margins has v = V and rule None, so every all-IEV
+    vine runs V on the reciprocals alone; any other step has a rule
+    g_e(p, q, vals).  A side is (i, j, flip), lower when
+    (x_i < x_j) != flip; a side known when compiling has i == j, and its
+    flip alone gives it.  Only the sides of the trivariate top edge over an
+    EV tree-1 edge depend on the point; pick builds the rule for those.
+    recip, bev and pick are the helpers of the path (scalar or array) that
+    runs the plan.
     """
     slot = {frozenset([k]): k - 1 for k in range(1, spec.d + 1)}
+    ev_tree1 = set()  # slots of the EV tree-1 edges
     plan = []
     for label, pc in spec.edges.items():  # tree order: every operand is computed first
         (a, b), cond = label.pair, frozenset(label.cond)
         out = spec.d + len(plan)
-        v = pc.measure._v if pc.family == IEV else _bev_step(_orders(pc, str(label)), recip, bev)
-        plan.append((out, slot[cond | {a}], slot[cond | {b}], slot.get(cond), v))
+        left, right, inner = slot[cond | {a}], slot[cond | {b}], slot.get(cond)
+        flip = pc.family == EV
+        sp = (a - 1, inner, flip) if left in ev_tree1 else (0, 0, flip)
+        sq = (b - 1, inner, flip) if right in ev_tree1 else (0, 0, flip)
+        known = sp[0] == sp[1] and sq[0] == sq[1]
+        if known and not (sp[2] or sq[2]):
+            plan.append((out, left, right, inner, pc.measure._v, None))
+        else:
+            rules = _edge_rules(pc, str(label), recip, bev)
+            rule = rules[sp[2]][sq[2]] if known else pick(sp, sq, rules)
+            plan.append((out, left, right, inner, None, rule))
+        if flip and not cond:
+            ev_tree1.add(out)
         slot[cond | {a, b}] = out
     return plan
-
-
-def _bev_step(orders: TailOrders, recip, bev):
-    # recip undoes the reciprocal the plan applies (1/0 = inf and back)
-    s1, s2 = orders.s1, orders.s2
-    return lambda p, q: bev(recip(p), recip(q), s1, s2)
 
 
 def _run_plan(plan, vals, recip):
     """Execute a compiled plan on vals, the d coordinates followed by one
     free slot per step; recip is _srecip for floats, _recip for arrays."""
-    for out, left, right, inner, v in plan:
+    for out, left, right, inner, v, rule in plan:
         if inner is None:
-            vals[out] = v(recip(vals[left]), recip(vals[right]))
+            p, q = vals[left], vals[right]
+            vals[out] = v(recip(p), recip(q)) if rule is None else rule(p, q, vals)
         else:
             g_d = vals[inner]
-            vals[out] = g_d + v(recip(vals[left] - g_d), recip(vals[right] - g_d))
+            p, q = vals[left] - g_d, vals[right] - g_d
+            vals[out] = g_d + (v(recip(p), recip(q)) if rule is None else rule(p, q, vals))
     return vals[-1]
 
 
 def _vine_gauge(spec: VineSpec, tag: str) -> Gauge:
     d = spec.d
-    plan, splan = _compile_vine(spec, _recip, _bev_eval), _compile_vine(spec, _srecip, _bev_eval_s)
+    plan = _compile_vine(spec, _recip, _bev_eval, _blend_rules)
+    splan = _compile_vine(spec, _srecip, _bev_eval_s, _pick_rule)
     free = [None] * len(plan)
     return Gauge(
         d,
@@ -439,6 +346,25 @@ def _vine_gauge(spec: VineSpec, tag: str) -> Gauge:
         tag,
         sfn=lambda *xs: _run_plan(splan, [*xs, *free], _srecip),
     )
+
+
+def gauge_trivariate(spec: VineSpec) -> Gauge:
+    """Gauge of a trivariate vine with edges {12}, {23}, {13|2}.
+
+    Every family pattern of (c12, c23, c13|2) is the d = 3 case of the
+    nested sub-vine recursion and runs through its evaluation plan
+    (``_compile_vine``).  Below an EV tree-1 edge the margin of the top edge
+    switches side where the outer coordinate passes x2, which turns the
+    gauge piecewise.
+    """
+    if not (spec.d == 3 and spec.structure in (TRIVARIATE, DVINE)):
+        raise UnsupportedCombinationError("gauge_trivariate needs a trivariate vine with edges 12, 23, 13|2")
+    return _vine_gauge(spec, "trivariate-vine(" + ",".join(spec.families()) + ")")
+
+
+def _require_all_iev(spec: VineSpec, op: str):
+    if not spec.all_iev():
+        raise UnsupportedCombinationError(f"{op} requires every edge to be an inverted extreme value copula")
 
 
 def gauge_dvine(spec: VineSpec) -> Gauge:

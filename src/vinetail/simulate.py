@@ -210,6 +210,18 @@ def _run_cascade(steps, outs, w):
     return np.column_stack([vals[s] for s in outs])
 
 
+def _whole(value, what: str, lowest: int) -> int:
+    """value as an int >= lowest; integral floats such as 1e6 pass."""
+    try:
+        whole = int(value)
+        ok = whole == value and whole >= lowest
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise DomainError(f"{what} must be an integer >= {lowest}, got {value!r}")
+    return whole
+
+
 def sample_vine(spec: VineSpec, n: int, seed: int, chunk_size: int = CHUNK) -> SampleCloud:
     """n independent draws of the vine on exponential margins (unscaled).
 
@@ -217,9 +229,7 @@ def sample_vine(spec: VineSpec, n: int, seed: int, chunk_size: int = CHUNK) -> S
     default_rng(SeedSequence(seed, spawn_key=(c,))), so the cloud does not
     depend on how chunks are scheduled.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError("sample count must be at least 1")
+    n, seed = _whole(n, "sample count", 1), _whole(seed, "seed", 0)
     if not isinstance(chunk_size, int) or chunk_size < 1:
         raise DomainError(f"chunk_size must be a positive integer, got {chunk_size!r}")
     steps, outs = _compile_cascade(spec)
@@ -236,10 +246,10 @@ def sample_vine(spec: VineSpec, n: int, seed: int, chunk_size: int = CHUNK) -> S
         chunk_idx += 1
     return SampleCloud(
         values=out,
-        seed=int(seed),
+        seed=seed,
         scale=0.0,
         spec_hash=spec.spec_hash(),
-        generator=f"numpy-pcg64/seedseq(entropy={int(seed)},spawn_key=(chunk,))",
+        generator=f"numpy-pcg64/seedseq(entropy={seed},spawn_key=(chunk,))",
         chunk_size=chunk_size,
     )
 

@@ -132,6 +132,26 @@ def test_simulate_binary_format(capsys, ilog_spec, tmp_path):
     assert cloud.n == 64 and cloud.d == 3
 
 
+def test_simulate_accepts_integral_notation(capsys, ilog_spec, tmp_path):
+    from vinetail import SampleCloud
+
+    clouds = []
+    for n in ("1e3", "1000"):
+        out = str(tmp_path / f"{n}.bin")
+        code, msg = run(capsys, "simulate", "--spec", ilog_spec, "--n", n, "--seed", "3",
+                        "--format", "binary", "--out", out)
+        assert code == 0 and json.loads(msg)["n"] == 1000
+        clouds.append(SampleCloud.from_binary(out).values)
+    assert np.array_equal(*clouds)
+
+
+@pytest.mark.parametrize("n", ["2.5", "0", "nan", "ten"])
+def test_simulate_rejects_counts_that_are_not_whole(capsys, ilog_spec, tmp_path, n):
+    code, msg = run(capsys, "simulate", "--spec", ilog_spec, "--n", n, "--seed", "3",
+                    "--out", str(tmp_path / "x.csv"))
+    assert code == 2 and "error" in json.loads(msg)
+
+
 def test_table_fig6(capsys):
     code, out = run(capsys, "table", "--figure", "fig6", "--alphas", "0.1,0.5,0.9", "--dmax", "10")
     assert code == 0

@@ -121,6 +121,20 @@ def test_estimates_need_unscaled_clouds():
         eta_hat(cloud, (1, 2), 1.0)
 
 
+@pytest.mark.parametrize("u", [0.0, -1.0, np.nan, np.inf])
+def test_thresholds_must_be_positive_and_finite(u):
+    cloud = indep_cloud(n=1000)
+    for estimator in (chi_hat, eta_hat):
+        with pytest.raises(DomainError, match="threshold"):
+            estimator(cloud, (1, 2), u)
+
+
+@pytest.mark.parametrize("percentile", [-0.5, 100.5, np.nan])
+def test_threshold_percentile_must_lie_in_0_100(percentile):
+    with pytest.raises(DomainError, match="percentile"):
+        threshold_at(indep_cloud(n=1000), (1, 2), percentile)
+
+
 def test_coverage_basics():
     cloud = scale_cloud(indep_cloud(n=100_000))
     g = independence_gauge()
@@ -131,8 +145,9 @@ def test_coverage_basics():
     assert c_loose >= 0.99
     with pytest.raises(DomainError):
         cloud_coverage(indep_cloud(n=100), g, 0.1)
-    with pytest.raises(DomainError):
-        cloud_coverage(cloud, g, -0.1)
+    for slack in (-0.1, np.nan):
+        with pytest.raises(DomainError):
+            cloud_coverage(cloud, g, slack)
 
 
 def test_coverage_improves_with_sample_size():

@@ -7,6 +7,7 @@ from vinetail import (
     DomainError,
     Logistic,
     PairCopula,
+    TailOrders,
     UnsupportedCombinationError,
     VineSpec,
     asymmetric_logistic_gauge,
@@ -162,6 +163,8 @@ def test_branch_boundary_agreement():
         tri(lgst(0.5), ilog(0.25), lgst(0.5)),
         tri(lgst(0.5), lgst(0.25), ilog(0.5)),
         tri(lgst(0.5), lgst(0.25), lgst(0.5)),
+        tri(ilog(0.5), lgst(0.25), ilog(0.5)),
+        tri(ilog(0.5), lgst(0.25), lgst(0.5)),
     ]
     for g in piecewise:
         for _ in range(60):
@@ -230,6 +233,91 @@ def test_iev_tree1_patterns_match_their_formulas(top, alphas, rtol):
         oracle = (2.0 + s) * np.maximum(a, b) - (1.0 + s) * np.minimum(a, b)
     assert_allclose(g(pts), oracle, rtol=rtol, atol=0.0)
     assert_allclose([g(p) for p in pts], oracle, rtol=rtol, atol=0.0)
+
+
+class SkewLogistic(Logistic):
+    """A logistic measure reporting made-up tail orders s1 != s2, so that
+    an s1 / s2 mix-up shows (every shipped measure has s1 = s2); its
+    transpose swaps them."""
+
+    def __init__(self, alpha, s1, s2):
+        super().__init__(alpha)
+        self.s1, self.s2 = s1, s2
+
+    def tail_orders(self):
+        return TailOrders(self.s1, self.s2, np.nan, np.nan)
+
+    def transposed(self):
+        return SkewLogistic(self.alpha, self.s2, self.s1)
+
+
+def _recip_oracle(a):
+    a = np.maximum(a, 0.0)
+    return np.divide(1.0, a, out=np.full_like(a, np.inf), where=a > 0.0)
+
+
+def _bev_oracle(a, b, t):
+    s = np.where(a >= b, t.s1, t.s2)
+    return (2.0 + s) * np.maximum(a, b) - (1.0 + s) * np.minimum(a, b)
+
+
+def _piecewise_oracle(spec, x):
+    """The piecewise formulas of the patterns with an EV copula in tree 1;
+    those with it on edge 23 only are the x1 <-> x3 mirror of the others."""
+    c12, c23, c13 = spec.copula(1, 2), spec.copula(2, 3), spec.copula(1, 3)
+    fams = spec.families()
+    if fams[:2] == ("iev", "ev"):
+        return _piecewise_oracle(spec.mirrored(), x[:, ::-1])
+    x1, x2, x3 = x.T
+    t12, t13 = c12.measure.tail_orders(), c13.measure.tail_orders()
+    v13 = c13.measure.V
+    if fams[1] == "iev":
+        b = c23.measure.V(_recip_oracle(x2), _recip_oracle(x3))
+        if fams[2] == "iev":
+            low = (2.0 + t13.s1) * (1.0 + t12.s2) * (x2 - x1) + b
+            high = x2 + v13(_recip_oracle((x1 - x2) * (2.0 + t12.s1)), _recip_oracle(b - x2))
+        else:
+            low = x2 + (1.0 + t12.s2) * (x2 - x1) + (2.0 + t13.s2) * (b - x2)
+            high = x2 + _bev_oracle((2.0 + t12.s1) * (x1 - x2), b - x2, t13)
+        return np.where(x1 <= x2, low, high)
+    t23 = c23.measure.tail_orders()
+    if fams[2] == "iev":
+        r1 = x2 + _bev_oracle((1.0 + t12.s2) * (x2 - x1), (1.0 + t23.s1) * (x2 - x3), t13)
+        r2 = x2 + (2.0 + t13.s1) * (1.0 + t12.s2) * (x2 - x1) + (2.0 + t23.s2) * (x3 - x2)
+        r3 = x2 + (2.0 + t13.s2) * (1.0 + t23.s1) * (x2 - x3) + (2.0 + t12.s1) * (x1 - x2)
+        r4 = x2 + v13(_recip_oracle((2.0 + t12.s1) * (x1 - x2)), _recip_oracle((2.0 + t23.s2) * (x3 - x2)))
+        below1, below3 = x1 < x2, x3 < x2
+    else:
+        r1 = x2 + v13(_recip_oracle((1.0 + t12.s2) * (x2 - x1)), _recip_oracle((1.0 + t23.s1) * (x2 - x3)))
+        r2 = x2 + (2.0 + t13.s2) * (2.0 + t23.s2) * (x3 - x2) + (1.0 + t12.s2) * (x2 - x1)
+        r3 = x2 + (2.0 + t13.s1) * (2.0 + t12.s1) * (x1 - x2) + (1.0 + t23.s1) * (x2 - x3)
+        r4 = x2 + _bev_oracle((2.0 + t12.s1) * (x1 - x2), (2.0 + t23.s2) * (x3 - x2), t13)
+        below1, below3 = x1 <= x2, x3 <= x2
+    return np.where(below1, np.where(below3, r1, r2), np.where(below3, r3, r4))
+
+
+@pytest.mark.parametrize("fams", ["eii", "eie", "eei", "eee", "iei", "iee"])
+@pytest.mark.parametrize("skews", [
+    ((0.5, 0.5), (0.25, 0.25), (0.5, 0.5)),  # s1 = s2, as in every shipped measure
+    ((0.1, 1.7), (2.5, -0.4), (-0.6, 0.9)),
+    ((3.0, 0.2), (0.0, 1.1), (1.4, -0.3)),
+])
+def test_ev_tree1_patterns_match_their_formulas(fams, skews):
+    # the six patterns with an EV copula in tree 1 run through the vine
+    # plan; these are their piecewise formulas, on points with zeros and
+    # with the x1 = x2 and x3 = x2 ties where the pieces meet
+    spec = VineSpec.trivariate(*(
+        PairCopula("ev" if f == "e" else "iev", SkewLogistic(a, s1, s2))
+        for f, a, (s1, s2) in zip(fams, (0.4, 0.55, 0.7), skews)
+    ))
+    g = gauge_trivariate(spec)
+    pts = _folded_oracle_points()
+    pts[5::10, 0] = pts[5::10, 1]
+    pts[6::10, 2] = pts[6::10, 1]
+    pts[7::10, 0] = pts[7::10, 2] = pts[7::10, 1]
+    oracle = _piecewise_oracle(spec, pts)
+    assert_allclose(g(pts), oracle, rtol=1e-14, atol=0.0)
+    assert_allclose([g(p) for p in pts], oracle, rtol=1e-14, atol=0.0)
 
 
 def test_ev_edges_need_tail_orders():

@@ -200,10 +200,13 @@ def test_scale_cloud():
         scale_cloud(scaled)
 
 
-def test_scaled_cloud_mostly_inside_limit_set():
+@pytest.mark.parametrize("fams", ["iii", "iie", "eii", "eie", "eei", "eee", "iei", "iee"])
+def test_scaled_cloud_mostly_inside_limit_set(fams):
+    # the sampler is a route to the gauge of every family pattern that
+    # shares no code with the gauge plan
     from vinetail import gauge_trivariate
 
-    spec = tri_spec()
+    spec = VineSpec.trivariate(*(PairCopula("ev" if f == "e" else "iev", Logistic(0.5)) for f in fams))
     cloud = scale_cloud(sample_vine(spec, 100_000, seed=29))
     g = gauge_trivariate(spec)
     frac = np.mean(g(cloud.values) <= 1.15)
@@ -217,6 +220,24 @@ def test_validation_errors():
         SampleCloud(values=np.array([[1.0, -2.0]]), seed=0)
     with pytest.raises(DomainError):
         scale_cloud(SampleCloud(values=np.ones((1, 2)), seed=0))
+
+
+@pytest.mark.parametrize("n", [2.5, np.nan, np.inf, "10", None])
+def test_sample_count_must_be_a_whole_number(n):
+    with pytest.raises(DomainError, match="sample count"):
+        sample_vine(tri_spec(), n, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, np.nan, "7", None])
+def test_seed_must_be_a_nonnegative_integer(seed):
+    with pytest.raises(DomainError, match="seed"):
+        sample_vine(tri_spec(), 10, seed=seed)
+
+
+def test_integral_floats_count_and_seed():
+    cloud = sample_vine(tri_spec(), 1e3, seed=7.0)
+    assert cloud.n == 1000 and cloud.seed == 7 and type(cloud.seed) is int
+    assert np.array_equal(cloud.values, sample_vine(tri_spec(), 1000, seed=7).values)
 
 
 @pytest.mark.parametrize("chunk_size", [0, -5, 2.5])
