@@ -10,6 +10,7 @@ machine parseable, JSON or CSV; exit codes are 0 (ok), 2 (input error),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -29,15 +30,11 @@ from .eta import (
 )
 from .gauges import (
     Gauge,
-    asymmetric_logistic_gauge,
-    bev_gauge_from_measure,
     boundary_point,
+    gauge_bivariate,
     gauge_cvine,
     gauge_dvine,
     gauge_trivariate,
-    gaussian_gauge,
-    independence_gauge,
-    inverted_ev_gauge,
     simplex_directions,
 )
 from .measures import Logistic
@@ -53,23 +50,27 @@ def _emit_error(message: str) -> int:
 
 
 def _parse_builtin(text: str):
-    """independence | gaussian:RHO | ilog:ALPHA | logistic:ALPHA | alog:ALPHA"""
+    """independence | gaussian:RHO | ilog:ALPHA | logistic:ALPHA | alog:ALPHA,
+    as its ``gauge_bivariate`` gauge and its closed-form eta."""
     name, _, arg = text.partition(":")
     name = name.strip().lower()
     if name == "independence":
-        return independence_gauge(), 0.5
-    value = float(arg) if arg else None
-    if value is None:
+        return gauge_bivariate("independence"), 0.5
+    if not arg:
         raise VinetailError(f"builtin {name!r} needs a parameter, e.g. {name}:0.5")
+    value = float(arg)
     if name == "gaussian":
-        return gaussian_gauge(value), (1.0 + value) / 2.0
-    if name == "ilog":
-        return inverted_ev_gauge(Logistic(value)), 2.0 ** (-value)
-    if name == "logistic":
-        return bev_gauge_from_measure(Logistic(value)), 1.0
-    if name == "alog":
-        return asymmetric_logistic_gauge(value), 1.0
-    raise VinetailError(f"unknown builtin gauge {text!r}")
+        case, params, eta = "gaussian", {"rho": value}, (1.0 + value) / 2.0
+    elif name == "ilog":
+        case, params, eta = "inverted_ev", {"measure": Logistic(value)}, 2.0 ** (-value)
+    elif name == "logistic":
+        t = Logistic(value).tail_orders()
+        case, params, eta = "bev", {"s1": t.s1, "s2": t.s2}, 1.0
+    elif name == "alog":
+        case, params, eta = "asymmetric_logistic", {"alpha": value}, 1.0
+    else:
+        raise VinetailError(f"unknown builtin gauge {text!r}")
+    return gauge_bivariate(case, **params), eta
 
 
 def _load_spec(path: str) -> VineSpec:
@@ -151,22 +152,19 @@ def cmd_contour(args) -> int:
     dims = gauge.dim if args.dims is None else int(args.dims)
     if dims != gauge.dim:
         return _emit_error(f"--dims {dims} does not match the gauge dimension {gauge.dim}")
-    rows = []
-    for w in simplex_directions(args.resolution, dims):
-        if not np.any(w > 0):
-            continue
-        b = boundary_point(gauge, w)
-        rows.append(list(w) + list(b) + [float(gauge(b))])
+    W = simplex_directions(args.resolution, dims)
+    B = boundary_point(gauge, W)
+    table = np.column_stack([W, B, gauge(B)])
     header = (
         [f"w{i}" for i in range(1, dims + 1)]
         + [f"b{i}" for i in range(1, dims + 1)]
         + ["g_check"]
     )
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"  # the bytes of f"{v:.17g}"
     out = sys.stdout if args.out is None else open(args.out, "w")
     try:
         out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        out.write((row * len(table)) % tuple(table.ravel().tolist()))
     finally:
         if out is not sys.stdout:
             out.close()
@@ -191,11 +189,12 @@ def cmd_table(args) -> int:
     if args.figure != "fig6":
         return _emit_error(f"unknown table {args.figure!r}; available: fig6")
     alphas = [float(a) for a in args.alphas.split(",")]
-    dims = list(range(2, args.dmax + 1))
+    # every cell first, so that a bad alpha prints its error and no header
+    rows = [f"{d}," + ",".join(f"{eta_dvine_ilog_closed(a, d):.17g}" for a in alphas)
+            for d in range(2, args.dmax + 1)]
     print("d," + ",".join(f"alpha={a:g}" for a in alphas))
-    for d in dims:
-        cells = [f"{eta_dvine_ilog_closed(a, d):.17g}" for a in alphas]
-        print(f"{d}," + ",".join(cells))
+    for row in rows:
+        print(row)
     return OK
 
 
@@ -219,7 +218,10 @@ class _Parser(argparse.ArgumentParser):
         raise VinetailError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use; every
+    parse_args call still returns a fresh Namespace."""
     parser = _Parser(
         prog="vinetail",
         description="Tail dependence of vine copulas: eta coefficients, gauge geometry, simulation.",

@@ -667,12 +667,16 @@ def gauge_project(g: Gauge, keep) -> Gauge:
 
 
 def boundary_point(g: Gauge, w):
-    """The unique point on the unit level set {g = 1} along the ray w."""
+    """The unique point w / g(w) on the unit level set {g = 1} along the ray w.
+
+    w is one direction of shape (d,) or k directions of shape (k, d), each
+    nonnegative and nonzero; k directions take one array gauge call and give
+    the k boundary points as rows.
+    """
     w = np.asarray(w, dtype=float)
-    if np.any(w < 0.0) or not np.any(w > 0.0):
-        raise DomainError("direction must be nonnegative and nonzero")
-    val = g(w)
-    return w / val
+    if w.ndim == 0 or np.any(w < 0.0) or not np.all(np.any(w > 0.0, axis=-1)):
+        raise DomainError("every direction must be nonnegative and nonzero")
+    return w / np.asarray(g(w))[..., None]
 
 
 def simplex_directions(k: int, d: int):

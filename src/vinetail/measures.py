@@ -168,15 +168,30 @@ class Logistic(ExponentMeasure):
 
     def _v(self, x, y):
         # arguments live in (0, inf]; infinite arguments take the exact
-        # marginal limits V(inf, y) = 1/y, V(x, inf) = 1/x, V(inf, inf) = 0
+        # marginal limits V(inf, y) = 1/y, V(x, inf) = 1/x, V(inf, inf) = 0.
+        # The direct form overflows once q ln(1/x) > 709 (alpha below about
+        # 0.004 at ordinary arguments); there alone the one-power form
+        # (1 + (m/M)^q)^alpha / m, with m = min(x, y) and M = max(x, y),
+        # takes over, so values in range keep their bits and the scalar
+        # path pays only for a try block
         q = self._q
         if type(x) is float and type(y) is float:
             if x == math.inf:
                 return 0.0 if y == math.inf else 1.0 / y
             if y == math.inf:
                 return 1.0 / x
-            return (x ** (-q) + y ** (-q)) ** self.alpha
-        out = (x ** (-q) + y ** (-q)) ** self.alpha
+            try:
+                return (x ** (-q) + y ** (-q)) ** self.alpha
+            except OverflowError:
+                m, M = (x, y) if x < y else (y, x)
+                return (1.0 + (m / M) ** q) ** self.alpha / m
+        with np.errstate(over="ignore"):
+            out = (x ** (-q) + y ** (-q)) ** self.alpha
+        over = np.isinf(out)
+        if np.any(over):
+            m, M = np.minimum(x, y), np.maximum(x, y)
+            with np.errstate(over="ignore", invalid="ignore"):  # the discarded points
+                out = np.where(over, (1.0 + (m / M) ** q) ** self.alpha / m, out)
         if np.any(np.isinf(x)) or np.any(np.isinf(y)):
             x_inf, y_inf = np.isinf(x), np.isinf(y)
             with np.errstate(divide="ignore"):

@@ -4,8 +4,22 @@ import json
 import numpy as np
 import pytest
 
-from vinetail import Logistic, PairCopula, VineSpec
-from vinetail.cli import main
+from vinetail import (
+    Logistic,
+    PairCopula,
+    VineSpec,
+    asymmetric_logistic_gauge,
+    bev_gauge_from_measure,
+    gauge_cvine,
+    gauge_dvine,
+    gauge_trivariate,
+    gaussian_gauge,
+    independence_gauge,
+    inverted_ev_gauge,
+    simplex_directions,
+)
+from vinetail.cli import build_parser, main
+from vinetail.vines import expected_edges
 
 from test_eta import ZERO_DENOMINATOR_VINES, zero_denominator_spec
 
@@ -101,6 +115,105 @@ def test_contour_mixed_case_contains_boundary_direction(capsys, tmp_path):
     assert np.allclose(sym[0, 3:6], [1.0, 0.0, 1.0], atol=1e-12)
 
 
+def _fam(f, a):
+    return PairCopula("iev" if f == "i" else "ev", Logistic(a))
+
+
+def _vine(structure, d, alphas):
+    return VineSpec(d, structure, {e: _fam("i", a) for e, a in zip(expected_edges(structure, d), alphas)})
+
+
+CONTOUR_SOURCES = [
+    ("independence", independence_gauge()),
+    ("gaussian:0.5", gaussian_gauge(0.5)),
+    ("ilog:0.3", inverted_ev_gauge(Logistic(0.3))),
+    ("logistic:0.4", bev_gauge_from_measure(Logistic(0.4))),
+    ("alog:0.6", asymmetric_logistic_gauge(0.6)),
+    *[(spec, gauge_trivariate(spec)) for spec in (
+        VineSpec.trivariate(_fam(f12, 0.5), _fam(f23, 0.25), _fam(f13, 0.7))
+        for f12 in "ie" for f23 in "ie" for f13 in "ie")],
+    *[(spec, build(spec)) for spec, build in ((_vine("dvine", 4, [0.3, 0.5, 0.7, 0.4, 0.6, 0.2]), gauge_dvine),
+                                              (_vine("cvine", 4, [0.3, 0.5, 0.7, 0.4, 0.6, 0.2]), gauge_cvine))],
+]
+
+
+@pytest.mark.parametrize("source, g", CONTOUR_SOURCES, ids=lambda v: v if isinstance(v, str) else None)
+def test_contour_matches_per_direction_oracle(capsys, tmp_path, source, g):
+    if isinstance(source, str):
+        argv = ["--builtin", source]
+    else:
+        path = tmp_path / "spec.json"
+        path.write_text(source.to_json())
+        argv = ["--spec", str(path)]
+    code, out = run(capsys, "contour", *argv)
+    assert code == 0
+    lines = out.splitlines()
+    d = g.dim
+    assert lines[0] == ",".join([f"w{i}" for i in range(1, d + 1)] + [f"b{i}" for i in range(1, d + 1)] + ["g_check"])
+    # the oracle: one direction at a time, through the single-point gauge
+    oracle = []
+    for w in simplex_directions(64, d):
+        b = w / g(w)
+        oracle.append([*w, *b, g(b)])
+    oracle = np.array(oracle)
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert rows.shape == oracle.shape
+    assert np.array_equal(rows[:, :d], oracle[:, :d])
+    assert np.all(np.abs(rows - oracle) <= 1e-15 * np.maximum(1.0, np.abs(oracle)))
+
+
+def test_parser_is_built_once_and_parses_afresh():
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["eta", "--builtin", "ilog:0.5", "--set", "12"])
+    second = parser.parse_args(["eta", "--builtin", "ilog:0.5"])
+    assert first is not second
+    assert first.set == "12" and second.set is None
+
+
+def test_usage_error_help_and_eta_in_one_process(capsys):
+    code, out = run(capsys, "eta", "--builtin", "ilog:0.5", "--method", "exact")
+    assert code == 2 and "invalid choice" in json.loads(out)["error"]
+    code = main(["eta", "--help"])
+    captured = capsys.readouterr()
+    assert code == 0 and "--builtin" in captured.out and captured.err == ""
+    code, out = run(capsys, "eta", "--builtin", "ilog:0.5")
+    assert code == 0 and json.loads(out)["eta"] == 2**-0.5
+
+
+@pytest.mark.parametrize("text, tag, eta", [
+    ("independence", "independence", 0.5),
+    ("gaussian:0.5", "gaussian(rho=0.5)", 0.75),
+    ("ilog:0.5", "inverted-ev(Logistic(alpha=0.5))", 2**-0.5),
+    ("logistic:0.5", "bev(s1=0.0, s2=0.0)", 1.0),
+    ("alog:0.5", "asymmetric-logistic(alpha=0.5)", 1.0),
+])
+def test_builtins_build_through_gauge_bivariate(monkeypatch, text, tag, eta):
+    from vinetail import cli, gauges
+
+    cases = []
+    monkeypatch.setattr(cli, "gauge_bivariate", lambda case, **kw: cases.append(case) or gauges.gauge_bivariate(case, **kw))
+    g, closed = cli._parse_builtin(text)
+    assert len(cases) == 1 and g.tag == tag and closed == eta
+
+
+@pytest.mark.parametrize("text, message", [
+    ("gaussian", "builtin 'gaussian' needs a parameter, e.g. gaussian:0.5"),
+    ("nope:1", "unknown builtin gauge 'nope:1'"),
+])
+def test_builtin_errors(capsys, text, message):
+    code, out = run(capsys, "eta", "--builtin", text)
+    assert code == 2 and json.loads(out) == {"error": message}
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.003])
+def test_eta_builtin_with_tiny_alpha(capsys, alpha):
+    # (x1^q + x2^q)^alpha overflows in its direct form at q = 1/alpha
+    code, out = run(capsys, "eta", "--builtin", f"ilog:{alpha}", "--method", "numeric")
+    assert code == 0
+    assert json.loads(out)["eta"] == pytest.approx(2**-alpha, abs=1e-12)
+
+
 def test_simulate_deterministic_and_scaled(capsys, ilog_spec, tmp_path):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     code, _ = run(capsys, "simulate", "--spec", ilog_spec, "--n", "1000", "--seed", "7", "--out", out1)
@@ -167,6 +280,13 @@ def test_table_fig6(capsys):
     # (2 - 2^0.9) / (1 - (2^0.9 - 1)^10)
     assert rows[-1, 3] == pytest.approx(0.17563179948298258, abs=1e-12)
     assert rows[-1, 3] > 0.1
+
+
+@pytest.mark.parametrize("alphas", ["nan", "0.5,nan", "0.5,1.5"])
+def test_table_bad_alpha_prints_only_the_error(capsys, alphas):
+    code, out = run(capsys, "table", "--alphas", alphas)
+    assert code == 2
+    assert out.count("\n") == 1 and list(json.loads(out)) == ["error"]
 
 
 def test_verify_quick_passes_fast(capsys):

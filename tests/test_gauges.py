@@ -468,6 +468,21 @@ def test_boundary_point():
         assert g(boundary_point(g, w)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DomainError):
         boundary_point(g, (0.0, 0.0, 0.0))
+    # k directions: every row is checked
+    for bad in ([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0], [1.0, -0.5, 1.0]], 1.0):
+        with pytest.raises(DomainError):
+            boundary_point(g, bad)
+
+
+@pytest.mark.parametrize("g", BIVARIATE + ALL_PATTERNS + [
+    build(VineSpec(4, structure, dict(zip(expected_edges(structure, 4), map(ilog, [0.3, 0.5, 0.7, 0.4, 0.6, 0.2])))))
+    for structure, build in (("dvine", gauge_dvine), ("cvine", gauge_cvine))
+])
+def test_boundary_point_rows_match_single_directions(g):
+    w = np.vstack([simplex_directions(40, g.dim), RNG.uniform(0.0, 5.0, (20, g.dim))])
+    b = boundary_point(g, w)
+    assert b.shape == w.shape
+    assert_allclose(b, [boundary_point(g, row) for row in w], rtol=1e-15, atol=0)
 
 
 def test_simplex_directions():

@@ -145,6 +145,25 @@ def test_vectorised_evaluation():
     assert_allclose(vec, [m.V(a, b) for a, b in zip(x, y)], rtol=1e-15)
 
 
+@pytest.mark.parametrize("alpha", [0.001, 0.003])
+def test_logistic_small_alpha_past_the_float_range(alpha):
+    # (x^-q + y^-q)^alpha overflows once q ln(1/x) > 709; the reference is the
+    # same formula in 40-digit decimal arithmetic, with the float q = 1/alpha
+    from decimal import Decimal, localcontext
+
+    from vinetail import inverted_ev_gauge
+
+    pts = [(5.0, 1.0), (1.0, 5.0), (2.5, 2.0), (1e3, 0.5), (4.0, 4.0), (1e-6, 10.0), (1.0, 1.0)]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        q, a = Decimal(1.0 / alpha), Decimal(alpha)
+        ref = [float((Decimal(x1) ** q + Decimal(x2) ** q) ** a) for x1, x2 in pts]
+    g = inverted_ev_gauge(Logistic(alpha))  # g(x1, x2) = V(1/x1, 1/x2)
+    assert_allclose([g(p) for p in pts], ref, rtol=1e-14)  # scalar path
+    assert_allclose(g(np.array(pts)), ref, rtol=1e-14)     # array path
+    assert_allclose(Logistic(alpha).V(1.0 / np.array(pts)[:, 0], 1.0 / np.array(pts)[:, 1]), ref, rtol=1e-14)
+
+
 @pytest.mark.parametrize(
     "params,tu,tv,expected",
     [
