@@ -12,7 +12,9 @@ module builds gauges analytically:
   inverted-EV components, and the trivariate vines in all eight EV /
   inverted-EV family patterns.  Each plan step applies its edge's own
   bivariate gauge to two margins; a margin's side (upper, or lower below
-  an EV tree-1 edge) selects the form,
+  an EV tree-1 edge) selects the form.  Arrays run the plan as a list of
+  rules; single points run it as one generated straight-line function per
+  plan shape, bound to the plan's parameters,
 
 and numerically: projections onto coordinate subsets by minimising over the
 dropped coordinates.  One box-constrained minimiser, ``_minimise_gauge``,
@@ -27,14 +29,15 @@ from __future__ import annotations
 
 import bisect
 import math
-from functools import reduce
+import types
+from functools import cache, reduce
 from operator import add
 
 import numpy as np
 
-from .copulas import EV, PairCopula
+from .copulas import EV, IEV, PairCopula
 from .errors import DomainError, ParameterError, UnsupportedCombinationError
-from .measures import ExponentMeasure, TailOrders
+from .measures import ExponentMeasure, Logistic, TailOrders
 from .vines import CVINE, DVINE, TRIVARIATE, VineSpec
 
 __all__ = [
@@ -61,12 +64,6 @@ def _recip(a):
     return np.divide(1.0, a, out=out, where=(a > 0.0))
 
 
-def _srecip(a):
-    # scalar twin of _recip; gauges feed the results into exponent measures,
-    # whose formulas handle the inf limits exactly
-    return 1.0 / a if a > 0.0 else math.inf
-
-
 class Gauge:
     """An evaluable gauge function on the nonnegative orthant.
 
@@ -75,9 +72,11 @@ class Gauge:
     resolved analytically inside the evaluators.  Single points use a plain
     scalar code path when available (optimisers hammer that case), arrays
     the vectorised one; the two are checked against each other in the test
-    suite.  Vine gauges have one evaluation plan per vine and path, compiled
-    from the same recursion: the scalar plan evaluates only the form each
-    point's sides select, the array plan blends the reachable forms.
+    suite.  Vine gauges compile one evaluation plan per vine, which both
+    paths run: the array path as a list of rules that blends the forms a
+    point's sides can reach, the scalar path as one generated function per
+    plan shape, straight-line statements that evaluate only the form each
+    point's sides select, with the vine's parameters bound as its globals.
     """
 
     def __init__(self, dim: int, fn, tag: str, sfn=None):
@@ -140,17 +139,14 @@ def gaussian_gauge(rho: float) -> Gauge:
 
 
 def inverted_ev_gauge(measure: ExponentMeasure) -> Gauge:
-    """Inverted extreme value copula: g(x1, x2) = V(1/x1, 1/x2)."""
+    """Inverted extreme value copula: g(x1, x2) = V(1/x1, 1/x2).
+
+    The gauge of the 2-d vine on this one IEV edge, so it runs the vine
+    plan (``_vine_gauge``).
+    """
     if not isinstance(measure, ExponentMeasure):
         raise ParameterError("measure must be an ExponentMeasure")
-
-    def fn(x):
-        return measure._v(_recip(x[..., 0]), _recip(x[..., 1]))
-
-    def sfn(x1, x2):
-        return measure._v(_srecip(x1), _srecip(x2))
-
-    return Gauge(2, fn, f"inverted-ev({measure!r})", sfn=sfn)
+    return _vine_gauge(VineSpec(2, DVINE, {"12": PairCopula(IEV, measure)}), f"inverted-ev({measure!r})")
 
 
 def _bev_eval(x1, x2, s1, s2):
@@ -226,51 +222,43 @@ def gauge_bivariate(case: str, **params) -> Gauge:
 # vine gauges: the nested sub-vine recursion as one plan per vine
 # ---------------------------------------------------------------------------
 
-def _edge_rules(pc: PairCopula, where: str, recip, bev):
-    """The edge gauge g_e(p, q, vals) on the sides of its margins, indexed
-    [lower_p][lower_q]: V(1/p, 1/q) with both margins upper, the bev gauge
-    of the tail orders with both lower, and upper + (2 + s) lower
-    otherwise, with s1 when the lower margin is p and s2 when it is q."""
-    try:
-        t = pc.measure.tail_orders()
-    except Exception as exc:
-        raise UnsupportedCombinationError(
-            f"the component on edge {where} needs regularly varying spectral tails "
-            f"for this family pattern: {exc}"
-        ) from exc
-    v, s1, s2 = pc.measure._v, t.s1, t.s2
+def _edge_rules(t, bev):
+    """The edge gauge g_e(p, q) over margins with a lower side, keyed by
+    (lower_p, lower_q): upper + (2 + s) lower with one lower margin, s1 when
+    it is p and s2 when it is q, and bev with the tail orders t when both
+    are lower.  Over two upper margins g_e is V(1/p, 1/q), which each path
+    evaluates in its own way."""
+    s1, s2 = t.s1, t.s2
     return {
-        False: {False: lambda p, q, vals: v(recip(p), recip(q)),
-                True: lambda p, q, vals: p + (2.0 + s2) * q},
-        True: {False: lambda p, q, vals: q + (2.0 + s1) * p,
-               True: lambda p, q, vals: bev(p, q, s1, s2)},
+        (False, True): lambda p, q: p + (2.0 + s2) * q,
+        (True, False): lambda p, q: q + (2.0 + s1) * p,
+        (True, True): lambda p, q: bev(p, q, s1, s2),
     }
 
 
-def _pick_rule(sp, sq, rules):
-    """Scalar path: evaluate only the rule that the point's sides select."""
-    (i, j, f), (k, l, h) = sp, sq
-    return lambda p, q, vals: rules[(vals[i] < vals[j]) != f][(vals[k] < vals[l]) != h](p, q, vals)
-
-
-def _blend_rules(sp, sq, rules):
-    """Array path: evaluate every reachable rule and blend them pointwise."""
+def _blend_rules(v, t, sp, sq):
+    """Array path: g_e(p, q, vals) in the form the sides select, evaluating
+    every reachable form and blending them pointwise where a side depends
+    on the point."""
+    rules = {(False, False): lambda p, q: v(_recip(p), _recip(q)), **_edge_rules(t, _bev_eval)}
     (i, j, f), (k, l, h) = sp, sq
     # a side known when compiling (i == j) reaches only its flip
-    (_, _, first), *rest = [(lp, lq, rules[lp][lq]) for lp in ((f,) if i == j else (False, True))
-                            for lq in ((h,) if k == l else (False, True))]
+    (_, first), *rest = [((lp, lq), rules[lp, lq]) for lp in ((f,) if i == j else (False, True))
+                         for lq in ((h,) if k == l else (False, True))]
+    if not rest:
+        return lambda p, q, vals: first(p, q)
 
     def rule(p, q, vals):
         lower_p, lower_q = (vals[i] < vals[j]) != f, (vals[k] < vals[l]) != h
-        out = first(p, q, vals)
-        for lp, lq, form in rest:
-            out = np.where((lower_p == lp) & (lower_q == lq), form(p, q, vals), out)
+        out = first(p, q)
+        for (lp, lq), form in rest:
+            out = np.where((lower_p == lp) & (lower_q == lq), form(p, q), out)
         return out
 
     return rule
 
 
-def _compile_vine(spec: VineSpec, recip, bev, pick):
+def _compile_vine(spec: VineSpec):
     """The nested sub-vine recursion as a flat plan, one step per edge.
 
     Edge (a, b | D) joins the sub-vines on {a} u D and {b} u D, which
@@ -288,15 +276,15 @@ def _compile_vine(spec: VineSpec, recip, bev, pick):
 
     Slots 0..d-1 hold the coordinates and slot d + n the sub-vine gauge of
     the n-th edge in tree order, so the last slot is the whole vine.  A step
-    is (out, left, right, inner, v, rule), with inner None in tree 1.  A
-    step over two upper margins has v = V and rule None, so every all-IEV
-    vine runs V on the reciprocals alone; any other step has a rule
-    g_e(p, q, vals).  A side is (i, j, flip), lower when
+    is (out, left, right, inner, measure, sides, t), with inner None in
+    tree 1.  A step over two upper margins has sides None, so every all-IEV
+    vine runs V on the reciprocals alone; any other step has sides (sp, sq)
+    and the tail orders t of its edge.  A side is (i, j, flip), lower when
     (x_i < x_j) != flip; a side known when compiling has i == j, and its
     flip alone gives it.  Only the sides of the trivariate top edge over an
-    EV tree-1 edge depend on the point; pick builds the rule for those.
-    recip, bev and pick are the helpers of the path (scalar or array) that
-    runs the plan.
+    EV tree-1 edge depend on the point.  Both paths run this plan: the
+    array path as a list of rules (``_run_plan``), the scalar path as one
+    generated function (``_scalar_plan``).
     """
     slot = {frozenset([k]): k - 1 for k in range(1, spec.d + 1)}
     ev_tree1 = set()  # slots of the EV tree-1 edges
@@ -308,43 +296,134 @@ def _compile_vine(spec: VineSpec, recip, bev, pick):
         flip = pc.family == EV
         sp = (a - 1, inner, flip) if left in ev_tree1 else (0, 0, flip)
         sq = (b - 1, inner, flip) if right in ev_tree1 else (0, 0, flip)
-        known = sp[0] == sp[1] and sq[0] == sq[1]
-        if known and not (sp[2] or sq[2]):
-            plan.append((out, left, right, inner, pc.measure._v, None))
+        if sp == sq == (0, 0, False):
+            plan.append((out, left, right, inner, pc.measure, None, None))
         else:
-            rules = _edge_rules(pc, str(label), recip, bev)
-            rule = rules[sp[2]][sq[2]] if known else pick(sp, sq, rules)
-            plan.append((out, left, right, inner, None, rule))
+            try:
+                t = pc.measure.tail_orders()
+            except Exception as exc:
+                raise UnsupportedCombinationError(
+                    f"the component on edge {label} needs regularly varying spectral tails "
+                    f"for this family pattern: {exc}"
+                ) from exc
+            plan.append((out, left, right, inner, pc.measure, (sp, sq), t))
         if flip and not cond:
             ev_tree1.add(out)
         slot[cond | {a, b}] = out
     return plan
 
 
-def _run_plan(plan, vals, recip):
-    """Execute a compiled plan on vals, the d coordinates followed by one
-    free slot per step; recip is _srecip for floats, _recip for arrays."""
+def _run_plan(plan, vals):
+    """Execute the array plan on vals, the d coordinate arrays followed by
+    one free slot per step; a step is (out, left, right, inner, v, rule),
+    with rule None over two upper margins."""
     for out, left, right, inner, v, rule in plan:
         if inner is None:
             p, q = vals[left], vals[right]
-            vals[out] = v(recip(p), recip(q)) if rule is None else rule(p, q, vals)
+            vals[out] = v(_recip(p), _recip(q)) if rule is None else rule(p, q, vals)
         else:
             g_d = vals[inner]
             p, q = vals[left] - g_d, vals[right] - g_d
-            vals[out] = g_d + (v(recip(p), recip(q)) if rule is None else rule(p, q, vals))
+            vals[out] = g_d + (v(_recip(p), _recip(q)) if rule is None else rule(p, q, vals))
     return vals[-1]
+
+
+# V(1/p, 1/q) on floats for a logistic measure in step n, with 1/0 = inf:
+# the direct form (x^e + y^e)^a of Logistic._v, e = -1/alpha, with the same
+# operations in the same order; an infinite argument or an overflowing sum
+# calls Logistic._v itself (v{n}), which repeats the form and takes the
+# exact limits and the one-power form there, so every value keeps its bits
+_LOGISTIC_FORM = """\
+x = 1.0 / {p} if {p} > 0.0 else inf
+y = 1.0 / {q} if {q} > 0.0 else inf
+try:
+    {r} = x ** e{n} + y ** e{n} if x < inf > y else inf
+except OverflowError:
+    {r} = inf
+{r} = {r} ** a{n} if {r} < inf else v{n}(x, y)"""
+
+
+def _branch(test, yes, no):
+    return [f"if {test}:", *("    " + s for s in yes), "else:", *("    " + s for s in no)]
+
+
+def _step_source(out, left, right, inner, inline, sides):
+    """The statements of one plan step, leaving its gauge in s{out}."""
+    if inner is None:  # tree 1: the coordinates are the margins
+        p, q, r, lines = f"s{left}", f"s{right}", f"s{out}", []
+    else:
+        p, q, r = "p", "q", "r"
+        lines = [f"g = s{inner}", f"p = s{left} - g", f"q = s{right} - g"]
+
+    def form(lp, lq):
+        if lp or lq:
+            return [f"{r} = rule{out}_{lp:d}{lq:d}({p}, {q})"]
+        if inline:
+            return _LOGISTIC_FORM.format(p=p, q=q, r=r, n=out).splitlines()
+        return [f"{r} = v{out}(1.0 / {p} if {p} > 0.0 else inf, 1.0 / {q} if {q} > 0.0 else inf)"]
+
+    if sides is None:
+        lines += form(False, False)
+    else:
+        (i, j, f), (k, l, h) = sides
+        test_p, test_q = f"{'not ' * f}s{i} < s{j}", f"{'not ' * h}s{k} < s{l}"
+
+        def pick_q(lp):
+            return form(lp, h) if k == l else _branch(test_q, form(lp, True), form(lp, False))
+
+        lines += pick_q(f) if i == j else _branch(test_p, pick_q(True), pick_q(False))
+    if inner is not None:
+        lines.append(f"s{out} = g + r")
+    return lines
+
+
+def _plan_source(d, shape):
+    """The scalar evaluator of one plan shape as Python source: a function
+    of d floats s0..s{d-1} that runs every step as straight-line statements
+    on local slots.  The shape holds slots, sides and which V forms are
+    inlined, never a value; parameters and callables are globals of the
+    function (``_scalar_plan``)."""
+    body = [line for step in shape for line in _step_source(*step)]
+    return "\n    ".join([f"def vine_gauge({', '.join(f's{k}' for k in range(d))}):", *body,
+                           f"return s{d + len(shape) - 1}"]) + "\n"
+
+
+@cache
+def _plan_code(d, shape):
+    """The compiled code of ``_plan_source``, shared by every plan of one
+    shape, so a vine rebuilt with new parameters compiles nothing."""
+    scope = {}
+    exec(compile(_plan_source(d, shape), f"<vine plan, d={d}>", "exec"), scope)
+    return scope["vine_gauge"].__code__
+
+
+def _scalar_plan(d, plan):
+    """The scalar evaluator of a compiled plan: its shape's generated code
+    (``_plan_code``) bound to the plan's measures and rules."""
+    env = {"inf": math.inf}
+    shape = []
+    for out, left, right, inner, m, sides, t in plan:
+        inline = type(m)._v is Logistic._v
+        env[f"v{out}"] = m._v
+        if inline:
+            env.update({f"e{out}": -m._q, f"a{out}": m.alpha})
+        if sides is not None:
+            env.update({f"rule{out}_{lp:d}{lq:d}": rule for (lp, lq), rule in _edge_rules(t, _bev_eval_s).items()})
+        shape.append((out, left, right, inner, inline, sides))
+    return types.FunctionType(_plan_code(d, tuple(shape)), env)
 
 
 def _vine_gauge(spec: VineSpec, tag: str) -> Gauge:
     d = spec.d
-    plan = _compile_vine(spec, _recip, _bev_eval, _blend_rules)
-    splan = _compile_vine(spec, _srecip, _bev_eval_s, _pick_rule)
+    plan = _compile_vine(spec)
+    aplan = [(out, left, right, inner, m._v, None if sides is None else _blend_rules(m._v, t, *sides))
+             for out, left, right, inner, m, sides, t in plan]
     free = [None] * len(plan)
     return Gauge(
         d,
-        lambda x: _run_plan(plan, [x[..., k] for k in range(d)] + free, _recip),
+        lambda x: _run_plan(aplan, [x[..., k] for k in range(d)] + free),
         tag,
-        sfn=lambda *xs: _run_plan(splan, [*xs, *free], _srecip),
+        sfn=_scalar_plan(d, plan),
     )
 
 

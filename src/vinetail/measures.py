@@ -170,10 +170,12 @@ class Logistic(ExponentMeasure):
         # arguments live in (0, inf]; infinite arguments take the exact
         # marginal limits V(inf, y) = 1/y, V(x, inf) = 1/x, V(inf, inf) = 0.
         # The direct form overflows once q ln(1/x) > 709 (alpha below about
-        # 0.004 at ordinary arguments); there alone the one-power form
+        # 0.004 at ordinary arguments), in a power or in the sum of two
+        # finite ones; there alone the one-power form
         # (1 + (m/M)^q)^alpha / m, with m = min(x, y) and M = max(x, y),
-        # takes over, so values in range keep their bits and the scalar
-        # path pays only for a try block
+        # takes over, so values in range keep their bits.  The scalar vine
+        # plan inlines the direct form of the float branch operation for
+        # operation (gauges._LOGISTIC_FORM) and calls this method for the rest
         q = self._q
         if type(x) is float and type(y) is float:
             if x == math.inf:
@@ -181,10 +183,13 @@ class Logistic(ExponentMeasure):
             if y == math.inf:
                 return 1.0 / x
             try:
-                return (x ** (-q) + y ** (-q)) ** self.alpha
+                s = x ** (-q) + y ** (-q)
             except OverflowError:
+                s = math.inf
+            if s == math.inf:
                 m, M = (x, y) if x < y else (y, x)
                 return (1.0 + (m / M) ** q) ** self.alpha / m
+            return s ** self.alpha
         with np.errstate(over="ignore"):
             out = (x ** (-q) + y ** (-q)) ** self.alpha
         over = np.isinf(out)
@@ -262,6 +267,19 @@ class Logistic(ExponentMeasure):
 
     def to_dict(self) -> dict:
         return {"type": "logistic", "alpha": self.alpha}
+
+
+def _mix(t, E):
+    """ln(t + (1-t) e^E) and (1-t) e^E / (t + (1-t) e^E), for t in [0, 1)
+    and E <= 0.  log1p keeps relative precision near E = 0; below E = -1
+    the sum of two positive terms has it, and stays above t > 0 where e^E
+    underflows."""
+    if t == 0.0:
+        return E, 1.0
+    u = (1.0 - t) * np.exp(E)
+    lin = t + u
+    with np.errstate(divide="ignore"):  # log1p(-1) at the discarded points
+        return np.where(E > -1.0, np.log1p((1.0 - t) * np.expm1(E)), np.log(lin)), u / lin
 
 
 class AsymmetricLogistic(ExponentMeasure):
@@ -342,31 +360,41 @@ class AsymmetricLogistic(ExponentMeasure):
         return ((a - 1.0) / a) * w * (x * y) ** (-q - 1.0) * p ** (a - 2.0)
 
     def _cond_exponent(self, tu, tv):
+        return self._cond_parts(tu, tv)[0]
+
+    def _cond_parts(self, tu, tv):
         # exact rearrangement, as for Logistic: with A = (1-theta1) tu,
-        # B = (1-theta2) tv, rho = (A/B)^(1/alpha), l = log1p(rho) and
-        # E = (alpha-1) l <= 0,
-        #   w = -theta1 tu - B expm1(alpha l) + ln(theta2 + (1-theta2) e^E),
-        # three terms <= 0, so nothing cancels however small w is
+        # B = (1-theta2) tv, M = max(A, B), r = (min(A, B)/M)^(1/alpha),
+        # l1p = log1p(r) and grow = expm1(alpha l1p), the dependent part of
+        # V is W = (A^q + B^q)^alpha = M (1 + grow).  With E_A = ln uA,
+        # uA = (A/M)^(q-1) (1 + r)^(alpha-1) <= 1, and E_B = ln uB likewise,
+        #   -V1 tu^-2 = theta1 + (1-theta1) uA = mixA   (likewise mixB),
+        #   w = -theta1 tu - (B grow, or (A - B) + A grow where A > B)
+        #       + ln mixB,
+        #   K = (tu tv)^2 mixA mixB (1 + (q-1) rhoA rhoB / W),
+        # with rhoA = (1-theta1) uA / mixA <= 1.  Every term of w is <= 0
+        # and every term of K >= 0, so nothing cancels however small w is
         if self._degenerate:
-            # V = tu + tv at (1/tu, 1/tv), so w = -tu, in the broadcast shape
-            return -tu - 0.0 * tv
+            # V = tu + tv at (1/tu, 1/tv), so w = -tu, and K = (tu tv)^2
+            with np.errstate(divide="ignore"):
+                return -tu - 0.0 * tv, tu + tv, 2.0 * (np.log(tu) + np.log(tv))
         a, t1, t2 = self.alpha, self.theta1, self.theta2
         q = 1.0 / a
         A, B = (1.0 - t1) * tu, (1.0 - t2) * tv
         big = A > B
-        # rho overflows where A >> B, so take r = (min/max)^q <= 1: then
-        # l = log1p(r) + q ln(A/B) and B expm1(alpha l) = (A - B) + A grow
-        # where A > B
-        l1p = np.log1p((np.minimum(A, B) / np.maximum(A, B)) ** q)
+        # (A/B)^q overflows where A >> B, so take r <= 1: then q ln(A/B)
+        # moves into the log of the smaller one's u
+        M = np.maximum(A, B)
+        l1p = np.log1p((np.minimum(A, B) / M) ** q)
         grow = np.expm1(a * l1p)
-        E = (a - 1.0) * (l1p + np.where(big, q * np.log(A / B), 0.0))
+        lr = q * np.log(A / B)
+        lnmix_A, rho_A = _mix(t1, (a - 1.0) * (l1p + np.maximum(-lr, 0.0)))
+        lnmix_B, rho_B = _mix(t2, (a - 1.0) * (l1p + np.maximum(lr, 0.0)))
+        W = M * (1.0 + grow)
+        w = -t1 * tu - np.where(big, (A - B) + A * grow, B * grow) + lnmix_B
         with np.errstate(divide="ignore"):
-            # log1p keeps relative precision near E = 0; logaddexp stays
-            # finite where e^E underflows
-            lnmix = np.where(
-                E > -1.0, np.log1p((1.0 - t2) * np.expm1(E)), np.logaddexp(np.log(t2), np.log1p(-t2) + E)
-            )
-        return -t1 * tu - np.where(big, (A - B) + A * grow, B * grow) + lnmix
+            lnK = 2.0 * (np.log(tu) + np.log(tv)) + lnmix_A + lnmix_B + np.log1p((q - 1.0) * rho_A * rho_B / W)
+        return w, t1 * tu + t2 * tv + W, lnK
 
     def tail_orders(self) -> TailOrders:
         raise UnsupportedMeasureError("asymmetric logistic spectral measure has atoms at {0} and {1}")

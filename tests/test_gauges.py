@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,6 +27,7 @@ from vinetail import (
     inverted_ev_gauge,
     simplex_directions,
 )
+from vinetail import gauges
 from vinetail.vines import expected_edges
 
 RNG = np.random.default_rng(1618)
@@ -526,3 +530,150 @@ def test_single_point_validation(bad):
         g(np.asarray(bad))
     # -0.0 passes the check, as it does on the array path
     assert g([0.0, 2.0, -0.0, 1.0]) == g(np.array([[0.0, 2.0, -0.0, 1.0]]))[0]
+
+
+# ---------------------------------------------------------------------------
+# the scalar plan: one generated function per plan shape
+# ---------------------------------------------------------------------------
+
+def _srecip(a):
+    return 1.0 / a if a > 0.0 else math.inf
+
+
+def _interpreted_plan(spec):
+    """The interpreted scalar path the generated code replaced: one rule per
+    step, run on a list of slots, with the point-dependent sides picked per
+    call.  A test oracle for the generated evaluator's bits."""
+    plan = []
+    for out, left, right, inner, m, sides, t in gauges._compile_vine(spec):
+        if sides is None:
+            plan.append((out, left, right, inner, m._v, None))
+            continue
+        s1, s2 = t.s1, t.s2
+
+        def bev(p, q, s1=s1, s2=s2):
+            sm, hi, lo = (s1, p, q) if p >= q else (s2, q, p)
+            return (2.0 + sm) * hi - (1.0 + sm) * lo
+
+        rules = {
+            False: {False: lambda p, q, vals, v=m._v: v(_srecip(p), _srecip(q)),
+                    True: lambda p, q, vals, s2=s2: p + (2.0 + s2) * q},
+            True: {False: lambda p, q, vals, s1=s1: q + (2.0 + s1) * p,
+                   True: lambda p, q, vals, bev=bev: bev(p, q)},
+        }
+        (i, j, f), (k, l, h) = sides
+
+        def rule(p, q, vals, i=i, j=j, f=f, k=k, l=l, h=h, rules=rules):
+            return rules[(vals[i] < vals[j]) != f][(vals[k] < vals[l]) != h](p, q, vals)
+
+        plan.append((out, left, right, inner, None, rule))
+    free = [None] * len(plan)
+
+    def run(*xs):
+        vals = [*xs, *free]
+        for out, left, right, inner, v, rule in plan:
+            if inner is None:
+                p, q = vals[left], vals[right]
+                vals[out] = v(_srecip(p), _srecip(q)) if rule is None else rule(p, q, vals)
+            else:
+                g_d = vals[inner]
+                p, q = vals[left] - g_d, vals[right] - g_d
+                vals[out] = g_d + (v(_srecip(p), _srecip(q)) if rule is None else rule(p, q, vals))
+        return vals[-1]
+
+    return run
+
+
+def _unequal_vine(structure, d, family=ilog):
+    labels = expected_edges(structure, d)
+    alphas = np.linspace(0.23, 0.91, len(labels))[::-1 if structure == "cvine" else 1]
+    return VineSpec(d, structure, {e: family(a) for e, a in zip(labels, alphas)})
+
+
+def _plan_points(d):
+    pts = RNG.uniform(0.0, 3.0, (300, d))
+    for k in range(d):
+        pts[k::12, k] = 0.0
+    pts[d::12, :] = 0.0
+    if d >= 3:  # the ties x1 = x2 and x3 = x2 where the trivariate pieces meet
+        pts[5::12, 0] = pts[5::12, 1]
+        pts[6::12, 2] = pts[6::12, 1]
+        pts[7::12, 0] = pts[7::12, 2] = pts[7::12, 1]
+    return pts.tolist()
+
+
+def _al(a):
+    return PairCopula("iev", AsymmetricLogistic(a, 0.3, 0.6))
+
+
+PLAN_SPECS = [
+    VineSpec.trivariate(*(
+        PairCopula("ev" if f == "e" else "iev", SkewLogistic(a, s1, s2))
+        for f, a, (s1, s2) in zip(fams, (0.4, 0.55, 0.7), ((0.1, 1.7), (2.5, -0.4), (-0.6, 0.9)))
+    ))
+    for fams in ("iii", "iie", "eii", "eie", "eei", "eee", "iei", "iee")
+] + [_unequal_vine(s, d) for s in ("dvine", "cvine") for d in range(2, 9)] + [
+    _unequal_vine("dvine", 4, _al),
+    _unequal_vine("cvine", 5, _al),
+    VineSpec(4, "dvine", {e: (_al if k % 2 else ilog)(0.3 + 0.1 * k)
+                          for k, e in enumerate(expected_edges("dvine", 4))}),
+]
+
+
+def _plan_id(spec):
+    # one letter per edge: i(nverted), e(xtreme value), a(symmetric logistic, inverted)
+    return f"{spec.structure}{spec.d}-" + "".join(
+        "a" if isinstance(pc.measure, AsymmetricLogistic) else pc.family[0] for pc in spec.edges.values())
+
+
+@pytest.mark.parametrize("spec", PLAN_SPECS, ids=_plan_id)
+def test_scalar_plan_is_bit_identical_to_interpreted_plan(spec):
+    g, oracle = gauges._vine_gauge(spec, "test"), _interpreted_plan(spec)
+    pts = _plan_points(spec.d)
+    assert [g._sfn(*p) for p in pts] == [oracle(*p) for p in pts]
+
+
+def test_scalar_plan_code_is_shared_per_shape(monkeypatch):
+    def spec(alphas, top="iev"):
+        return VineSpec.trivariate(lgst(alphas[0]), ilog(alphas[1]), PairCopula(top, Logistic(alphas[2])))
+
+    sources = []
+    plan_source = gauges._plan_source
+    monkeypatch.setattr(gauges, "_plan_source", lambda *shape: sources.append(plan_source(*shape)) or sources[-1])
+    gauges._plan_code.cache_clear()
+    first, second = (0.3172, 0.6481, 0.5519), (0.4271, 0.2893, 0.7713)
+    g1, g2 = gauge_trivariate(spec(first)), gauge_trivariate(spec(second))
+    assert len(sources) == 1  # one source and one compile for the shape
+    assert g1._sfn.__code__ is g2._sfn.__code__
+    x = [0.8, 1.1, 0.6]
+    assert g1(x) == _interpreted_plan(spec(first))(*x) != g2(x) == _interpreted_plan(spec(second))(*x)
+    assert gauge_trivariate(spec(first, "ev"))._sfn.__code__ is not g1._sfn.__code__
+    assert len(sources) == 2
+    assert sources[0].startswith("def vine_gauge(s0, s1, s2):")
+    for a in first + second:
+        for text in (repr(a), repr(1.0 / a), repr(-1.0 / a)):
+            assert text not in sources[0]
+
+
+@pytest.mark.parametrize("g", [
+    inverted_ev_gauge(Logistic(0.001)),
+    gauge_dvine(VineSpec.uniform("dvine", 4, ilog(0.001))),
+])
+def test_scalar_logistic_overflow_band(g):
+    # at alpha = 0.001, x^-1000 and y^-1000 are finite for ln x up to
+    # 0.70978 but their sum overflows from ln x = 0.70909: the one-power
+    # form takes that band on both paths
+    q = 1.0 / 0.001
+    band = 2.0335
+    assert math.isfinite((1.0 / band) ** -q) and math.isinf((1.0 / band) ** -q + (1.0 / band) ** -q)
+    grid = np.exp(np.linspace(0.7085, 0.7105, 9))
+    pts = np.stack(np.meshgrid(*[grid] * 2), axis=-1).reshape(-1, 2)
+    pts = np.vstack([pts, [[band, band]]])
+    if g.dim == 4:
+        pts = np.column_stack([pts, pts[::-1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sca = [g(p) for p in pts]
+        vec = g(pts)
+    assert np.all(np.isfinite(sca))
+    assert_allclose(sca, vec, rtol=1e-13, atol=0)

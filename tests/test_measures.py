@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from vinetail import AsymmetricLogistic, DomainError, Logistic, ParameterError, UnsupportedMeasureError
+from vinetail.measures import ExponentMeasure
 
 RNG = np.random.default_rng(314159)
 
@@ -189,3 +192,45 @@ def test_asymmetric_logistic_degenerate_conditional_exponent():
         w = m._cond_exponent(tu, tv)
         assert w.shape == (3, 2)
         assert np.all(w == -tu)
+
+
+def _exact_al_exponent(m, tu, tv):
+    # the exact rearrangement of w that AsymmetricLogistic used before its
+    # own kernel: ln(theta2 + (1-theta2) e^E) through logaddexp below E = -1
+    a, t1, t2 = m.alpha, m.theta1, m.theta2
+    q = 1.0 / a
+    A, B = (1.0 - t1) * tu, (1.0 - t2) * tv
+    big = A > B
+    l1p = np.log1p((np.minimum(A, B) / np.maximum(A, B)) ** q)
+    grow = np.expm1(a * l1p)
+    E = (a - 1.0) * (l1p + np.where(big, q * np.log(A / B), 0.0))
+    with np.errstate(divide="ignore"):
+        lnmix = np.where(
+            E > -1.0, np.log1p((1.0 - t2) * np.expm1(E)), np.logaddexp(np.log(t2), np.log1p(-t2) + E)
+        )
+    return -t1 * tu - np.where(big, (A - B) + A * grow, B * grow) + lnmix
+
+
+@pytest.mark.parametrize("a", [0.05, 0.3, 0.7, 1.0])
+@pytest.mark.parametrize("t1, t2", [
+    (0.0, 0.0), (0.0, 1.0), (1.0, 0.3), (0.2, 0.7), (1e-12, 0.999), (0.6, 0.0), (0.999, 1e-9),
+    (0.0, 1e-234),  # (1 - theta2) expm1(E) rounds to -1 where e^E < 1e-17
+])
+def test_asymmetric_logistic_kernel_matches_generic_route(a, t1, t2):
+    # V and K = V1 V2 - V12 against the default kernel built from the
+    # partials, w against the exact rearrangement; tu and tv down to 1e-6
+    # make w as small as 1e-151
+    ts = np.geomspace(1e-6, 35.0, 41)
+    tu, tv = (g.ravel() for g in np.meshgrid(ts, ts))
+    m = AsymmetricLogistic(a, t1, t2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, V, lnK = m._cond_parts(tu, tv)
+    with np.errstate(all="ignore"):
+        _, V_ref, lnK_ref = ExponentMeasure._cond_parts(m, tu, tv)
+    assert np.min(np.abs(w)) <= 1e-6
+    assert_allclose(V, V_ref, rtol=1e-12, atol=0)
+    assert_allclose(lnK, lnK_ref, rtol=0, atol=1e-12)  # K to 1e-12 relative
+    if not m._degenerate:
+        assert_allclose(w, _exact_al_exponent(m, tu, tv), rtol=1e-12, atol=0)
+    assert np.array_equal(m._cond_exponent(tu, tv), w)
