@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateConditionerError, DomainError, ParameterError
-from .measures import ExponentMeasure
+from .measures import ExponentMeasure, _maybe_scalar
 
 __all__ = ["PairCopula", "EV", "IEV"]
 
@@ -51,11 +51,6 @@ def _check_unit(name, a, lo_open=False, hi_open=False):
 
 def _clamped(a):
     return np.clip(a, _EDGE, 1.0 - _EDGE)
-
-
-def _maybe_scalar(a):
-    a = np.asarray(a)
-    return float(a) if a.ndim == 0 else a
 
 
 class PairCopula:

@@ -100,6 +100,8 @@ def _normalise_labels(C, dim):
     C = tuple(sorted(set(int(c) for c in C)))
     if not C or C[0] < 1 or C[-1] > dim:
         raise DomainError(f"index set must be a subset of 1..{dim}")
+    if len(C) < 2:
+        raise DomainError("eta is defined for index sets with at least two variables")
     return C
 
 
@@ -124,8 +126,6 @@ def eta_numeric(g: Gauge, C=None, n_starts: int = 8, maxfev: int = 400) -> EtaRe
     """
     d = g.dim
     C = _normalise_labels(C if C is not None else range(1, d + 1), d)
-    if len(C) < 2:
-        raise DomainError("eta is defined for index sets with at least two variables")
     cons = [c - 1 for c in C]
     corner = np.zeros(d)
     corner[cons] = 1.0

@@ -12,9 +12,9 @@ module builds gauges analytically:
   inverted-EV components, and the trivariate vines in all eight EV /
   inverted-EV family patterns.  Each plan step applies its edge's own
   bivariate gauge to two margins; a margin's side (upper, or lower below
-  an EV tree-1 edge) selects the form.  Arrays run the plan as a list of
-  rules; single points run it as one generated straight-line function per
-  plan shape, bound to the plan's parameters,
+  an EV tree-1 edge) selects the form.  One emitter turns each plan shape
+  into straight-line Python in two dialects, one for single points and one
+  for arrays, each bound to the plan's parameters,
 
 and numerically: projections onto coordinate subsets by minimising over the
 dropped coordinates.  One box-constrained minimiser, ``_minimise_gauge``,
@@ -72,11 +72,11 @@ class Gauge:
     resolved analytically inside the evaluators.  Single points use a plain
     scalar code path when available (optimisers hammer that case), arrays
     the vectorised one; the two are checked against each other in the test
-    suite.  Vine gauges compile one evaluation plan per vine, which both
-    paths run: the array path as a list of rules that blends the forms a
-    point's sides can reach, the scalar path as one generated function per
-    plan shape, straight-line statements that evaluate only the form each
-    point's sides select, with the vine's parameters bound as its globals.
+    suite.  Vine gauges compile one evaluation plan per vine, and one
+    emitter generates both paths from it as straight-line functions per
+    plan shape, with the vine's parameters bound as their globals: the
+    scalar path evaluates only the form each point's sides select, the
+    array path blends the forms a point's sides can reach.
     """
 
     def __init__(self, dim: int, fn, tag: str, sfn=None):
@@ -226,36 +226,14 @@ def _edge_rules(t, bev):
     """The edge gauge g_e(p, q) over margins with a lower side, keyed by
     (lower_p, lower_q): upper + (2 + s) lower with one lower margin, s1 when
     it is p and s2 when it is q, and bev with the tail orders t when both
-    are lower.  Over two upper margins g_e is V(1/p, 1/q), which each path
-    evaluates in its own way."""
+    are lower.  Over two upper margins g_e is V(1/p, 1/q), which each
+    dialect of ``_step_source`` emits in its own way."""
     s1, s2 = t.s1, t.s2
     return {
         (False, True): lambda p, q: p + (2.0 + s2) * q,
         (True, False): lambda p, q: q + (2.0 + s1) * p,
         (True, True): lambda p, q: bev(p, q, s1, s2),
     }
-
-
-def _blend_rules(v, t, sp, sq):
-    """Array path: g_e(p, q, vals) in the form the sides select, evaluating
-    every reachable form and blending them pointwise where a side depends
-    on the point."""
-    rules = {(False, False): lambda p, q: v(_recip(p), _recip(q)), **_edge_rules(t, _bev_eval)}
-    (i, j, f), (k, l, h) = sp, sq
-    # a side known when compiling (i == j) reaches only its flip
-    (_, first), *rest = [((lp, lq), rules[lp, lq]) for lp in ((f,) if i == j else (False, True))
-                         for lq in ((h,) if k == l else (False, True))]
-    if not rest:
-        return lambda p, q, vals: first(p, q)
-
-    def rule(p, q, vals):
-        lower_p, lower_q = (vals[i] < vals[j]) != f, (vals[k] < vals[l]) != h
-        out = first(p, q)
-        for (lp, lq), form in rest:
-            out = np.where((lower_p == lp) & (lower_q == lq), form(p, q), out)
-        return out
-
-    return rule
 
 
 def _compile_vine(spec: VineSpec):
@@ -282,9 +260,9 @@ def _compile_vine(spec: VineSpec):
     and the tail orders t of its edge.  A side is (i, j, flip), lower when
     (x_i < x_j) != flip; a side known when compiling has i == j, and its
     flip alone gives it.  Only the sides of the trivariate top edge over an
-    EV tree-1 edge depend on the point.  Both paths run this plan: the
-    array path as a list of rules (``_run_plan``), the scalar path as one
-    generated function (``_scalar_plan``).
+    EV tree-1 edge depend on the point.  ``_step_source`` emits each step
+    in the scalar and the array dialect, and ``_bind_plan`` binds the
+    plan's parameters to either.
     """
     slot = {frozenset([k]): k - 1 for k in range(1, spec.d + 1)}
     ev_tree1 = set()  # slots of the EV tree-1 edges
@@ -313,21 +291,6 @@ def _compile_vine(spec: VineSpec):
     return plan
 
 
-def _run_plan(plan, vals):
-    """Execute the array plan on vals, the d coordinate arrays followed by
-    one free slot per step; a step is (out, left, right, inner, v, rule),
-    with rule None over two upper margins."""
-    for out, left, right, inner, v, rule in plan:
-        if inner is None:
-            p, q = vals[left], vals[right]
-            vals[out] = v(_recip(p), _recip(q)) if rule is None else rule(p, q, vals)
-        else:
-            g_d = vals[inner]
-            p, q = vals[left] - g_d, vals[right] - g_d
-            vals[out] = g_d + (v(_recip(p), _recip(q)) if rule is None else rule(p, q, vals))
-    return vals[-1]
-
-
 # V(1/p, 1/q) on floats for a logistic measure in step n, with 1/0 = inf:
 # the direct form (x^e + y^e)^a of Logistic._v, e = -1/alpha, with the same
 # operations in the same order; an infinite argument or an overflowing sum
@@ -343,12 +306,11 @@ except OverflowError:
 {r} = {r} ** a{n} if {r} < inf else v{n}(x, y)"""
 
 
-def _branch(test, yes, no):
-    return [f"if {test}:", *("    " + s for s in yes), "else:", *("    " + s for s in no)]
-
-
-def _step_source(out, left, right, inner, inline, sides):
-    """The statements of one plan step, leaving its gauge in s{out}."""
+def _step_source(out, left, right, inner, inline, sides, array):
+    """The statements of one plan step, leaving its gauge in s{out}.  The
+    scalar dialect runs on floats and picks the form a point's sides select
+    with if/else; the array dialect runs on arrays and blends the reachable
+    forms with where, evaluating each once."""
     if inner is None:  # tree 1: the coordinates are the margins
         p, q, r, lines = f"s{left}", f"s{right}", f"s{out}", []
     else:
@@ -356,75 +318,82 @@ def _step_source(out, left, right, inner, inline, sides):
         lines = [f"g = s{inner}", f"p = s{left} - g", f"q = s{right} - g"]
 
     def form(lp, lq):
+        # an expression in the array dialect, statements in the scalar one
         if lp or lq:
-            return [f"{r} = rule{out}_{lp:d}{lq:d}({p}, {q})"]
-        if inline:
+            expr = f"rule{out}_{lp:d}{lq:d}({p}, {q})"
+        elif array:
+            expr = f"v{out}(recip({p}), recip({q}))"
+        elif inline:
             return _LOGISTIC_FORM.format(p=p, q=q, r=r, n=out).splitlines()
-        return [f"{r} = v{out}(1.0 / {p} if {p} > 0.0 else inf, 1.0 / {q} if {q} > 0.0 else inf)"]
+        else:
+            expr = f"v{out}(1.0 / {p} if {p} > 0.0 else inf, 1.0 / {q} if {q} > 0.0 else inf)"
+        return expr if array else [f"{r} = {expr}"]
+
+    def side(s, arm):
+        # arm(lower) for the side s = (i, j, flip), lower where (x_i < x_j) != flip
+        i, j, f = s
+        if i == j:
+            return arm(f)
+        yes, no = arm(not f), arm(f)
+        if array:
+            return f"where(s{i} < s{j}, {yes}, {no})"
+        return [f"if s{i} < s{j}:", *("    " + line for line in yes), "else:", *("    " + line for line in no)]
 
     if sides is None:
-        lines += form(False, False)
+        code = form(False, False)
     else:
-        (i, j, f), (k, l, h) = sides
-        test_p, test_q = f"{'not ' * f}s{i} < s{j}", f"{'not ' * h}s{k} < s{l}"
-
-        def pick_q(lp):
-            return form(lp, h) if k == l else _branch(test_q, form(lp, True), form(lp, False))
-
-        lines += pick_q(f) if i == j else _branch(test_p, pick_q(True), pick_q(False))
+        sp, sq = sides
+        code = side(sp, lambda lp: side(sq, lambda lq: form(lp, lq)))
+    lines += [f"{r} = {code}"] if array else code
     if inner is not None:
         lines.append(f"s{out} = g + r")
     return lines
 
 
-def _plan_source(d, shape):
-    """The scalar evaluator of one plan shape as Python source: a function
-    of d floats s0..s{d-1} that runs every step as straight-line statements
-    on local slots.  The shape holds slots, sides and which V forms are
-    inlined, never a value; parameters and callables are globals of the
-    function (``_scalar_plan``)."""
-    body = [line for step in shape for line in _step_source(*step)]
+def _plan_source(d, shape, array):
+    """The evaluator of one plan shape in one dialect as Python source: a
+    function of the d coordinates s0..s{d-1}, floats or arrays, that runs
+    every step as straight-line statements on local slots.  The shape holds
+    slots, sides and which V forms are inlined, never a value; parameters
+    and callables are globals of the function (``_bind_plan``)."""
+    body = [line for step in shape for line in _step_source(*step, array)]
     return "\n    ".join([f"def vine_gauge({', '.join(f's{k}' for k in range(d))}):", *body,
                            f"return s{d + len(shape) - 1}"]) + "\n"
 
 
 @cache
-def _plan_code(d, shape):
+def _plan_code(d, shape, array):
     """The compiled code of ``_plan_source``, shared by every plan of one
     shape, so a vine rebuilt with new parameters compiles nothing."""
     scope = {}
-    exec(compile(_plan_source(d, shape), f"<vine plan, d={d}>", "exec"), scope)
+    name = f"<vine plan, d={d}, {'array' if array else 'scalar'}>"
+    exec(compile(_plan_source(d, shape, array), name, "exec"), scope)
     return scope["vine_gauge"].__code__
 
 
-def _scalar_plan(d, plan):
-    """The scalar evaluator of a compiled plan: its shape's generated code
-    (``_plan_code``) bound to the plan's measures and rules."""
-    env = {"inf": math.inf}
+def _bind_plan(d, plan, array):
+    """The evaluator of a compiled plan in one dialect: its shape's
+    generated code (``_plan_code``) bound to the plan's measures and rules.
+    The scalar dialect inlines the direct form of a logistic V."""
+    env = {"inf": math.inf, "recip": _recip, "where": np.where}
     shape = []
     for out, left, right, inner, m, sides, t in plan:
-        inline = type(m)._v is Logistic._v
+        inline = not array and type(m)._v is Logistic._v
         env[f"v{out}"] = m._v
         if inline:
             env.update({f"e{out}": -m._q, f"a{out}": m.alpha})
         if sides is not None:
-            env.update({f"rule{out}_{lp:d}{lq:d}": rule for (lp, lq), rule in _edge_rules(t, _bev_eval_s).items()})
+            rules = _edge_rules(t, _bev_eval if array else _bev_eval_s)
+            env.update({f"rule{out}_{lp:d}{lq:d}": rule for (lp, lq), rule in rules.items()})
         shape.append((out, left, right, inner, inline, sides))
-    return types.FunctionType(_plan_code(d, tuple(shape)), env)
+    return types.FunctionType(_plan_code(d, tuple(shape), array), env)
 
 
 def _vine_gauge(spec: VineSpec, tag: str) -> Gauge:
     d = spec.d
     plan = _compile_vine(spec)
-    aplan = [(out, left, right, inner, m._v, None if sides is None else _blend_rules(m._v, t, *sides))
-             for out, left, right, inner, m, sides, t in plan]
-    free = [None] * len(plan)
-    return Gauge(
-        d,
-        lambda x: _run_plan(aplan, [x[..., k] for k in range(d)] + free),
-        tag,
-        sfn=_scalar_plan(d, plan),
-    )
+    fn = _bind_plan(d, plan, True)
+    return Gauge(d, lambda x: fn(*(x[..., k] for k in range(d))), tag, sfn=_bind_plan(d, plan, False))
 
 
 def gauge_trivariate(spec: VineSpec) -> Gauge:

@@ -54,6 +54,13 @@ def test_eta_set_13_uses_root(capsys, ilog_spec):
     assert doc["eta"] == pytest.approx(0.7395, abs=1e-4)
 
 
+@pytest.mark.parametrize("subset", ["1", "11"])
+def test_eta_one_variable_set_exits_2(capsys, ilog_spec, subset):
+    code, out = run(capsys, "eta", "--spec", ilog_spec, "--set", subset)
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
 def test_eta_builtins(capsys):
     code, out = run(capsys, "eta", "--builtin", "gaussian:0.5")
     assert code == 0 and json.loads(out)["eta"] == 0.75

@@ -301,6 +301,12 @@ def test_numeric_input_validation_and_diagnostics():
         eta_numeric(g, (1,))
     with pytest.raises(DomainError):
         eta_numeric(g, (1, 5))
+    # a one-variable set has no eta on the trivariate route either
+    for fams in ("iii", "eii", "eee"):
+        spec = VineSpec.trivariate(*((lgst if f == "e" else ilog)(0.5) for f in fams))
+        for C in ((1,), (2,), (3,)):
+            with pytest.raises(DomainError):
+                eta_mixed_trivariate(spec, C)
     res = eta_numeric(g)
     assert res.diagnostics["n_starts"] >= 9
     assert res.diagnostics["spread"] < 1e-4

@@ -584,6 +584,58 @@ def _interpreted_plan(spec):
     return run
 
 
+def _interpreted_array_plan(spec):
+    """The interpreted array path the generated code replaced: one rule per
+    step that evaluates every form the step's sides can reach and blends
+    them pointwise, run on a list of slots.  A test oracle for the generated
+    array evaluator's bits."""
+    plan = []
+    for out, left, right, inner, m, sides, t in gauges._compile_vine(spec):
+        if sides is None:
+            plan.append((out, left, right, inner, m._v, None))
+            continue
+        s1, s2 = t.s1, t.s2
+
+        def bev(p, q, s1=s1, s2=s2):
+            sm = np.where(p >= q, s1, s2)
+            return (2.0 + sm) * np.maximum(p, q) - (1.0 + sm) * np.minimum(p, q)
+
+        forms = {
+            (False, False): lambda p, q, v=m._v: v(_recip_oracle(p), _recip_oracle(q)),
+            (False, True): lambda p, q, s2=s2: p + (2.0 + s2) * q,
+            (True, False): lambda p, q, s1=s1: q + (2.0 + s1) * p,
+            (True, True): bev,
+        }
+        (i, j, f), (k, l, h) = sides
+        # a side known when compiling (i == j) reaches only its flip
+        reach = [(lp, lq) for lp in ((f,) if i == j else (False, True))
+                 for lq in ((h,) if k == l else (False, True))]
+
+        def rule(p, q, vals, i=i, j=j, f=f, k=k, l=l, h=h, forms=forms, reach=reach):
+            lower_p, lower_q = (vals[i] < vals[j]) != f, (vals[k] < vals[l]) != h
+            blend = forms[reach[0]](p, q)
+            for lp, lq in reach[1:]:
+                blend = np.where((lower_p == lp) & (lower_q == lq), forms[lp, lq](p, q), blend)
+            return blend
+
+        plan.append((out, left, right, inner, m._v, rule))
+    free = [None] * len(plan)
+
+    def run(x):
+        vals = [x[..., k] for k in range(spec.d)] + free
+        for out, left, right, inner, v, rule in plan:
+            if inner is None:
+                p, q = vals[left], vals[right]
+                vals[out] = v(_recip_oracle(p), _recip_oracle(q)) if rule is None else rule(p, q, vals)
+            else:
+                g_d = vals[inner]
+                p, q = vals[left] - g_d, vals[right] - g_d
+                vals[out] = g_d + (v(_recip_oracle(p), _recip_oracle(q)) if rule is None else rule(p, q, vals))
+        return vals[-1]
+
+    return run
+
+
 def _unequal_vine(structure, d, family=ilog):
     labels = expected_edges(structure, d)
     alphas = np.linspace(0.23, 0.91, len(labels))[::-1 if structure == "cvine" else 1]
@@ -631,6 +683,13 @@ def test_scalar_plan_is_bit_identical_to_interpreted_plan(spec):
     g, oracle = gauges._vine_gauge(spec, "test"), _interpreted_plan(spec)
     pts = _plan_points(spec.d)
     assert [g._sfn(*p) for p in pts] == [oracle(*p) for p in pts]
+    pts = np.array(pts)
+    assert np.array_equal(g(pts), _interpreted_array_plan(spec)(pts))
+
+
+def _array_code(g):
+    # the generated array evaluator that a vine gauge's array path calls
+    return next(c.cell_contents.__code__ for c in g._fn.__closure__ if callable(c.cell_contents))
 
 
 def test_scalar_plan_code_is_shared_per_shape(monkeypatch):
@@ -643,16 +702,19 @@ def test_scalar_plan_code_is_shared_per_shape(monkeypatch):
     gauges._plan_code.cache_clear()
     first, second = (0.3172, 0.6481, 0.5519), (0.4271, 0.2893, 0.7713)
     g1, g2 = gauge_trivariate(spec(first)), gauge_trivariate(spec(second))
-    assert len(sources) == 1  # one source and one compile for the shape
+    assert len(sources) == 2  # one source and one compile per dialect for the shape
     assert g1._sfn.__code__ is g2._sfn.__code__
+    assert _array_code(g1) is _array_code(g2)
     x = [0.8, 1.1, 0.6]
     assert g1(x) == _interpreted_plan(spec(first))(*x) != g2(x) == _interpreted_plan(spec(second))(*x)
-    assert gauge_trivariate(spec(first, "ev"))._sfn.__code__ is not g1._sfn.__code__
-    assert len(sources) == 2
-    assert sources[0].startswith("def vine_gauge(s0, s1, s2):")
-    for a in first + second:
-        for text in (repr(a), repr(1.0 / a), repr(-1.0 / a)):
-            assert text not in sources[0]
+    g3 = gauge_trivariate(spec(first, "ev"))
+    assert g3._sfn.__code__ is not g1._sfn.__code__ and _array_code(g3) is not _array_code(g1)
+    assert len(sources) == 4
+    for source in sources[:2]:
+        assert source.startswith("def vine_gauge(s0, s1, s2):")
+        for a in first + second:
+            for text in (repr(a), repr(1.0 / a), repr(-1.0 / a)):
+                assert text not in source
 
 
 @pytest.mark.parametrize("g", [
