@@ -8,20 +8,21 @@ Both families are driven by an exponent measure V:
 The h-function is the conditional distribution d C(u, v) / d v, and all four
 operations (cdf, h-function, its inverse, density) are evaluated through the
 log-scale variables z = -ln u (EV) and x = -ln(1-u) (IEV), which is where the
-exponential-margin sample clouds live.  The inverse is solved in that
-coordinate too: safeguarded Newton on s = ln t, with bisection as the
-fallback, so that it stays accurate out to t = 35 and beyond.  The measure
-enters through one kernel, ``measure._cond_parts``, which returns the
-conditional exponent w, V and ln(V1 V2 - V12) together: its w is the
-h-function, and V and ln K give both the density and the slope of the
-solve.  Everything broadcasts over numpy arrays.
+exponential-margin sample clouds live.  The measure enters through two
+hooks.  ``measure._cond_parts`` returns the conditional exponent w, V and
+ln(V1 V2 - V12) together: its w is the h-function, and V and ln K give the
+density.  ``measure._solve_t`` inverts w in the log-scale coordinate, so
+that the inverse stays accurate out to t = 35 and beyond: by default with
+safeguarded Newton on s = ln t over that kernel, and for the logistic
+measure with Newton on one convex equation, one expm1 per step.
+Everything broadcasts over numpy arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateConditionerError, DomainError, ParameterError
+from .errors import DegenerateConditionerError, DomainError, ParameterError
 from .measures import ExponentMeasure, _maybe_scalar
 
 __all__ = ["PairCopula", "EV", "IEV"]
@@ -31,10 +32,6 @@ IEV = "iev"
 
 # inputs within this distance of {0, 1} are clamped before log transforms
 _EDGE = 1e-15
-# h-inverse solve in s = ln t: bracket floor, step tolerance, iteration cap
-_T_MIN = 1e-300
-_S_TOL = 1e-12
-_SOLVE_MAXITER = 100
 
 
 def _check_unit(name, a, lo_open=False, hi_open=False):
@@ -140,14 +137,16 @@ class PairCopula:
         return _maybe_scalar(np.exp(tu + tv - V + lnK - 2.0 * np.log(tu) - 2.0 * np.log(tv)))
 
     def hinv(self, p, v):
-        """u with hfunc(u, v) = p, by safeguarded Newton on the log scale.
+        """u with hfunc(u, v) = p, solved on the log scale.
 
         With w = measure._cond_exponent the h-function is e^w (EV) or
         1 - e^w (IEV), so the root solves w(t, tv) = w* with w* = ln p or
-        ln(1 - p) in the log-scale coordinate t of u.  The solve runs in
-        s = ln t on G(s) = ln(-w) - ln(-w*), which increases in s and is
-        close to linear at both ends; see ``_solve_t``.  Inputs are
-        validated once per call; p = 0 and p = 1 map to u = 0 and u = 1.
+        ln(1 - p) in the log-scale coordinate t of u.  The measure solves
+        it, in ``measure._solve_t``: the default is safeguarded Newton in
+        s = ln t on the kernel ``_cond_parts``, and ``Logistic`` solves one
+        convex equation in y = ln(1 + (t/tv)^(1/alpha)) instead.  Inputs
+        are validated once per call; p = 0 and p = 1 map to u = 0 and
+        u = 1.
         """
         p = _check_unit("p", p)
         v = _check_unit("v", v)
@@ -159,62 +158,6 @@ class PairCopula:
         if np.any(inner):
             pi = p_b[inner]
             wstar = np.log(pi) if self.is_ev else np.log1p(-pi)
-            t = self._solve_t(wstar, self._t(_clamped(v_b[inner])))
+            t = self.measure._solve_t(wstar, self._t(_clamped(v_b[inner])))
             u[inner] = np.exp(-t) if self.is_ev else -np.expm1(-t)
         return _maybe_scalar(u)
-
-    def _solve_t(self, wstar, tv):
-        """t > 0 with measure._cond_exponent(t, tv) = wstar < 0, on 1-d arrays.
-
-        Newton steps on G(s) = ln(-w(e^s, tv)) - ln(-wstar), started from
-        the independence root s = ln(-wstar).  One call of the measure
-        kernel, ``_cond_parts(t, tv) -> (w, V, ln K)`` with K = V1 V2 - V12
-        at (1/t, 1/tv), gives both G and its slope
-
-            dG/ds = exp(tv - V - w + ln K - s - 2 ln tv - ln(-w)).
-
-        A step that is not finite, leaves the bracket or fails to halve |G|
-        (|2G| > |ds_prev G'|) is replaced by bisection.  The bracket
-        [ln _T_MIN, ln(tv - wstar)] always holds the root, because
-        -w >= t - tv for every exponent measure.  Only the points not yet
-        converged are iterated.
-        """
-        out = np.empty_like(wstar)
-        idx = np.arange(wstar.size)
-        lgoal = np.log(-wstar)
-        lo = np.full(idx.shape, np.log(_T_MIN))
-        hi = np.log(tv - wstar)
-        s = np.clip(lgoal, lo, hi)
-        ds_old = ds = hi - lo
-        # the parts of the slope's exponent that do not move with s
-        tv_part = tv - 2.0 * np.log(tv)
-        for _ in range(_SOLVE_MAXITER):
-            t = np.exp(s)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                w, V, lnK = self.measure._cond_parts(t, tv)
-                lnw = np.log(np.maximum(-w, 0.0))
-                g = lnw - lgoal
-                dg = np.exp(tv_part - V - w + lnK - s - lnw)
-                lo = np.where(g < 0.0, s, lo)
-                hi = np.where(g > 0.0, s, hi)
-                new = s - g / dg
-                bisect = ~np.isfinite(new) | (new < lo) | (new > hi) | (np.abs(2.0 * g) > np.abs(ds_old * dg))
-            new = np.where(g == 0.0, s, np.where(bisect, 0.5 * (lo + hi), new))
-            ds_old, ds, s = ds, new - s, new
-            done = (g == 0.0) | (np.abs(ds) <= _S_TOL) | (hi - lo <= _S_TOL)
-            if done.any():
-                out[idx[done]] = s[done]
-                keep = np.flatnonzero(~done)
-                if keep.size == 0:
-                    return np.exp(out)
-                idx, tv, tv_part, lgoal, lo, hi, s, ds, ds_old = (
-                    a.take(keep) for a in (idx, tv, tv_part, lgoal, lo, hi, s, ds, ds_old)
-                )
-        raise ConvergenceError(
-            f"h-function inversion did not converge within {_SOLVE_MAXITER} iterations",
-            {
-                "unconverged": int(idx.size),
-                "max_bracket_width": float(np.max(hi - lo)),
-                "max_last_step": float(np.max(np.abs(ds))),
-            },
-        )

@@ -22,9 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, UnsupportedMeasureError
+from .errors import ConvergenceError, DomainError, ParameterError, UnsupportedMeasureError
 
 __all__ = ["TailOrders", "ExponentMeasure", "Logistic", "AsymmetricLogistic"]
+
+# h-inverse solves: the generic solve's bracket floor and step tolerance in
+# s = ln t, the logistic solve's relative step tolerance in y, and the
+# iteration cap of both
+_T_MIN = 1e-300
+_S_TOL = 1e-12
+_Y_RTOL = 1e-15
+_SOLVE_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -66,14 +74,28 @@ def _maybe_scalar(a):
     return float(a) if a.ndim == 0 else a
 
 
+def _unconverged(n, bracket_width, last_step):
+    return ConvergenceError(
+        f"h-function inversion did not converge within {_SOLVE_MAXITER} iterations",
+        {
+            "unconverged": int(n),
+            "max_bracket_width": float(np.max(bracket_width)),
+            "max_last_step": float(np.max(np.abs(last_step))),
+        },
+    )
+
+
 class ExponentMeasure:
     """Interface for bivariate exponent measures.
 
     Any implementation supplying V, its partials and tail orders plugs into
     every downstream module (pair copulas, gauges, eta, simulation).  The
-    h-function, its inverse and the copula density read the measure through
-    one kernel, ``_cond_parts``; its default is built from the partials, and
-    it is the one hook a new measure overrides for speed.
+    h-function and the copula density read the measure through one kernel,
+    ``_cond_parts``, whose default is built from the partials; the
+    h-inverse reads it through ``_solve_t``, whose default is a safeguarded
+    Newton solve on that kernel.  These two are the hooks a new measure
+    overrides for speed: ``Logistic`` overrides both, ``AsymmetricLogistic``
+    the kernel alone.
     """
 
     def V(self, x, y):
@@ -128,6 +150,56 @@ class ExponentMeasure:
         K = self._v1(au, av) * self._v2(au, av) - self._v12(au, av)
         with np.errstate(divide="ignore"):
             return self._cond_exponent(tu, tv), self._v(au, av), np.log(np.maximum(K, 0.0))
+
+    def _solve_t(self, wstar, tv):
+        """t > 0 with _cond_exponent(t, tv) = wstar < 0, on 1-d arrays.
+
+        Newton steps on G(s) = ln(-w(e^s, tv)) - ln(-wstar) in s = ln t,
+        started from the independence root s = ln(-wstar).  G increases in
+        s and is close to linear at both ends.  One call of the kernel,
+        ``_cond_parts(t, tv) -> (w, V, ln K)`` with K = V1 V2 - V12 at
+        (1/t, 1/tv), gives both G and its slope
+
+            dG/ds = exp(tv - V - w + ln K - s - 2 ln tv - ln(-w)).
+
+        A step that is not finite, leaves the bracket or fails to halve |G|
+        (|2G| > |ds_prev G'|) is replaced by bisection.  The bracket
+        [ln _T_MIN, ln(tv - wstar)] always holds the root, because
+        -w >= t - tv for every exponent measure.  Only the points not yet
+        converged are iterated.
+        """
+        out = np.empty_like(wstar)
+        idx = np.arange(wstar.size)
+        lgoal = np.log(-wstar)
+        lo = np.full(idx.shape, np.log(_T_MIN))
+        hi = np.log(tv - wstar)
+        s = np.clip(lgoal, lo, hi)
+        ds_old = ds = hi - lo
+        # the parts of the slope's exponent that do not move with s
+        tv_part = tv - 2.0 * np.log(tv)
+        for _ in range(_SOLVE_MAXITER):
+            t = np.exp(s)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                w, V, lnK = self._cond_parts(t, tv)
+                lnw = np.log(np.maximum(-w, 0.0))
+                g = lnw - lgoal
+                dg = np.exp(tv_part - V - w + lnK - s - lnw)
+                lo = np.where(g < 0.0, s, lo)
+                hi = np.where(g > 0.0, s, hi)
+                new = s - g / dg
+                bisect = ~np.isfinite(new) | (new < lo) | (new > hi) | (np.abs(2.0 * g) > np.abs(ds_old * dg))
+            new = np.where(g == 0.0, s, np.where(bisect, 0.5 * (lo + hi), new))
+            ds_old, ds, s = ds, new - s, new
+            done = (g == 0.0) | (np.abs(ds) <= _S_TOL) | (hi - lo <= _S_TOL)
+            if done.any():
+                out[idx[done]] = s[done]
+                keep = np.flatnonzero(~done)
+                if keep.size == 0:
+                    return np.exp(out)
+                idx, tv, tv_part, lgoal, lo, hi, s, ds, ds_old = (
+                    a.take(keep) for a in (idx, tv, tv_part, lgoal, lo, hi, s, ds, ds_old)
+                )
+        raise _unconverged(idx.size, hi - lo, ds)
 
     # raw evaluators on validated float arrays; subclasses implement these
     def _v(self, x, y):
@@ -231,22 +303,20 @@ class Logistic(ExponentMeasure):
         return TailOrders(s1=s, s2=s, c1=c, c2=c)
 
     def _cond_exponent(self, tu, tv):
-        return self._cond_parts(tu, tv)[0]
+        return self._cond_terms(tu, tv)[0]
 
-    def _cond_parts(self, tu, tv):
-        # one power serves all three outputs: with q = 1/alpha, m = max(tu, tv),
-        # r = (min/m)^q, l1p = ln(1 + r) and grow = (1 + r)^alpha - 1,
-        # S = tu^q + tv^q = m^q (1 + r), V = S^alpha = m (1 + grow) and
-        # K = (tu tv)^(q+1) S^(alpha-2) (V + q - 1).  w is the exact
-        # rearrangement of the conditional exponent: the 2 ln(tv) term
-        # cancels against ln(-V2), leaving expm1/log1p forms with full
-        # relative precision however small the conditional mass is
+    def _cond_terms(self, tu, tv):
+        # w and the terms _cond_parts reuses.  One power serves everything:
+        # with q = 1/alpha, m = max(tu, tv), r = (min/m)^q, l1p = ln(1 + r)
+        # and grow = (1 + r)^alpha - 1, S = tu^q + tv^q = m^q (1 + r) and
+        # V = S^alpha = m (1 + grow).  w is the exact rearrangement of the
+        # conditional exponent: the 2 ln(tv) term cancels against ln(-V2),
+        # leaving expm1/log1p forms with full relative precision however
+        # small the conditional mass is
         a = self.alpha
         q = 1.0 / a
-        # V holds m until it is scaled in place; the h-inverse calls this on
-        # every Newton step, so the kernel keeps few arrays alive at once
-        V = np.maximum(tu, tv)
-        l1p = np.log1p((np.minimum(tu, tv) / V) ** q)
+        m = np.maximum(tu, tv)
+        l1p = np.log1p((np.minimum(tu, tv) / m) ** q)
         grow = np.expm1(a * l1p)
         with np.errstate(divide="ignore", invalid="ignore"):
             ltu, ltv = np.log(tu), np.log(tv)
@@ -255,12 +325,72 @@ class Logistic(ExponentMeasure):
                 -tv * grow + (a - 1.0) * l1p,
                 (tv - tu) - tu * grow + (q - 1.0) * (ltv - ltu) + (a - 1.0) * l1p,
             )
+        return w, m, l1p, grow, ltu, ltv
+
+    def _cond_parts(self, tu, tv):
+        # K = (tu tv)^(q+1) S^(alpha-2) (V + q - 1), from the terms of w
+        a = self.alpha
+        q = 1.0 / a
+        w, V, l1p, grow, ltu, ltv = self._cond_terms(tu, tv)
+        # V holds m until it is scaled in place, so the kernel keeps few
+        # arrays alive at once
+        with np.errstate(divide="ignore", invalid="ignore"):
             V *= 1.0 + grow
             lnK = (q + 1.0) * (ltu + ltv)
             lnK += (1.0 - 2.0 * q) * np.maximum(ltu, ltv)
             lnK += (a - 2.0) * l1p
             lnK += np.log(V + (q - 1.0))
         return w, V, lnK
+
+    def _solve_t(self, wstar, tv):
+        """t > 0 with _cond_exponent(t, tv) = wstar < 0, on 1-d arrays.
+
+        With q = 1/alpha, z = t/tv and y = ln(1 + z^q), homogeneity turns
+        the conditional exponent into one function of y alone,
+
+            -w = F(y) = tv expm1(alpha y) + (1 - alpha) y,
+
+        increasing and convex with F(0) = 0.  Since expm1(x) >= x, both
+        c/(alpha tv + 1 - alpha) and log1p(c/tv)/alpha bound the root of
+        F(y) = c = -wstar from above, so Newton started from the smaller
+        one descends onto it monotonically, one expm1 per step, inside the
+        bracket [0, y0].  A step stops once it is below 1e-15 y or 1e-300,
+        the latter for subnormal roots.  z^q = expm1(y) then gives
+        ln t = ln tv + alpha (y + ln(-expm1(-y))), which does not overflow
+        however small alpha is.  At alpha = 1, -w = t.
+        """
+        a = self.alpha
+        c = -wstar
+        if a == 1.0:
+            return c
+        b = 1.0 - a
+        atv = a * tv
+        y = y0 = np.minimum(c / (atv + b), np.log1p(c / tv) / a)
+        out = np.empty_like(c)
+        idx = np.arange(c.size)
+        ltv = np.log(tv)
+        for _ in range(_SOLVE_MAXITER):
+            # dy = (F(y) - c) / F'(y), with F'(y) = alpha tv (1 + e) + 1 - alpha;
+            # the temporaries are updated in place to keep memory traffic down
+            e = a * y
+            np.expm1(e, out=e)
+            dy = tv * e
+            dy += b * y
+            dy -= c
+            e += 1.0
+            e *= atv
+            e += b
+            dy /= e
+            y = y - dy
+            done = np.abs(dy) <= _Y_RTOL * y + 1e-300
+            if done.any():
+                out[idx[done]] = y[done]
+                keep = np.flatnonzero(~done)
+                if keep.size == 0:
+                    with np.errstate(divide="ignore"):  # y = 0 where c/(atv + b) underflows
+                        return np.exp(ltv + a * (out + np.log(-np.expm1(-out))))
+                idx, tv, atv, c, y = (v.take(keep) for v in (idx, tv, atv, c, y))
+        raise _unconverged(idx.size, y0[idx], dy[~done])
 
     def transposed(self) -> "Logistic":
         return self
@@ -360,10 +490,13 @@ class AsymmetricLogistic(ExponentMeasure):
         return ((a - 1.0) / a) * w * (x * y) ** (-q - 1.0) * p ** (a - 2.0)
 
     def _cond_exponent(self, tu, tv):
-        return self._cond_parts(tu, tv)[0]
+        if self._degenerate:
+            return -tu - 0.0 * tv  # V = tu + tv at (1/tu, 1/tv)
+        return self._cond_terms(tu, tv)[0]
 
-    def _cond_parts(self, tu, tv):
-        # exact rearrangement, as for Logistic: with A = (1-theta1) tu,
+    def _cond_terms(self, tu, tv):
+        # w and the terms _cond_parts reuses, for a non-degenerate measure.
+        # An exact rearrangement, as for Logistic: with A = (1-theta1) tu,
         # B = (1-theta2) tv, M = max(A, B), r = (min(A, B)/M)^(1/alpha),
         # l1p = log1p(r) and grow = expm1(alpha l1p), the dependent part of
         # V is W = (A^q + B^q)^alpha = M (1 + grow).  With E_A = ln uA,
@@ -374,10 +507,6 @@ class AsymmetricLogistic(ExponentMeasure):
         #   K = (tu tv)^2 mixA mixB (1 + (q-1) rhoA rhoB / W),
         # with rhoA = (1-theta1) uA / mixA <= 1.  Every term of w is <= 0
         # and every term of K >= 0, so nothing cancels however small w is
-        if self._degenerate:
-            # V = tu + tv at (1/tu, 1/tv), so w = -tu, and K = (tu tv)^2
-            with np.errstate(divide="ignore"):
-                return -tu - 0.0 * tv, tu + tv, 2.0 * (np.log(tu) + np.log(tv))
         a, t1, t2 = self.alpha, self.theta1, self.theta2
         q = 1.0 / a
         A, B = (1.0 - t1) * tu, (1.0 - t2) * tv
@@ -388,10 +517,21 @@ class AsymmetricLogistic(ExponentMeasure):
         l1p = np.log1p((np.minimum(A, B) / M) ** q)
         grow = np.expm1(a * l1p)
         lr = q * np.log(A / B)
-        lnmix_A, rho_A = _mix(t1, (a - 1.0) * (l1p + np.maximum(-lr, 0.0)))
         lnmix_B, rho_B = _mix(t2, (a - 1.0) * (l1p + np.maximum(lr, 0.0)))
-        W = M * (1.0 + grow)
         w = -t1 * tu - np.where(big, (A - B) + A * grow, B * grow) + lnmix_B
+        return w, M, l1p, grow, lr, lnmix_B, rho_B
+
+    def _cond_parts(self, tu, tv):
+        # K and W from the terms of w (see _cond_terms)
+        if self._degenerate:
+            # w = -tu and K = (tu tv)^2
+            with np.errstate(divide="ignore"):
+                return self._cond_exponent(tu, tv), tu + tv, 2.0 * (np.log(tu) + np.log(tv))
+        a, t1, t2 = self.alpha, self.theta1, self.theta2
+        q = 1.0 / a
+        w, M, l1p, grow, lr, lnmix_B, rho_B = self._cond_terms(tu, tv)
+        lnmix_A, rho_A = _mix(t1, (a - 1.0) * (l1p + np.maximum(-lr, 0.0)))
+        W = M * (1.0 + grow)
         with np.errstate(divide="ignore"):
             lnK = 2.0 * (np.log(tu) + np.log(tv)) + lnmix_A + lnmix_B + np.log1p((q - 1.0) * rho_A * rho_B / W)
         return w, t1 * tu + t2 * tv + W, lnK

@@ -179,14 +179,58 @@ def test_log_scale_solve_deep_tail(family, measure):
     T, TV = (a.ravel() for a in np.meshgrid(t, tv))
     w = measure._cond_exponent(T, TV)
     assert np.all(w < 0.0)
-    assert np.max(np.abs(pc._solve_t(w, TV) - T)) <= 1e-6
+    assert np.max(np.abs(measure._solve_t(w, TV) - T)) <= 1e-6
 
 
-def test_hinv_reports_non_convergence(monkeypatch):
-    import vinetail.copulas as copulas
+@pytest.mark.parametrize("alpha", [0.001, 0.003, 0.05, 0.3, 0.7, 0.95, 1.0])
+@pytest.mark.parametrize("family", ["ev", "iev"])
+def test_logistic_solve_matches_generic_route(family, alpha):
+    """AsymmetricLogistic(alpha, 0, 0) is Logistic(alpha) in value, and its
+    h-inverse runs the generic Newton solve in s = ln t: on a grid of t and
+    tv out to 60 the two solves agree, at the w* each family solves for."""
+    logistic, generic = Logistic(alpha), AsymmetricLogistic(alpha, 0.0, 0.0)
+    t = np.geomspace(1e-3, 60.0, 60)
+    T, TV = (a.ravel() for a in np.meshgrid(t, t))
+    w = logistic._cond_exponent(T, TV)
+    p = np.exp(w) if family == "ev" else -np.expm1(w)
+    # hinv maps p = 0 and p = 1 to u directly, and below about 1e-300 w
+    # keeps too few significant bits to pin t down
+    keep = (p > 0.0) & (p < 1.0) & (w < -1e-300)
+    # w* = ln p (EV) or ln(1 - p) (IEV), as hinv forms it
+    wstar = np.log(p[keep]) if family == "ev" else np.log1p(-p[keep])
+    TV = TV[keep]
+    got, want = logistic._solve_t(wstar, TV), generic._solve_t(wstar, TV)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
 
-    monkeypatch.setattr(copulas, "_SOLVE_MAXITER", 1)
+
+@pytest.mark.parametrize("family", ["ev", "iev"])
+def test_logistic_h_functions_skip_the_full_kernel(monkeypatch, family):
+    # the logistic hfunc needs w alone, and its hinv solves its own convex
+    # equation; a fall-back to the generic solve would call _cond_parts on
+    # every Newton step
+    calls = []
+
+    def counted(self, tu, tv, _kernel=Logistic._cond_parts):
+        calls.append(tu.size)
+        return _kernel(self, tu, tv)
+
+    monkeypatch.setattr(Logistic, "_cond_parts", counted)
+    pc = PairCopula(family, Logistic(0.5))
+    u, v = RNG.random(200), RNG.uniform(0.01, 0.99, 200)
+    back = pc.hinv(pc.hfunc(u, v), v)
+    assert calls == []
+    assert np.max(np.abs(back - u)) < 1e-9
+
+
+# the logistic measure has its own solve; the asymmetric one runs the default
+@pytest.mark.parametrize(
+    "pc", [ILOG, PairCopula("iev", AsymmetricLogistic(0.5, 0.3, 0.6))], ids=["logistic", "asymmetric_logistic"]
+)
+def test_hinv_reports_non_convergence(monkeypatch, pc):
+    import vinetail.measures as measures
+
+    monkeypatch.setattr(measures, "_SOLVE_MAXITER", 1)
     with pytest.raises(ConvergenceError) as info:
-        ILOG.hinv(np.array([0.2, 0.7]), np.array([0.4, 0.9]))
+        pc.hinv(np.array([0.2, 0.7]), np.array([0.4, 0.9]))
     assert info.value.diagnostics["unconverged"] == 2
     assert info.value.diagnostics["max_bracket_width"] > 0.0
