@@ -26,6 +26,7 @@ from .eta import (
     eta_dvine_ilog_closed,
     eta_mixed_trivariate,
     eta_numeric,
+    eta_subvine,
     eta_trivariate_ilog_closed,
 )
 from .gauges import (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .eta import (
     eta_dvine_ilog_closed,
     eta_mixed_trivariate,
     eta_numeric,
+    eta_subvine,
     eta_trivariate_ilog_closed,
 )
 from .gauges import (
@@ -41,7 +43,7 @@ from .gauges import (
 )
 from .measures import Logistic
 from .simulate import sample_vine, scale_cloud
-from .vines import VineSpec
+from .vines import VineSpec, expected_edges
 
 __all__ = ["CheckResult", "run_suite", "SUITES"]
 
@@ -120,6 +122,35 @@ def check_vine_recursions(full):
                 return False, f"eta not decreasing in d at alpha={a}"
             prev = dv
     return worst < 1e-10, f"max recursion/closed-form gap {worst:.2e}"
+
+
+def check_subvine_route(full):
+    """eta_subvine against eta_numeric on the full gauge, over the pairs
+    (and in the full suite the triples) of 4- and 5-d D- and C-vines whose
+    smallest sub-vine is proper.  Quick: one alpha on all edges, default
+    budgets, within 1e-6.  Full: one alpha per edge and a reference at 16
+    starts and maxfev 20000, within 1e-8."""
+    rng = np.random.default_rng(20_150_815)
+    budget, tol = ({"n_starts": 16, "maxfev": 20000}, 1e-8) if full else ({}, 1e-6)
+    worst, n = 0.0, 0
+    for structure, build in (("dvine", gauge_dvine), ("cvine", gauge_cvine)):
+        for d in (4, 5):
+            edges = expected_edges(structure, d)
+            alphas = rng.uniform(0.05, 0.99, len(edges)) if full else [rng.uniform(0.3, 0.7)] * len(edges)
+            spec = VineSpec(d, structure, {e: _ilog(a) for e, a in zip(edges, alphas)})
+            g = build(spec)
+            for C in (c for r in ((2, 3) if full else (2,)) for c in combinations(range(1, d + 1), r)):
+                res = eta_subvine(spec, C)
+                if "marginal" not in res.diagnostics:
+                    continue  # the hull is the whole vine: eta_numeric itself
+                if "fallback_reason" in res.diagnostics:
+                    return False, f"{structure} d={d} C={C}: {res.diagnostics['fallback_reason']}"
+                gap = abs(res.eta - eta_numeric(g, C, **budget).eta)
+                n += 1
+                if gap > tol:
+                    return False, f"{structure} d={d} C={C}: sub-vine/full-gauge gap {gap:.2e}"
+                worst = max(worst, gap)
+    return True, f"{n} sets, max sub-vine/full-gauge gap {worst:.2e}"
 
 
 def check_mixed_cases(full):
@@ -256,6 +287,7 @@ _QUICK = [
     ("trivariate-oracle", check_trivariate_oracle),
     ("eta13-root-vs-closed", check_eta13_root),
     ("vine-recursions", check_vine_recursions),
+    ("subvine-route", check_subvine_route),
     ("mixed-trivariate", check_mixed_cases),
     ("contour-unit-level", check_contours),
     ("structural-invariants", check_structural),

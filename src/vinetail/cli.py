@@ -27,6 +27,7 @@ from .eta import (
     eta_dvine_ilog_closed,
     eta_mixed_trivariate,
     eta_numeric,
+    eta_subvine,
 )
 from .gauges import (
     Gauge,
@@ -121,6 +122,8 @@ def _result_json(res: EtaResult) -> str:
 def cmd_eta(args) -> int:
     if args.builtin:
         gauge, closed = _parse_builtin(args.builtin)
+        if args.set and len(_parse_set(args.set, 2)) < 2:
+            raise VinetailError("eta is defined for index sets with at least two variables")
         if args.method in ("auto", "closed"):
             res = EtaResult(eta=closed, argmin=np.ones(gauge.dim), method=CLOSED)
         else:
@@ -137,7 +140,7 @@ def cmd_eta(args) -> int:
         fn = eta_dvine if spec.structure == DVINE else eta_cvine
         res = EtaResult(eta=fn(spec), argmin=np.ones(spec.d), method=CLOSED)
     else:
-        res = eta_numeric(_gauge_for_spec(spec), C)
+        res = eta_subvine(spec, C)
     if args.method == "closed" and res.method == NUMERIC:
         raise ConvergenceError("no closed form available for this spec/set combination")
     print(_result_json(res))

@@ -15,6 +15,13 @@ Nelder-Mead solve in x per start and a polish of the best point, within a
 budget set by the number of starts and not by the number of box faces.
 1/g(1, ..., 1) is always a lower bound for eta, with equality exactly when
 the minimiser sits at the all-ones point.
+
+For an all-IEV D- or C-vine, ``eta_subvine`` first shrinks the problem to
+the smallest sub-vine S that holds C: the margin of a vine on a sub-vine's
+nodes is that sub-vine, and the limit set of a margin is the projection of
+the joint limit set, so eta_C is eta_C of the marginal vine on S, with
+zeros for the dropped coordinates at the minimiser.  S often has two or
+three nodes, where the closed forms and root solves above apply.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ __all__ = [
     "eta_dvine",
     "eta_cvine",
     "eta_dvine_ilog_closed",
+    "eta_subvine",
 ]
 
 CLOSED = "closed"
@@ -49,6 +57,7 @@ _ROOT_LO = 1e-12
 _ROOT_HI = 1.0 - 1e-12
 _ROOT_XTOL = 1e-12
 _ROOT_RTOL = 4 * 2.0**-52  # 4 eps, the smallest relative tolerance scipy allows
+_MARGIN_GUARD = 1e-9  # |g(argmin) eta - 1| on the full gauge that certifies a sub-vine solve
 
 
 def _bisect(f, a, b, xtol=_ROOT_XTOL, maxiter=200):
@@ -182,28 +191,49 @@ def eta_trivariate_ilog_closed(alpha: float, beta: float, gamma: float) -> float
     return 1.0 / (1.0 + ((2.0**a - 1.0) ** (1.0 / c) + (2.0**b - 1.0) ** (1.0 / c)) ** c)
 
 
+def _ilog_f(v, a):
+    """(1 + v^(1/a))^a - v: V(1, 1/v) - v, a tree-1 term of g(1, v, 1)."""
+    return (1.0 + v ** (1.0 / a)) ** a - v
+
+
+def _ilog_df(v, a):
+    """d/dv of ``_ilog_f``, in the form v^((1-a)/a) (1 + v^(1/a))^(a-1) - 1 of
+    (1 + v^(-1/a))^(a-1) - 1 that cannot overflow as v -> 0."""
+    return v ** ((1.0 - a) / a) * (1.0 + v ** (1.0 / a)) ** (a - 1.0) - 1.0
+
+
 def _ilog_g1v1(alpha, beta, gamma, v):
-    f1 = (1.0 + v ** (1.0 / alpha)) ** alpha - v
-    f2 = (1.0 + v ** (1.0 / beta)) ** beta - v
+    f1, f2 = _ilog_f(v, alpha), _ilog_f(v, beta)
     return v + (f1 ** (1.0 / gamma) + f2 ** (1.0 / gamma)) ** gamma
 
+
 def _ilog_g1v1_deriv(alpha, beta, gamma, v):
-    with np.errstate(over="ignore"):
-        f1 = (1.0 + v ** (1.0 / alpha)) ** alpha - v
-        f2 = (1.0 + v ** (1.0 / beta)) ** beta - v
-        d1 = (1.0 + v ** (-1.0 / alpha)) ** (alpha - 1.0) - 1.0
-        d2 = (1.0 + v ** (-1.0 / beta)) ** (beta - 1.0) - 1.0
+    f1, f2 = _ilog_f(v, alpha), _ilog_f(v, beta)
     s = f1 ** (1.0 / gamma) + f2 ** (1.0 / gamma)
-    return 1.0 + s ** (gamma - 1.0) * (f1 ** (1.0 / gamma - 1.0) * d1 + f2 ** (1.0 / gamma - 1.0) * d2)
+    return 1.0 + s ** (gamma - 1.0) * (f1 ** (1.0 / gamma - 1.0) * _ilog_df(v, alpha)
+                                       + f2 ** (1.0 / gamma - 1.0) * _ilog_df(v, beta))
+
+
+def _stationary_v(deriv):
+    """The minimiser over v in [0, 1] of a function with derivative deriv and
+    at most one stationary point, a minimum, in (0, 1): the root of deriv by
+    bisection, or the end of [0, 1] where deriv keeps one sign throughout,
+    0 when it is positive and 1 when it is negative."""
+    if deriv(_ROOT_LO) > 0.0:
+        return 0.0
+    if deriv(_ROOT_HI) < 0.0:
+        return 1.0
+    return _bisect(deriv, _ROOT_LO, _ROOT_HI)
 
 
 def eta13_trivariate_ilog(alpha: float, beta: float, gamma: float, force_root: bool = False) -> EtaResult:
     """eta_{13} for the all inverted-logistic trivariate vine.
 
     Minimises g(1, v, 1) over the middle coordinate: the stationarity
-    equation has a unique root in (0, 1), found by bisection; for
-    alpha = beta the root and the resulting eta have closed forms, used
-    unless force_root is set.
+    equation has at most one root in (0, 1), found by bisection; without
+    one the derivative is positive and the minimum sits at v = 0, where
+    eta = 2^-gamma.  For alpha = beta the root and the resulting eta have
+    closed forms, used unless force_root is set.
     """
     a = _check_ilog_param("alpha", alpha)
     b = _check_ilog_param("beta", beta)
@@ -216,14 +246,7 @@ def eta13_trivariate_ilog(alpha: float, beta: float, gamma: float, force_root: b
         return EtaResult(eta=eta, argmin=np.array([1.0, v, 1.0]), method=CLOSED,
                          diagnostics={"v": v})
 
-    lo, hi = _ROOT_LO, _ROOT_HI
-    flo = _ilog_g1v1_deriv(a, b, c, lo)
-    fhi = _ilog_g1v1_deriv(a, b, c, hi)
-    if not (flo < 0.0 < fhi):
-        raise ConvergenceError("stationarity equation not bracketed on (0, 1); "
-                               "uniqueness of the root makes this an implementation bug",
-                               {"f(lo)": flo, "f(hi)": fhi})
-    v = _bisect(lambda t: _ilog_g1v1_deriv(a, b, c, t), lo, hi)
+    v = _stationary_v(lambda t: _ilog_g1v1_deriv(a, b, c, t))
     eta = 1.0 / _ilog_g1v1(a, b, c, v)
     return EtaResult(eta=eta, argmin=np.array([1.0, v, 1.0]), method=ROOT,
                      diagnostics={"v": v})
@@ -251,21 +274,21 @@ def _pair_margin_eta(spec, gauge, i, j, other):
 
 
 def _eta13_eii_root(alpha, beta, gamma):
-    """Stationary point of g(1, v, 1) for the (EV, IEV, IEV) logistic case."""
+    """Minimiser of g(1, v, 1) over v in [0, 1] for the (EV, IEV, IEV)
+    logistic case, where the EV tree-1 term is (1 - v)/alpha."""
 
     def deriv(v):
         A = (1.0 - v) / alpha
-        B = (1.0 + v ** (1.0 / beta)) ** beta - v
-        dB = (1.0 + v ** (-1.0 / beta)) ** (beta - 1.0) - 1.0
+        B = _ilog_f(v, beta)
         s = A ** (1.0 / gamma) + B ** (1.0 / gamma)
         return 1.0 + s ** (gamma - 1.0) * (
             -(alpha ** (-1.0 / gamma)) * (1.0 - v) ** (1.0 / gamma - 1.0)
-            + B ** (1.0 / gamma - 1.0) * dB
+            + B ** (1.0 / gamma - 1.0) * _ilog_df(v, beta)
         )
 
-    v = _bisect(deriv, _ROOT_LO, _ROOT_HI)
+    v = _stationary_v(deriv)
     A = (1.0 - v) / alpha
-    B = (1.0 + v ** (1.0 / beta)) ** beta - v
+    B = _ilog_f(v, beta)
     g = v + (A ** (1.0 / gamma) + B ** (1.0 / gamma)) ** gamma
     return 1.0 / g, v
 
@@ -427,3 +450,55 @@ def eta_dvine_ilog_closed(alpha: float, d: int) -> float:
     if d % 2 == 1:
         return 1.0 / (1.0 + q * (1.0 - q ** (d - 1)) / (2.0 - 2.0**a))
     return (2.0 - 2.0**a) / (1.0 - q**d)
+
+
+# ---------------------------------------------------------------------------
+# sub-vine margins
+# ---------------------------------------------------------------------------
+
+def eta_subvine(spec: VineSpec, C) -> EtaResult:
+    """eta_C for an all-IEV D- or C-vine, solved on the smallest sub-vine
+    S that holds C.
+
+    The margin of a vine on S is the sub-vine on S, and the limit set of a
+    margin is the projection of the joint one, so eta_C is the marginal's
+    eta over the relabelled C.  It is solved by the route the marginal has:
+    1/V(1, 1) of its one edge on two nodes, ``eta_mixed_trivariate`` on a
+    three-node D-vine block, and ``eta_numeric`` on the marginal's gauge
+    otherwise, in fewer dimensions; when S is the whole vine that is
+    ``eta_numeric`` on the vine's gauge, as if called directly.  The closed
+    recursion is not used even where S = C, because 1/g(1, ..., 1) can
+    understate eta for unequal parameters.
+
+    The argmin takes zeros on the dropped coordinates: a plan step that
+    meets a zero margin takes V(x, inf) = 1/x, so g(x_S, 0) = g_S(x_S).  One
+    evaluation of the full gauge certifies that; should |g(argmin) eta - 1|
+    exceed 1e-9, the result is ``eta_numeric`` on the full gauge instead,
+    with ``fallback_reason`` in the diagnostics.  The diagnostics name S,
+    in the vine's labels, as ``marginal``.
+    """
+    build = gauge_cvine if spec.structure == CVINE else gauge_dvine
+    g = build(spec)
+    C = _normalise_labels(C, spec.d)
+    S = spec.hull(C)
+    if len(S) == spec.d:
+        return eta_numeric(g, C)
+    margin = spec.marginal(S)
+    C_S = [S.index(c) + 1 for c in C]
+    if len(S) == 2:
+        eta = 1.0 / float(margin.copula(1, 2).measure.V(1.0, 1.0))
+        res = EtaResult(eta=eta, argmin=np.ones(2), method=CLOSED)
+    elif len(S) == 3 and spec.structure != CVINE:
+        res = eta_mixed_trivariate(margin, C_S)
+    else:
+        res = eta_numeric(build(margin), C_S)
+    argmin = np.zeros(spec.d)
+    argmin[[s - 1 for s in S]] = res.argmin
+    gap = abs(g(argmin) * res.eta - 1.0)
+    if gap <= _MARGIN_GUARD:
+        return EtaResult(eta=res.eta, argmin=argmin, method=res.method,
+                         diagnostics=res.diagnostics | {"marginal": S})
+    full = eta_numeric(g, C)
+    reason = f"|g(argmin) eta - 1| = {gap:.3g} on the full gauge for the marginal's argmin"
+    return EtaResult(eta=full.eta, argmin=full.argmin, method=full.method,
+                     diagnostics=full.diagnostics | {"marginal": S, "fallback_reason": reason})

@@ -163,6 +163,40 @@ class VineSpec:
             "13|2": self.copula(1, 3).swapped(),
         })
 
+    def hull(self, labels) -> tuple:
+        """The nodes of the smallest sub-vine holding two or more labels: the
+        block [min, max] of a D-vine (or of the trivariate vine), and
+        {1..k, max} of a C-vine, with k the second-largest label."""
+        labels = sorted(set(int(v) for v in labels))
+        if len(labels) < 2 or labels[0] < 1 or labels[-1] > self.d:
+            raise SpecError(f"a sub-vine needs two or more nodes of 1..{self.d}, got {labels}")
+        if self.structure == CVINE:
+            return (*range(1, labels[-2] + 1), labels[-1])
+        return tuple(range(labels[0], labels[-1] + 1))
+
+    def marginal(self, nodes) -> "VineSpec":
+        """The sub-vine on a node set, relabelled 1..len(nodes) in order.
+
+        A sub-vine's node set is a block {i..j} of a D-vine (or of the
+        trivariate vine) and a set {1..k, m} with m > k of a C-vine; the
+        edges among its nodes form that sub-vine, and the monotone
+        relabelling keeps each edge's copula unswapped and the structure.
+        Any other node set raises SpecError.
+        """
+        nodes = tuple(sorted(set(int(v) for v in nodes)))
+        hull = self.hull(nodes)
+        if hull != nodes:
+            raise SpecError(f"{list(nodes)} is not the node set of a sub-vine of this {self.structure}; "
+                            f"the smallest one holding it is {list(hull)}")
+        new = {v: k for k, v in enumerate(nodes, start=1)}
+        edges = {
+            EdgeLabel([new[v] for v in label.pair], [new[c] for c in label.cond]): pc
+            for label, pc in self.edges.items()
+            if {*label.pair, *label.cond} <= new.keys()
+        }
+        structure = DVINE if self.structure == TRIVARIATE and len(nodes) < 3 else self.structure
+        return VineSpec(len(nodes), structure, edges)
+
     @classmethod
     def trivariate(cls, c12: PairCopula, c23: PairCopula, c13_2: PairCopula) -> "VineSpec":
         return cls(3, TRIVARIATE, {"12": c12, "23": c23, "13|2": c13_2})

@@ -10,6 +10,8 @@ from vinetail import (
     VineSpec,
     asymmetric_logistic_gauge,
     bev_gauge_from_measure,
+    eta13_trivariate_ilog,
+    eta_numeric,
     gauge_cvine,
     gauge_dvine,
     gauge_trivariate,
@@ -395,3 +397,49 @@ def test_two_dimensional_spec(capsys, tmp_path, structure):
     rows = np.array([[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]])
     assert rows.shape == (9, 5)
     assert np.allclose(rows[:, 4], 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("subset, code", [("1", 2), ("13", 2), ("1,3", 2), ("12", 0), ("2,1", 0)])
+def test_eta_builtin_reads_its_set(capsys, subset, code):
+    rc, out = run(capsys, "eta", "--builtin", "ilog:0.5", "--set", subset)
+    assert rc == code
+    assert ("error" in json.loads(out)) == (code == 2)
+
+
+@pytest.mark.parametrize("families, alphas", [
+    ("iii", (0.03, 0.5, 0.5)),  # (1 + v^(-1/alpha))^(alpha - 1) overflowed at v = 1e-12
+    ("eii", (0.5, 0.03, 0.5)),
+    ("iii", (0.929, 0.8169, 0.0526)),  # the minimum at v = 0 has no root to bracket
+])
+def test_eta13_root_routes_at_extreme_alphas(capsys, tmp_path, families, alphas):
+    spec = VineSpec.trivariate(*(PairCopula("iev" if f == "i" else "ev", Logistic(a))
+                                 for f, a in zip(families, alphas)))
+    path = tmp_path / "spec.json"
+    path.write_text(spec.to_json())
+    code, out = run(capsys, "eta", "--spec", str(path), "--set", "13")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["method"] == "root"
+    ref = eta_numeric(gauge_trivariate(spec), (1, 3), n_starts=16, maxfev=20000)
+    assert doc["eta"] == pytest.approx(ref.eta, abs=1e-10)
+
+
+def test_eta_dvine_pair_solves_on_its_sub_vine(capsys, tmp_path):
+    spec = VineSpec.uniform("dvine", 5, PairCopula("iev", Logistic(0.5)))
+    path = tmp_path / "dvine5.json"
+    path.write_text(spec.to_json())
+    # the hull {1, 2, 3} is the trivariate vine, whose eta_13 is closed at equal alphas
+    code, out = run(capsys, "eta", "--spec", str(path), "--set", "1,3", "--method", "closed")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["method"] == "closed" and doc["diagnostics"]["marginal"] == [1, 2, 3]
+    assert doc["argmin"][3:] == [0.0, 0.0]
+    assert doc["eta"] == pytest.approx(eta13_trivariate_ilog(0.5, 0.5, 0.5).eta, rel=1e-15)
+    # --method numeric still minimises the full gauge
+    code, out = run(capsys, "eta", "--spec", str(path), "--set", "1,3", "--method", "numeric")
+    assert code == 0
+    doc = json.loads(out)
+    full = eta_numeric(gauge_dvine(spec), (1, 3))
+    assert doc["method"] == "numeric" and doc["eta"] == full.eta
+    assert doc["diagnostics"]["n_gauge_evals"] == full.diagnostics["n_gauge_evals"]
+    assert "marginal" not in doc["diagnostics"]

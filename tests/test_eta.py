@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,6 +19,7 @@ from vinetail import (
     eta_dvine_ilog_closed,
     eta_mixed_trivariate,
     eta_numeric,
+    eta_subvine,
     eta_trivariate_ilog_closed,
     gauge_cvine,
     gauge_dvine,
@@ -320,3 +324,112 @@ def test_eta_result_validates_range():
         EtaResult(eta=1.5, argmin=np.ones(2), method="closed")
     with pytest.raises(DomainError):
         EtaResult(eta=0.0, argmin=np.ones(2), method="closed")
+
+
+# triples drawn from [0.05, 0.99]^3 whose minimum of g(1, v, 1) sits at an end of
+# v in [0, 1], where the stationarity equation has no root to bracket
+@pytest.mark.parametrize("alphas, v", [
+    ((0.929, 0.8169, 0.0526), 0.0),
+    ((0.9717, 0.0842, 0.0703), 0.0),
+    ((0.6823, 0.9586, 0.1046), 0.0),
+])
+def test_eta13_root_takes_the_end_without_a_stationary_point(alphas, v):
+    res = eta13_trivariate_ilog(*alphas, force_root=True)
+    assert res.method == "root" and res.diagnostics["v"] == v
+    assert_allclose(res.argmin, [1.0, v, 1.0], rtol=0, atol=0)
+    assert res.eta == pytest.approx(2.0 ** -alphas[2], rel=1e-15)
+    g = gauge_trivariate(VineSpec.trivariate(*(ilog(a) for a in alphas)))
+    assert res.eta == pytest.approx(eta_numeric(g, (1, 3), n_starts=16, maxfev=20000).eta, abs=1e-10)
+
+
+@pytest.mark.parametrize("alphas, v", [
+    ((0.2855, 0.9052, 0.9738), 1.0),
+    ((0.087, 0.1449, 0.9789), 1.0),
+    ((0.9294, 0.9886, 0.1959), 0.0),
+    ((0.9484, 0.976, 0.1015), 0.0),
+])
+def test_eii_root_takes_the_end_without_a_stationary_point(alphas, v):
+    spec = VineSpec.trivariate(lgst(alphas[0]), ilog(alphas[1]), ilog(alphas[2]))
+    res = eta_mixed_trivariate(spec, (1, 3))
+    assert res.method == "root" and res.diagnostics["v"] == v
+    assert_allclose(res.argmin, [1.0, v, 1.0], rtol=0, atol=0)
+    ref = eta_numeric(gauge_trivariate(spec), (1, 3), n_starts=16, maxfev=20000)
+    assert res.eta == pytest.approx(ref.eta, abs=1e-10)
+
+
+def unequal_vine(structure, d, seed):
+    alphas = np.random.default_rng(seed).uniform(0.05, 0.99, d * (d - 1) // 2).round(4)
+    return VineSpec(d, structure, {e: ilog(a) for e, a in zip(expected_edges(structure, d), alphas)})
+
+
+def hull(structure, C):
+    return tuple(range(C[0], C[-1] + 1)) if structure == "dvine" else (*range(1, C[-2] + 1), C[-1])
+
+
+@pytest.mark.parametrize("structure", ["dvine", "cvine"])
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_subvine_route_matches_the_full_gauge(structure, d):
+    # the pairs and triples of a vine with one alpha per edge whose hull is a
+    # proper sub-vine: all of them at d = 4 and a seeded sample beyond, where
+    # each reference solve takes 0.1-0.5 s.  A hull of five nodes runs the
+    # default budget of eta_numeric on five coordinates, which can stop about
+    # 1e-7 short of the reference, as the full-gauge solve can on six
+    spec = unequal_vine(structure, d, seed=1000 + d)
+    g = (gauge_dvine if structure == "dvine" else gauge_cvine)(spec)
+    sets = [C for r in (2, 3) for C in combinations(range(1, d + 1), r) if len(hull(structure, C)) < d]
+    if d > 4:
+        sets = random.Random(d).sample(sets, 10 - d)
+    for C in sets:
+        S = hull(structure, C)
+        res = eta_subvine(spec, C)
+        assert res.diagnostics["marginal"] == S and "fallback_reason" not in res.diagnostics
+        if len(S) == 2 or (structure == "dvine" and S == C):
+            assert res.method == "closed"
+        else:
+            assert res.method == ("root" if structure == "dvine" and len(S) == 3 else "numeric")
+        x = res.argmin
+        assert np.all(x >= 0.0) and np.all(x[[c - 1 for c in C]] >= 1.0)
+        assert np.all(x[[k for k in range(d) if k + 1 not in S]] == 0.0)
+        assert abs(g(x) * res.eta - 1.0) <= 1e-9
+        ref = eta_numeric(g, C, n_starts=16, maxfev=20000)
+        assert res.eta == pytest.approx(ref.eta, abs=1e-8 if len(S) < 5 else 1e-6), C
+
+
+@pytest.mark.parametrize("structure, C", [("dvine", (1, 5)), ("dvine", (1, 3, 5)), ("cvine", (4, 5)),
+                                          ("cvine", (2, 4, 5))])
+def test_subvine_route_on_the_whole_vine_is_the_full_gauge_solve(structure, C):
+    spec = unequal_vine(structure, 5, seed=7)
+    res = eta_subvine(spec, C)
+    today = eta_numeric((gauge_dvine if structure == "dvine" else gauge_cvine)(spec), C)
+    assert res.eta == today.eta and res.method == "numeric"
+    assert np.array_equal(res.argmin, today.argmin)
+    assert res.diagnostics == today.diagnostics  # n_gauge_evals included, and no marginal
+
+
+def test_subvine_route_falls_back_when_the_full_gauge_disagrees(monkeypatch):
+    import vinetail.eta as eta_mod
+
+    spec = unequal_vine("dvine", 5, seed=7)
+    good = eta_subvine(spec, (2, 4))
+    assert good.method == "root" and good.diagnostics["marginal"] == (2, 3, 4)
+
+    def off_by_1e7(margin, C):
+        res = eta_mixed_trivariate(margin, C)
+        return eta_mod.EtaResult(res.eta * (1.0 + 1e-7), res.argmin, res.method, res.diagnostics)
+
+    monkeypatch.setattr(eta_mod, "eta_mixed_trivariate", off_by_1e7)
+    res = eta_subvine(spec, (2, 4))
+    full = eta_numeric(gauge_dvine(spec), (2, 4))
+    assert res.method == "numeric" and res.eta == full.eta
+    assert np.array_equal(res.argmin, full.argmin)
+    assert res.diagnostics["marginal"] == (2, 3, 4)
+    assert "1e-07" in res.diagnostics["fallback_reason"]
+    assert res.eta == pytest.approx(good.eta, abs=1e-6)
+
+
+def test_subvine_route_rejects_bad_specs_and_sets():
+    with pytest.raises(UnsupportedCombinationError):
+        eta_subvine(VineSpec(4, "dvine", {e: (lgst if e.cond else ilog)(0.5)
+                                          for e in expected_edges("dvine", 4)}), (1, 3))
+    with pytest.raises(DomainError):
+        eta_subvine(VineSpec.uniform("cvine", 4, ilog(0.5)), (2,))

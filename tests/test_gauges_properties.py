@@ -88,8 +88,9 @@ KEEPS_4 = [keep for r in (2, 3) for keep in combinations(range(1, 5), r)]
 
 @given(st.lists(st.floats(0.3, 0.7), min_size=6, max_size=6), st.lists(coordinate, min_size=3, max_size=3))
 def test_dvine4_projections(alphas, xs):
-    # onto every pair and triple: a tree-1 pair's projection is its IEV margin
-    # gauge; any other lies in [max(x), g(x, 0)]
+    # onto every pair and triple: a projection onto a sub-vine's nodes (a
+    # tree-1 pair or the block 123 or 234) is the marginal vine's gauge; any
+    # other lies in [max(x), g(x, 0)]
     edges = {e: PairCopula("iev", Logistic(a)) for e, a in zip(expected_edges("dvine", 4), alphas)}
     spec = VineSpec(4, "dvine", edges)
     g = gauge_dvine(spec)
@@ -99,7 +100,23 @@ def test_dvine4_projections(alphas, xs):
         if len(keep) == 2 and keep[1] == keep[0] + 1:
             ref = inverted_ev_gauge(spec.copula(*keep).measure)(x)
             assert abs(val - ref) <= 1e-6 * ref
+        elif keep in ((1, 2, 3), (2, 3, 4)):
+            ref = gauge_dvine(spec.marginal(keep))(x)
+            assert abs(val - ref) <= 1e-6 * ref
         else:
             full = np.zeros(4)
             full[[k - 1 for k in keep]] = x
             assert np.max(x) * (1.0 - 1e-13) <= val <= g(full)
+
+
+@given(st.lists(st.floats(0.3, 0.7), min_size=10, max_size=10), st.lists(coordinate, min_size=4, max_size=4))
+def test_cvine5_projections_onto_sub_vines(alphas, xs):
+    # the C-vine twin: the projection onto {1, 2, m} or {1, 2, 3, m} is the
+    # gauge of the marginal C-vine on those nodes
+    edges = {e: PairCopula("iev", Logistic(a)) for e, a in zip(expected_edges("cvine", 5), alphas)}
+    spec = VineSpec(5, "cvine", edges)
+    g = gauge_cvine(spec)
+    for keep in [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 3, 4), (1, 2, 3, 5)]:
+        x = np.array(xs[:len(keep)])
+        ref = gauge_cvine(spec.marginal(keep))(x)
+        assert abs(gauge_project(g, keep)(x) - ref) <= 1e-6 * ref

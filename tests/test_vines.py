@@ -116,3 +116,48 @@ def test_mirror_needs_a_trivariate_vine():
         VineSpec.uniform("dvine", 4, ilog(0.5)).mirrored()
     with pytest.raises(VinetailError):
         VineSpec.uniform("cvine", 3, ilog(0.5)).mirrored()
+
+
+@pytest.mark.parametrize("structure, d, nodes, relabel", [
+    ("dvine", 5, (2, 3, 4), {1: 2, 2: 3, 3: 4}),
+    ("dvine", 5, (4, 5), {1: 4, 2: 5}),
+    ("trivariate", 3, (2, 3), {1: 2, 2: 3}),
+    ("cvine", 5, (1, 2, 5), {1: 1, 2: 2, 3: 5}),
+    ("cvine", 5, (1, 2, 3, 4), {1: 1, 2: 2, 3: 3, 4: 4}),
+    ("cvine", 4, (1, 3), {1: 1, 2: 3}),
+])
+def test_marginal_relabels_a_sub_vine(structure, d, nodes, relabel):
+    # every edge a distinct copula object, so that identity shows which edge moved where
+    spec = VineSpec(d, structure, {e: PairCopula("iev", AsymmetricLogistic(0.5, 0.3, 0.9))
+                                   for e in expected_edges(structure, d)})
+    m = spec.marginal(reversed(nodes))
+    assert m.d == len(nodes)
+    assert m.structure == ("dvine" if structure == "trivariate" else structure)
+    for label, pc in m.edges.items():
+        original = EdgeLabel([relabel[v] for v in label.pair], [relabel[c] for c in label.cond])
+        assert pc is spec.edges[original]  # the same copula, not swapped
+
+
+@pytest.mark.parametrize("structure, d, nodes", [
+    ("dvine", 4, (1, 3)),
+    ("dvine", 5, (2, 3, 5)),
+    ("cvine", 4, (2, 3)),
+    ("cvine", 5, (1, 3, 4)),
+    ("dvine", 4, (2,)),
+    ("cvine", 4, (1, 5)),
+    ("dvine", 4, (0, 1)),
+])
+def test_marginal_rejects_sets_that_are_not_sub_vines(structure, d, nodes):
+    with pytest.raises(SpecError):
+        VineSpec.uniform(structure, d, ilog(0.5)).marginal(nodes)
+
+
+def test_hull_is_the_smallest_sub_vine():
+    dvine, cvine = VineSpec.uniform("dvine", 6, ilog(0.5)), VineSpec.uniform("cvine", 6, ilog(0.5))
+    assert dvine.hull((5, 2)) == (2, 3, 4, 5)
+    assert cvine.hull((5, 2)) == (1, 2, 5)
+    assert cvine.hull((1, 3, 4, 6)) == (1, 2, 3, 4, 6)
+    assert dvine.hull((1, 6)) == cvine.hull((5, 6)) == tuple(range(1, 7))
+    for bad in ((3,), (3, 3), (0, 2), (2, 7)):
+        with pytest.raises(SpecError):
+            cvine.hull(bad)
