@@ -11,8 +11,10 @@ root solves for the stationary points with proved unique roots (``_bisect``,
 scipy's bisection on Python floats, raising ``ConvergenceError``), and, as
 the general fallback, numerical minimisation over that box with the
 gauge box minimiser ``gauges._minimise_gauge``: one bound-constrained
-Nelder-Mead solve in x per start and a polish of the best point, within a
-budget set by the number of starts and not by the number of box faces.
+local solve in x per start (projected quasi-Newton on the gauges with a
+gradient, Nelder-Mead on the others) and a Nelder-Mead polish of the best
+point, within a budget set by the number of starts and not by the number
+of box faces.
 1/g(1, ..., 1) is always a lower bound for eta, with equality exactly when
 the minimiser sits at the all-ones point.
 
@@ -33,7 +35,7 @@ import numpy as np
 
 from .copulas import EV, IEV
 from .errors import ConvergenceError, DomainError, ParameterError, UnsupportedCombinationError
-from .gauges import Gauge, _minimise_gauge, gauge_cvine, gauge_dvine, gauge_trivariate
+from .gauges import Gauge, _minimise_gauge, _projected_gradient, gauge_cvine, gauge_dvine, gauge_trivariate
 from .measures import Logistic
 from .vines import CVINE, DVINE, TRIVARIATE, VineSpec
 
@@ -122,16 +124,28 @@ def eta_numeric(g: Gauge, C=None, n_starts: int = 8, maxfev: int = 400) -> EtaRe
     """eta_C by bound-constrained multi-start minimisation of the gauge.
 
     The box x_i >= 1 (i in C), x_i >= 0 (i not in C) has every coordinate
-    free, so ``gauges._minimise_gauge`` runs one Nelder-Mead solve directly
-    in x per start, with the simplex clipped to the box so that minima on
-    its faces (x_c = 1, x_k = 0) are reached exactly.  The starts are
-    corner + s for n_starts log-spaced s in [0.05, 20] and a near-corner
-    s = 1e-8, where the corner (ones on C, zeros elsewhere) is the lower
-    bound and one more candidate.  The best point is polished by restarts
-    on fresh simplices with the evaluations the starts left unused, so at
-    most (n_starts + 1) * maxfev + 2 evaluations are made in all.  It is
-    then rescaled by homogeneity so that its smallest C coordinate is one,
-    and the corner is taken when it matches the optimum to rounding.
+    free, so ``gauges._minimise_gauge`` runs one local solve directly in x
+    per start, projected onto the box so that minima on its faces
+    (x_c = 1, x_k = 0) are reached exactly.  The gauge alone picks the
+    solver: the projected quasi-Newton solve when it has a gradient
+    evaluator (``Gauge.gradient_evaluator``, the all-IEV logistic vines),
+    bounded Nelder-Mead otherwise.  The starts are corner + s for n_starts
+    log-spaced s in [0.05, 20] and a near-corner s = 1e-8, where the corner
+    (ones on C, zeros elsewhere) is the lower bound and one more candidate.
+    The best point is polished by Nelder-Mead restarts on fresh simplices
+    with the evaluations the starts left unused, so at most
+    (n_starts + 1) * maxfev + 2 evaluations are made in all, value-only and
+    value-and-gradient together.  It is then rescaled by homogeneity so that
+    its smallest C coordinate is one, and the corner is taken when it
+    matches the optimum to rounding.
+
+    The diagnostics give the solver as ``local_solver`` ("quasi-newton" or
+    "nelder-mead"), the evaluation counts as ``n_gauge_evals`` (value only)
+    and ``n_gradient_evals`` (value and gradient), and the spread of the
+    starts' values.  With a gradient, ``kkt_residual`` is the largest
+    projected partial at the argmin, which vanishes at a KKT point of the
+    box, and ``suspicious_landscape`` flags a residual above 1e-6; without
+    one it flags a spread above 1e-4.
     """
     d = g.dim
     C = _normalise_labels(C if C is not None else range(1, d + 1), d)
@@ -139,30 +153,46 @@ def eta_numeric(g: Gauge, C=None, n_starts: int = 8, maxfev: int = 400) -> EtaRe
     corner = np.zeros(d)
     corner[cons] = 1.0
 
-    best_val, best_x, corner_val, runs, n_evals = _minimise_gauge(g, corner, range(d), n_starts, maxfev)
+    found = _minimise_gauge(g, corner, range(d), n_starts, maxfev)
+    best_val, best_x, runs = found.value, found.x, found.runs
+    n_evals, n_grad = found.n_evals, found.n_gradient_evals
     if not np.isfinite(best_val):
         raise ConvergenceError("no minimisation start produced a finite gauge value",
                                {"C": C, "candidates": len(runs) + 1})
 
     # homogeneity clean-up: scale so that min over C equals one exactly
+    gradient, grad = g.gradient_evaluator(), None
     m = float(np.min(best_x[cons]))
     if m > 0 and abs(m - 1.0) > 1e-12:
         best_x = best_x / m
-        best_val = float(g.scalar_evaluator()(*best_x.tolist()))  # the evaluator n_gauge_evals counts
-        n_evals += 1
+        if gradient is None:
+            best_val = float(g.scalar_evaluator()(*best_x.tolist()))  # the evaluator n_gauge_evals counts
+            n_evals += 1
+        else:
+            best_val, grad = gradient(*best_x.tolist())
+            n_grad += 1
 
     # snap to the corner when the optimum matches it to rounding
-    if corner_val <= best_val + 1e-12:
-        best_val, best_x = corner_val, corner
+    if found.corner_value <= best_val + 1e-12:
+        best_val, best_x, grad = found.corner_value, corner, found.corner_gradient
+    if gradient is not None and grad is None:
+        grad = gradient(*best_x.tolist())[1]
+        n_grad += 1
 
     spread = float(np.max(runs) - np.min(runs))
     diagnostics = {
         "n_starts": len(runs),
         "spread": spread,
-        "suspicious_landscape": bool(spread > 1e-4),
+        "local_solver": "nelder-mead" if gradient is None else "quasi-newton",
         "n_gauge_evals": n_evals,
+        "n_gradient_evals": n_grad,
         "best_value": best_val,
     }
+    if gradient is None:
+        diagnostics["suspicious_landscape"] = bool(spread > 1e-4)
+    else:
+        kkt = max(map(abs, _projected_gradient(best_x.tolist(), grad, corner.tolist())))
+        diagnostics |= {"kkt_residual": kkt, "suspicious_landscape": bool(kkt > 1e-6)}
     return EtaResult(eta=1.0 / best_val, argmin=best_x, method=NUMERIC, diagnostics=diagnostics)
 
 
@@ -269,7 +299,7 @@ def _pair_margin_eta(spec, gauge, i, j, other):
         eta = 1.0
     else:
         eta = 1.0 / float(pc.measure.V(1.0, 1.0))
-    x = _minimise_gauge(gauge, lower, [other - 1])[1]
+    x = _minimise_gauge(gauge, lower, [other - 1]).x
     return EtaResult(eta=eta, argmin=x, method=CLOSED, diagnostics={"pair": (i, j)})
 
 

@@ -13,16 +13,19 @@ module builds gauges analytically:
   inverted-EV family patterns.  Each plan step applies its edge's own
   bivariate gauge to two margins; a margin's side (upper, or lower below
   an EV tree-1 edge) selects the form.  One emitter turns each plan shape
-  into straight-line Python in two dialects, one for single points and one
-  for arrays, each bound to the plan's parameters,
+  into straight-line Python in three dialects, each bound to the plan's
+  parameters: one for single points, one for arrays, and, for the all-IEV
+  logistic vines, one that returns the value of a single point with its
+  gradient from a reverse (adjoint) sweep,
 
 and numerically: projections onto coordinate subsets by minimising over the
 dropped coordinates.  One box-constrained minimiser, ``_minimise_gauge``,
-serves the projections and ``eta.eta_numeric`` alike.  Its two solvers,
-``_nelder_mead`` and ``_fminbound``, repeat scipy's bounded Nelder-Mead and
-bounded Brent step for step on Python floats, so the scalar evaluators get
-floats with no array round trip, and importing the package does not load
-scipy.
+serves the projections and ``eta.eta_numeric`` alike.  Of its three
+solvers, ``_nelder_mead`` and ``_fminbound`` repeat scipy's bounded
+Nelder-Mead and bounded Brent step for step, and ``_quasi_newton`` is a
+projected BFGS solve for the gauges with a gradient.  All three run on
+Python floats, so the scalar evaluators get floats with no array round
+trip, and importing the package does not load scipy.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import bisect
 import math
 import types
 from functools import cache, reduce
-from operator import add
+from operator import add, mul, sub
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,13 +80,16 @@ class Gauge:
     emitter generates both paths from it as straight-line functions per
     plan shape, with the vine's parameters bound as their globals: the
     scalar path evaluates only the form each point's sides select, the
-    array path blends the forms a point's sides can reach.
+    array path blends the forms a point's sides can reach.  An all-IEV
+    logistic vine also has a gradient dialect, bound on first use.
     """
 
-    def __init__(self, dim: int, fn, tag: str, sfn=None):
+    def __init__(self, dim: int, fn, tag: str, sfn=None, gradient=None):
         self.dim = int(dim)
         self._fn = fn
         self._sfn = sfn
+        self._gradient = gradient  # builds the gradient evaluator, or None
+        self._gfn = None
         self.tag = str(tag)
 
     def __repr__(self):
@@ -110,6 +117,16 @@ class Gauge:
             return self._sfn
         fn = self._fn
         return lambda *xs: float(fn(np.array(xs)))
+
+    def gradient_evaluator(self):
+        """g and its gradient at one point: a function of d separate floats
+        that returns the value, bit for bit the scalar evaluator's, and the
+        list of the d partials.  Only vine gauges whose every plan step is a
+        logistic V over upper margins have one; the others return None.  It
+        is bound on first use, to code compiled once per plan shape."""
+        if self._gfn is None and self._gradient is not None:
+            self._gfn = self._gradient()
+        return self._gfn
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +322,33 @@ except OverflowError:
     {r} = inf
 {r} = {r} ** a{n} if {r} < inf else v{n}(x, y)"""
 
+# the partials of r = V(1/p, 1/q) = (p^(1/alpha) + q^(1/alpha))^alpha in step
+# n, kept by the gradient dialect: dr/dp = (p/r)^c{n} with c{n} = 1/alpha - 1.
+# p/r <= 1, so the power cannot overflow, and the overflow branch, whose r
+# the one-power form leaves exact, takes the same power.  A zero margin
+# (p <= 0, where the value takes V(inf, y) = 1/y) takes the limit
+# z{n} = 0^c{n}: 0 for alpha < 1, 1 at alpha = 1.  With both margins zero
+# r = 0, and each partial is 1, the one-sided partial r(t, 0)/t along that
+# margin with the other held at zero.
+_LOGISTIC_PARTIALS = """\
+if {r} > 0.0:
+    d{n}p = ({p} / {r}) ** c{n} if {p} > 0.0 else z{n}
+    d{n}q = ({q} / {r}) ** c{n} if {q} > 0.0 else z{n}
+else:
+    d{n}p = d{n}q = 1.0"""
 
-def _step_source(out, left, right, inner, inline, sides, array):
+SCALAR, ARRAY, GRADIENT = "scalar", "array", "gradient"
+
+
+def _step_source(out, left, right, inner, inline, sides, dialect):
     """The statements of one plan step, leaving its gauge in s{out}.  The
     scalar dialect runs on floats and picks the form a point's sides select
     with if/else; the array dialect runs on arrays and blends the reachable
-    forms with where, evaluating each once."""
+    forms with where, evaluating each once.  The gradient dialect runs the
+    scalar statements of an inline logistic step over upper margins and
+    keeps the step's partials in d{out}p and d{out}q for the reverse sweep
+    (``_adjoint_source``)."""
+    array = dialect == ARRAY
     if inner is None:  # tree 1: the coordinates are the margins
         p, q, r, lines = f"s{left}", f"s{right}", f"s{out}", []
     else:
@@ -318,7 +356,7 @@ def _step_source(out, left, right, inner, inline, sides, array):
         lines = [f"g = s{inner}", f"p = s{left} - g", f"q = s{right} - g"]
 
     def form(lp, lq):
-        # an expression in the array dialect, statements in the scalar one
+        # an expression in the array dialect, statements in the others
         if lp or lq:
             expr = f"rule{out}_{lp:d}{lq:d}({p}, {q})"
         elif array:
@@ -345,55 +383,98 @@ def _step_source(out, left, right, inner, inline, sides, array):
         sp, sq = sides
         code = side(sp, lambda lp: side(sq, lambda lq: form(lp, lq)))
     lines += [f"{r} = {code}"] if array else code
+    if dialect == GRADIENT:
+        lines += _LOGISTIC_PARTIALS.format(p=p, q=q, r=r, n=out).splitlines()
     if inner is not None:
         lines.append(f"s{out} = g + r")
     return lines
 
 
-def _plan_source(d, shape, array):
+def _adjoint_source(d, shape):
+    """The reverse sweep of the gradient dialect: b{k} accumulates dg/ds{k}
+    from the last step back.  A step s{out} = g + r(s{left} - g, s{right} - g)
+    passes its adjoint on with the weights d{out}p, d{out}q and
+    1 - d{out}p - d{out}q; a tree-1 step r(s{left}, s{right}) with the first
+    two.  Returns the statements and the d coordinate adjoints, "0.0" for a
+    coordinate no step reads."""
+    last = d + len(shape) - 1
+    seen, lines = set(), []
+
+    def accumulate(k, term):
+        lines.append(f"b{k} {'+=' if k in seen else '='} {term}")
+        seen.add(k)
+
+    for out, left, right, inner, *_ in reversed(shape):
+        b = "" if out == last else f"b{out} * "
+        accumulate(left, f"{b}d{out}p")
+        accumulate(right, f"{b}d{out}q")
+        if inner is not None:
+            accumulate(inner, f"{b}(1.0 - d{out}p - d{out}q)")
+    return lines, [f"b{k}" if k in seen else "0.0" for k in range(d)]
+
+
+def _plan_source(d, shape, dialect):
     """The evaluator of one plan shape in one dialect as Python source: a
     function of the d coordinates s0..s{d-1}, floats or arrays, that runs
-    every step as straight-line statements on local slots.  The shape holds
-    slots, sides and which V forms are inlined, never a value; parameters
-    and callables are globals of the function (``_bind_plan``)."""
-    body = [line for step in shape for line in _step_source(*step, array)]
+    every step as straight-line statements on local slots.  The gradient
+    dialect returns the value and the list of the d partials.  The shape
+    holds slots, sides and which V forms are inlined, never a value;
+    parameters and callables are globals of the function (``_bind_plan``)."""
+    body = [line for step in shape for line in _step_source(*step, dialect)]
+    result = f"s{d + len(shape) - 1}"
+    if dialect == GRADIENT:
+        sweep, grad = _adjoint_source(d, shape)
+        body += sweep
+        result += f", [{', '.join(grad)}]"
     return "\n    ".join([f"def vine_gauge({', '.join(f's{k}' for k in range(d))}):", *body,
-                           f"return s{d + len(shape) - 1}"]) + "\n"
+                           f"return {result}"]) + "\n"
 
 
 @cache
-def _plan_code(d, shape, array):
+def _plan_code(d, shape, dialect):
     """The compiled code of ``_plan_source``, shared by every plan of one
     shape, so a vine rebuilt with new parameters compiles nothing."""
     scope = {}
-    name = f"<vine plan, d={d}, {'array' if array else 'scalar'}>"
-    exec(compile(_plan_source(d, shape, array), name, "exec"), scope)
+    exec(compile(_plan_source(d, shape, dialect), f"<vine plan, d={d}, {dialect}>", "exec"), scope)
     return scope["vine_gauge"].__code__
 
 
-def _bind_plan(d, plan, array):
+def _bind_plan(d, plan, dialect):
     """The evaluator of a compiled plan in one dialect: its shape's
     generated code (``_plan_code``) bound to the plan's measures and rules.
-    The scalar dialect inlines the direct form of a logistic V."""
+    The scalar and gradient dialects inline the direct form of a logistic V;
+    the gradient dialect takes plans whose steps are all inline logistic
+    steps over upper margins (``_has_gradient``)."""
     env = {"inf": math.inf, "recip": _recip, "where": np.where}
     shape = []
     for out, left, right, inner, m, sides, t in plan:
-        inline = not array and type(m)._v is Logistic._v
+        inline = dialect != ARRAY and type(m)._v is Logistic._v
         env[f"v{out}"] = m._v
         if inline:
             env.update({f"e{out}": -m._q, f"a{out}": m.alpha})
+        if dialect == GRADIENT:
+            env.update({f"c{out}": m._q - 1.0, f"z{out}": 0.0 ** (m._q - 1.0)})
         if sides is not None:
-            rules = _edge_rules(t, _bev_eval if array else _bev_eval_s)
+            rules = _edge_rules(t, _bev_eval if dialect == ARRAY else _bev_eval_s)
             env.update({f"rule{out}_{lp:d}{lq:d}": rule for (lp, lq), rule in rules.items()})
         shape.append((out, left, right, inner, inline, sides))
-    return types.FunctionType(_plan_code(d, tuple(shape), array), env)
+    return types.FunctionType(_plan_code(d, tuple(shape), dialect), env)
+
+
+def _has_gradient(plan):
+    """Whether every step is a logistic V over two upper margins, the steps
+    the gradient dialect differentiates; the EV patterns' piecewise linear
+    rules and other measures have no emitted gradient."""
+    return all(sides is None and type(m)._v is Logistic._v for *_, m, sides, t in plan)
 
 
 def _vine_gauge(spec: VineSpec, tag: str) -> Gauge:
     d = spec.d
     plan = _compile_vine(spec)
-    fn = _bind_plan(d, plan, True)
-    return Gauge(d, lambda x: fn(*(x[..., k] for k in range(d))), tag, sfn=_bind_plan(d, plan, False))
+    fn = _bind_plan(d, plan, ARRAY)
+    gradient = (lambda: _bind_plan(d, plan, GRADIENT)) if _has_gradient(plan) else None
+    return Gauge(d, lambda x: fn(*(x[..., k] for k in range(d))), tag, sfn=_bind_plan(d, plan, SCALAR),
+                 gradient=gradient)
 
 
 def gauge_trivariate(spec: VineSpec) -> Gauge:
@@ -587,7 +668,126 @@ def _fminbound(f, lo, hi, xatol):
     return xf, fx, num
 
 
-def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400):
+def _projected_gradient(x, grad, lower):
+    """The projected gradient x - P(x - grad) on the box x >= lower: the
+    partial itself, or the distance to the bound where that is smaller, so
+    it vanishes exactly at a KKT point."""
+    return [gk if gk <= v - lo else v - lo for v, gk, lo in zip(x, grad, lower)]
+
+
+def _dot(a, b):
+    """The exactly rounded sum of the products a_k b_k (``math.fsum``, so
+    the result does not depend on the Python version's ``sum``)."""
+    return math.fsum(map(mul, a, b))
+
+
+def _quasi_newton(fg, x, lower, maxfev):
+    """Projected BFGS on the box x >= lower, on Python floats.
+
+    fg takes a list of floats and returns the value and the gradient there.
+    Each iteration splits the coordinates by the projected gradient pg
+    (``_projected_gradient``) and w = max |pg_k|.  A coordinate within
+    min(1e-3, w) of its bound whose partial pushes outward is binding and
+    takes the steepest-descent step; the others take the BFGS step of the
+    inverse Hessian approximation H restricted to them.  The line search
+    projects each trial point onto the box and halves the step from 1 until
+    f(x_t) - f(x) <= 1e-4 grad'(x_t - x) (Armijo, with a strict decrease).
+    H is updated with the step and the gradient change on the non-binding
+    coordinates when their product is positive.  A BFGS step that is no
+    descent direction, or finds no Armijo point, resets H and the
+    iteration takes the steepest-descent step instead.
+
+    Steepest descent, and H until its first update, use the metric
+    diag(1.05^k); the first update scales it by s'y/y'y.  The tilt makes the
+    first step leave a symmetry axis of g, as the 5 % steps of Nelder-Mead's
+    starting simplex do.  Without it a start on the axis (the diagonal start
+    of a reversal-symmetric D-vine) keeps every iterate on the axis, where
+    the solve can stop at a saddle.  The solve ends at w = 0, when a
+    steepest-descent step finds no Armijo point, once the decrease
+    -grad'(x_t - x) a trial step predicts is at most 1e-15 |f(x)| (rounding
+    level), or after maxfev calls of fg.  Returns the last point, its value
+    (inf when maxfev < 1, and no call is made) and the number of calls.
+    """
+    n = len(x)
+    tilt = [1.05**k for k in range(n)]
+    x = [lo if v <= lo else v for v, lo in zip(x, lower)]
+    if maxfev < 1:  # as Nelder-Mead, which then evaluates nothing either
+        return x, math.inf, 0
+    f, grad = fg(x)
+    nfev = 1
+    H = None  # None is diag(tilt)
+
+    def search(d):
+        # the first point of the projected arc x + t d that passes Armijo
+        nonlocal nfev
+        t = 1.0
+        while nfev < maxfev:
+            xt = [lo if (v := a + t * b) <= lo else v for a, b, lo in zip(x, d, lower)]
+            slope = _dot(grad, map(sub, xt, x))
+            if -slope <= 1e-15 * abs(f):
+                return None
+            ft, gt = fg(xt)
+            nfev += 1
+            if ft - f <= 1e-4 * slope:
+                return xt, ft, gt
+            t *= 0.5
+        return None
+
+    while nfev < maxfev:
+        w = max(map(abs, _projected_gradient(x, grad, lower)))
+        if w == 0.0:
+            break
+        eps = min(1e-3, w)
+        free = [v - lo > eps or gk <= 0.0 for v, gk, lo in zip(x, grad, lower)]
+        steepest = [-gk * tk for gk, tk in zip(grad, tilt)]
+        found = None
+        if H is not None:
+            gfree = [gk if fr else 0.0 for gk, fr in zip(grad, free)]
+            d = [-_dot(row, gfree) if fr else sk for row, fr, sk in zip(H, free, steepest)]
+            if _dot(grad, d) < 0.0:
+                found = search(d)
+            if found is None:
+                H = None
+        if found is None:
+            found = search(steepest)
+            if found is None:
+                break
+        xt, ft, gt = found
+        s = [b - a if fr else 0.0 for a, b, fr in zip(x, xt, free)]
+        y = [b - a if fr else 0.0 for a, b, fr in zip(grad, gt, free)]
+        x, f, grad = found
+        sy = _dot(s, y)
+        if sy <= 0.0:
+            continue
+        if H is None:
+            scale = sy / _dot(y, y)
+            H = [[scale * tk if i == j else 0.0 for j in range(n)] for i, tk in enumerate(tilt)]
+        # H <- (I - rho s y')H(I - rho y s') + rho s s', rho = 1/s'y
+        rho = 1.0 / sy
+        hy = [_dot(row, y) for row in H]
+        c = rho * rho * _dot(y, hy) + rho
+        H = [[h + (c * si - rho * hi) * sj - rho * si * hj for h, sj, hj in zip(row, s, hy)]
+             for row, si, hi in zip(H, s, hy)]
+    return x, f, nfev
+
+
+class _BoxMinimum(NamedTuple):
+    """What ``_minimise_gauge`` found: the best value and its argmin, the
+    corner value g(lower) and, for a gauge with a gradient and two or more
+    free coordinates, its gradient in all d coordinates (else None), the
+    value each start reached, and the counts of value-only and of
+    value-and-gradient evaluations."""
+
+    value: float
+    x: np.ndarray
+    corner_value: float
+    corner_gradient: list | None
+    runs: list
+    n_evals: int
+    n_gradient_evals: int
+
+
+def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400) -> _BoxMinimum:
     """Minimise g over the box x >= lower, moving only the coordinates in free.
 
     lower needs a positive coordinate.  The other coordinates stay at lower,
@@ -596,20 +796,25 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
     log-spaced seeds in [0, hi] above its lower bound, where
     hi = max(10 m, 1.05 g(lower)) and m = max(lower): the containment
     g(x) >= max(x) puts every minimiser below g(lower).  Two or more free
-    run one bounded Nelder-Mead solve (``_nelder_mead``) per start
-    lower + s m, for n_starts log-spaced s in [0.05, 20] and a near-corner
-    s = 1e-8, then polish the best point with the evaluations the starts
-    left of (n_starts + 1) * maxfev.  Both solvers run on Python floats, so
-    the scalar evaluator gets floats straight from them.  Returns the best
-    value, its argmin, g(lower), the value each start reached and the number
-    of evaluations.
+    run one local solve per start lower + s m, for n_starts log-spaced s in
+    [0.05, 20] and a near-corner s = 1e-8: the projected quasi-Newton solve
+    (``_quasi_newton``) when g has a gradient evaluator, which then also
+    evaluates the corner, and bounded Nelder-Mead (``_nelder_mead``)
+    otherwise.  Nelder-Mead restarts then polish the best point with the
+    evaluations the corner and the starts left of (n_starts + 1) * maxfev + 1.
+    The solvers run on Python floats, so the evaluators get floats straight
+    from them.
     """
     lower = np.asarray(lower, dtype=float)
     free = list(free)
     scalar = g.scalar_evaluator()
+    gradient = g.gradient_evaluator() if len(free) > 1 else None
     xs = lower.tolist()
-    corner_val = float(scalar(*xs))
-    n_evals = 1
+    if gradient is None:
+        corner_val, corner_grad, n_evals, n_grad = float(scalar(*xs)), None, 1, 0
+    else:
+        corner_val, corner_grad = gradient(*xs)
+        n_evals, n_grad = 0, 1
     m = max(xs)
 
     if len(free) == 1:
@@ -635,35 +840,49 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
                 best_t, best_val = t, val
         best_x = lower.copy()
         best_x[j] = best_t
-        return best_val, best_x, corner_val, runs, n_evals
+        return _BoxMinimum(best_val, best_x, corner_val, corner_grad, runs, n_evals, n_grad)
 
     if len(free) == len(xs):
         def fun(t):
             return float(scalar(*t))
+
+        def fg(t):
+            return gradient(*t)
     else:
         def fun(t):
             for k, v in zip(free, t):
                 xs[k] = v
             return float(scalar(*xs))
 
+        def fg(t):
+            for k, v in zip(free, t):
+                xs[k] = v
+            val, grad = gradient(*xs)
+            return val, [grad[k] for k in free]
+
     lo = [xs[k] for k in free]
     best_val, best_t, runs = corner_val, lo, []
     for s in [*np.geomspace(0.05, 20.0, int(n_starts)).tolist(), 1e-8]:
         x0 = [a + s * m for a in lo]
-        # scipy's default simplex for a start with no zero coordinate
-        sim = [x0] + [x0[:k] + [1.05 * x0[k]] + x0[k + 1:] for k in range(len(x0))]
-        t, val, nfev = _nelder_mead(fun, sim, lo, maxfev)
-        n_evals += nfev
+        if gradient is not None:
+            t, val, nfev = _quasi_newton(fg, x0, lo, maxfev)
+            n_grad += nfev
+        else:
+            # scipy's default simplex for a start with no zero coordinate
+            sim = [x0] + [x0[:k] + [1.05 * x0[k]] + x0[k + 1:] for k in range(len(x0))]
+            t, val, nfev = _nelder_mead(fun, sim, lo, maxfev)
+            n_evals += nfev
         runs.append(val)
         if val < best_val:
             best_val, best_t = val, t
 
     # polish: clipping to the box can collapse a simplex onto a face or a
-    # corner next to the minimum, so restart from the best point on fresh
-    # simplices, ten times smaller after each restart that does not
+    # corner next to the minimum, and a quasi-Newton solve can stop on a face
+    # x_k = lower_k where g has a kink, so restart from the best point on
+    # fresh simplices, ten times smaller after each restart that does not
     # improve.  The step floor 0.005 m lets a simplex built at a coordinate
     # the near-corner start left at about 1e-8 leave that face.
-    budget = len(runs) * maxfev - (n_evals - 1)
+    budget = len(runs) * maxfev - (n_evals + n_grad - 1)
     scale = 0.05
     while math.isfinite(best_val) and budget > len(free) and scale > 1e-6:
         sim = [best_t] + [best_t[:k] + [t + max(t, 0.005 * m) * scale] + best_t[k + 1:]
@@ -677,7 +896,7 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
             scale *= 0.1
     best_x = lower.copy()
     best_x[free] = best_t
-    return best_val, best_x, corner_val, runs, n_evals
+    return _BoxMinimum(best_val, best_x, corner_val, corner_grad, runs, n_evals, n_grad)
 
 
 def gauge_project(g: Gauge, keep) -> Gauge:
@@ -686,7 +905,8 @@ def gauge_project(g: Gauge, keep) -> Gauge:
     keep is a set of 1-based coordinate labels.  Each point is the box
     minimum of g with the kept coordinates fixed at their values and the
     dropped ones >= 0 (``_minimise_gauge``): bounded Brent searches when one
-    coordinate is dropped, multi-start bounded Nelder-Mead when more are.
+    coordinate is dropped, multi-start quasi-Newton or Nelder-Mead solves
+    when more are.
     The corner, with every dropped coordinate at zero, is a candidate, so a
     projection never reads above g(x, 0).
     """
@@ -703,7 +923,7 @@ def gauge_project(g: Gauge, keep) -> Gauge:
             return 0.0
         lower = np.zeros(g.dim)
         lower[kept_idx] = x_keep
-        return _minimise_gauge(g, lower, dropped)[0]
+        return _minimise_gauge(g, lower, dropped).value
 
     def fn(x):
         x = np.asarray(x, dtype=float)

@@ -371,8 +371,15 @@ def test_eta_json_carries_diagnostics(capsys, ilog_spec):
     diag = doc["diagnostics"]
     assert diag["n_starts"] == 9 and diag["n_gauge_evals"] > 0
     assert isinstance(diag["spread"], float) and isinstance(diag["suspicious_landscape"], bool)
+    assert diag["local_solver"] == "quasi-newton" and diag["n_gradient_evals"] > 0
+    assert 0.0 <= diag["kkt_residual"] <= 1e-6 and diag["suspicious_landscape"] is False
     code, out = run(capsys, "eta", "--spec", ilog_spec, "--set", "1,2")
     assert code == 0 and json.loads(out)["diagnostics"] == {"pair": [1, 2]}
+    # a gauge with no gradient dialect reports its Nelder-Mead solve
+    code, out = run(capsys, "eta", "--builtin", "gaussian:0.5", "--method", "numeric")
+    diag = json.loads(out)["diagnostics"]
+    assert code == 0 and diag["local_solver"] == "nelder-mead" and diag["n_gradient_evals"] == 0
+    assert diag["n_gauge_evals"] > 0 and "kkt_residual" not in diag
 
 
 def test_result_json_converts_numpy_scalars():

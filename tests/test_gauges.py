@@ -739,3 +739,42 @@ def test_scalar_logistic_overflow_band(g):
         vec = g(pts)
     assert np.all(np.isfinite(sca))
     assert_allclose(sca, vec, rtol=1e-13, atol=0)
+    # the gradient dialect takes the same branch, and p/r <= 1 keeps the
+    # partials (p/r)^(1/alpha - 1) of each step in [0, 1]
+    gradient = g.gradient_evaluator()
+    for p, v in zip(pts.tolist(), sca):
+        value, grad = gradient(*p)
+        assert value == v and all(math.isfinite(t) for t in grad)
+        if g.dim == 2:
+            assert all(0.0 <= t <= 1.0 for t in grad)
+
+
+def test_gradient_code_is_compiled_on_first_use_and_shared_per_shape(monkeypatch):
+    sources = []
+    plan_source = gauges._plan_source
+    monkeypatch.setattr(gauges, "_plan_source", lambda *shape: sources.append(plan_source(*shape)) or sources[-1])
+    gauges._plan_code.cache_clear()
+    g1, g2 = (gauge_dvine(VineSpec.uniform("dvine", 4, ilog(a))) for a in (0.3, 0.6))
+    assert len(sources) == 2  # building compiles the scalar and array dialects only
+    grad1 = g1.gradient_evaluator()
+    assert len(sources) == 3 and sources[-1].startswith("def vine_gauge(s0, s1, s2, s3):")
+    assert g1.gradient_evaluator() is grad1
+    grad2 = g2.gradient_evaluator()
+    assert grad2.__code__ is grad1.__code__ and len(sources) == 3
+    x = [1.0, 0.4, 0.2, 1.0]
+    assert grad1(*x)[0] == g1(x) != grad2(*x)[0] == g2(x)
+
+
+def test_gradient_at_zero_coordinates_takes_the_documented_limits():
+    # alpha = 1: V(1/p, 1/q) = p + q, so every vine gauge is the sum of its
+    # coordinates and every partial is 1, at zero margins (0^0 = 1) and at
+    # two zero margins alike
+    for build, structure in ((gauge_dvine, "dvine"), (gauge_cvine, "cvine")):
+        gradient = build(VineSpec.uniform(structure, 5, ilog(1.0))).gradient_evaluator()
+        for x in ([0.0] * 5, [1.0, 0.0, 0.0, 0.0, 2.0], [0.0, 0.5, 0.0, 0.0, 0.0], [0.3, 0.4, 0.5, 0.6, 0.7]):
+            value, grad = gradient(*x)
+            assert value == pytest.approx(sum(x), rel=1e-15) and grad == [1.0] * 5
+    # alpha < 1: a zero margin has partial 0 and two zero margins 1 each
+    gradient = inverted_ev_gauge(Logistic(0.5)).gradient_evaluator()
+    assert gradient(2.0, 0.0) == (2.0, [1.0, 0.0])
+    assert gradient(0.0, 0.0) == (0.0, [1.0, 1.0])

@@ -1,5 +1,5 @@
-"""Property tests of the D-vine and C-vine gauges, their projections and
-eta_dvine/eta_cvine."""
+"""Property tests of the D-vine and C-vine gauges, their gradients, their
+projections and eta_dvine/eta_cvine."""
 
 from itertools import combinations
 
@@ -16,16 +16,18 @@ from vinetail import (
     gauge_cvine,
     gauge_dvine,
     gauge_project,
+    gauge_trivariate,
     inverted_ev_gauge,
 )
 from vinetail.vines import expected_edges
 
-BUILD = {"dvine": (gauge_dvine, eta_dvine), "cvine": (gauge_cvine, eta_cvine)}
+BUILD = {"dvine": (gauge_dvine, eta_dvine), "cvine": (gauge_cvine, eta_cvine),
+         "trivariate": (gauge_trivariate, None)}
 
 
 @st.composite
 def vines(draw):
-    structure = draw(st.sampled_from(sorted(BUILD)))
+    structure = draw(st.sampled_from(["cvine", "dvine"]))
     d = draw(st.integers(3, 7))
     edges = expected_edges(structure, d)
     alphas = draw(st.lists(st.floats(0.3, 1.0), min_size=len(edges), max_size=len(edges)))
@@ -81,6 +83,40 @@ def test_scalar_path_matches_array_path(data):
 @given(vines())
 def test_eta_is_reciprocal_gauge_at_ones(spec):
     assert BUILD[spec.structure][1](spec) == 1.0 / gauge(spec)(np.ones(spec.d))
+
+
+@st.composite
+def logistic_vines(draw, top):
+    # all-IEV logistic vines, whose plans have a gradient dialect
+    structure = draw(st.sampled_from(sorted(BUILD)))
+    d = 3 if structure == "trivariate" else draw(st.integers(2, 8))
+    edges = expected_edges(structure, d)
+    alphas = draw(st.lists(st.floats(0.05, top), min_size=len(edges), max_size=len(edges)))
+    return VineSpec(d, structure, {e: PairCopula("iev", Logistic(a)) for e, a in zip(edges, alphas)})
+
+
+@given(st.data())
+def test_gradient_dialect_matches_the_scalar_value_and_finite_differences(data):
+    # positive coordinates take central differences.  A zero coordinate runs
+    # the V(x, inf) = 1/x limits, and its partial is one-sided: it takes a
+    # forward difference when every alpha is at most 1/2, where the
+    # difference's error O(h^(1/alpha - 1)) is O(h)
+    top = data.draw(st.sampled_from([0.5, 1.0]))
+    spec = data.draw(logistic_vines(top))
+    g = gauge(spec)
+    scalar, gradient = g.scalar_evaluator(), g.gradient_evaluator()
+    x = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 4.0)), min_size=spec.d, max_size=spec.d))
+    value, grad = gradient(*x)
+    assert value == scalar(*x) and len(grad) == spec.d
+    for k, v in enumerate(x):
+        up, down = x.copy(), x.copy()
+        if v > 0.0:
+            h = 1e-6 * v
+            up[k], down[k] = v + h, v - h
+            assert abs(grad[k] - (scalar(*up) - scalar(*down)) / (2.0 * h)) <= 1e-6
+        elif top == 0.5:
+            up[k] = 1e-8
+            assert abs(grad[k] - (scalar(*up) - value) / 1e-8) <= 1e-6
 
 
 KEEPS_4 = [keep for r in (2, 3) for keep in combinations(range(1, 5), r)]

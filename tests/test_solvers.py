@@ -1,8 +1,11 @@
-"""The Nelder-Mead, bounded Brent and bisection solvers run on Python floats.
+"""The Nelder-Mead, bounded Brent, bisection and quasi-Newton solvers run on
+Python floats.
 
-Each repeats scipy's solver step for step, so on inputs without tied simplex
-values they return scipy's point, value and evaluation count bit for bit.
-scipy is a test dependency only: importing the package must not load it.
+The first three repeat scipy's solver step for step, so on inputs without
+tied simplex values they return scipy's point, value and evaluation count bit
+for bit.  The projected quasi-Newton solve has no scipy twin step for step;
+it must reach the minimiser scipy's L-BFGS-B reaches.  scipy is a test
+dependency only: importing the package must not load it.
 """
 
 import math
@@ -12,13 +15,14 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy import optimize
 
 from vinetail.errors import ConvergenceError
 from vinetail.eta import _bisect
-from vinetail.gauges import _fminbound, _nelder_mead
+from vinetail.gauges import _fminbound, _nelder_mead, _projected_gradient, _quasi_newton
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -168,6 +172,79 @@ def test_nelder_mead_ties_during_the_solve():
     for maxfev in range(2, 12):
         assert _nelder_mead(plateau, [[0.5], [3.0]], [0.0], maxfev) == ([0.5], 1.0, maxfev)
         assert _nelder_mead(steps, [[0.0], [2.0]], [0.0], maxfev) == ([0.0], 0.5, min(maxfev, 4))
+
+
+# ---------------------------------------------------------------------------
+# projected quasi-Newton
+# ---------------------------------------------------------------------------
+
+@st.composite
+def box_problems(draw):
+    # f(x) = 1 + (x - c)'A(x - c)/2 + k sum (x - c)^4 on x >= lower, with A
+    # positive definite; a centre below a bound makes that bound active
+    n = draw(st.integers(2, 6))
+    rows = [[draw(st.floats(-1.0, 1.0)) for _ in range(n)] for _ in range(n)]
+    A = np.array(rows) @ np.array(rows).T + draw(st.floats(0.05, 1.0)) * np.eye(n)
+    lower = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+    centre = [lo + draw(st.floats(-1.0, 2.0)) for lo in lower]
+    k = draw(st.sampled_from([0.0, 0.5]))
+    start = [lo + draw(st.floats(0.0, 3.0)) for lo in lower]
+    return A, centre, k, lower, start
+
+
+@given(box_problems())
+def test_quasi_newton_matches_lbfgsb(problem):
+    A, centre, k, lower, start = problem
+    c = np.array(centre)
+
+    def fg(x):
+        z = np.array(x) - c
+        Az = A @ z
+        return 1.0 + 0.5 * float(z @ Az) + k * float(np.sum(z**4)), (Az + 4.0 * k * z**3).tolist()
+
+    x, fx, nfev = _quasi_newton(fg, start, lower, 2000)
+    ref = optimize.minimize(fg, start, jac=True, method="L-BFGS-B", bounds=[(lo, None) for lo in lower],
+                            options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 2000})
+    assert nfev < 2000
+    assert fx <= ref.fun + 1e-12
+    assert_allclose(x, ref.x, rtol=0, atol=1e-5)
+    # the point is feasible, meets strictly active bounds (to rounding: the
+    # solve ends once a step's predicted decrease is below 1e-15 f) and has
+    # a vanishing projected gradient
+    grad = fg(x)[1]
+    assert all(v >= lo for v, lo in zip(x, lower))
+    for v, r, gk, lo in zip(x, ref.x, grad, lower):
+        if r == lo and gk > 1e-3:
+            assert v - lo <= 1e-12
+    assert max(map(abs, _projected_gradient(x, grad, lower))) <= 1e-6
+
+
+def test_quasi_newton_leaves_a_symmetry_axis():
+    # f is symmetric under x1 <-> x2 and the start lies on that axis, where
+    # the gradient keeps both partials equal: the axis point (1, 1) is a
+    # saddle and the minima are (1 +- 1/sqrt(2)) off it, one on each side
+    def fg(x):
+        u, v = x[0] - x[1], x[0] + x[1] - 2.0
+        return 2.0 + (u * u - 0.5) ** 2 + v * v, [4.0 * u * (u * u - 0.5) + 2.0 * v,
+                                                  -4.0 * u * (u * u - 0.5) + 2.0 * v]
+
+    x, fx, nfev = _quasi_newton(fg, [1.5, 1.5], [0.0, 0.0], 400)
+    assert fx == pytest.approx(2.0, abs=1e-12) and abs(x[0] - x[1]) == pytest.approx(0.5**0.5, abs=1e-6)
+
+
+def test_quasi_newton_stops_at_its_budget():
+    calls = []
+
+    def fg(x):
+        calls.append(x)
+        return (x[0] - 5.0) ** 2 + (x[1] - 7.0) ** 4 + 1.0, [2.0 * (x[0] - 5.0), 4.0 * (x[1] - 7.0) ** 3]
+
+    for maxfev in (1, 2, 5):
+        calls.clear()
+        x, fx, nfev = _quasi_newton(fg, [0.0, 0.0], [0.0, 0.0], maxfev)
+        assert nfev == len(calls) <= maxfev and fx == fg(x)[0]
+    calls.clear()
+    assert _quasi_newton(fg, [-1.0, 2.0], [0.0, 0.0], 0) == ([0.0, 2.0], math.inf, 0) and not calls
 
 
 # ---------------------------------------------------------------------------
