@@ -22,8 +22,6 @@ from .eta import (
     CLOSED,
     NUMERIC,
     EtaResult,
-    eta_cvine,
-    eta_dvine,
     eta_dvine_ilog_closed,
     eta_mixed_trivariate,
     eta_numeric,
@@ -136,9 +134,6 @@ def cmd_eta(args) -> int:
         res = eta_numeric(_gauge_for_spec(spec), C)
     elif spec.d == 3 and spec.structure in (TRIVARIATE, DVINE):
         res = eta_mixed_trivariate(spec, C)
-    elif len(C) == spec.d and spec.all_iev():
-        fn = eta_dvine if spec.structure == DVINE else eta_cvine
-        res = EtaResult(eta=fn(spec), argmin=np.ones(spec.d), method=CLOSED)
     else:
         res = eta_subvine(spec, C)
     if args.method == "closed" and res.method == NUMERIC:

@@ -11,12 +11,15 @@ root solves for the stationary points with proved unique roots (``_bisect``,
 scipy's bisection on Python floats, raising ``ConvergenceError``), and, as
 the general fallback, numerical minimisation over that box with the
 gauge box minimiser ``gauges._minimise_gauge``: one bound-constrained
-local solve in x per start (projected quasi-Newton on the gauges with a
-gradient, Nelder-Mead on the others) and a Nelder-Mead polish of the best
-point, within a budget set by the number of starts and not by the number
-of box faces.
+local solve in x per start, within a budget set by the number of starts
+and not by the number of box faces.  On the gauges with a gradient these
+are projected quasi-Newton solves, and their gradient gives the KKT
+residual of the result; on the others they are Nelder-Mead solves, with a
+Nelder-Mead polish of the best point.
 1/g(1, ..., 1) is always a lower bound for eta, with equality exactly when
-the minimiser sits at the all-ones point.
+the minimiser sits at the all-ones point.  For the D-/C-vine recursions,
+which return that value, the gradient at the all-ones point tells the two
+apart where a partial is negative (``eta_subvine`` over every variable).
 
 For an all-IEV D- or C-vine, ``eta_subvine`` first shrinks the problem to
 the smallest sub-vine S that holds C: the margin of a vine on a sub-vine's
@@ -120,6 +123,24 @@ def _normalise_labels(C, dim):
 # generic numeric minimisation
 # ---------------------------------------------------------------------------
 
+def _kkt_residual(scalar, x, fx, grad, lower):
+    """The largest projected partial of g at x on the box x >= lower
+    (``gauges._projected_gradient``), which vanishes at a KKT point, and the
+    number of value evaluations it took.  At a kink on a bound the gradient
+    dialect can give a partial of the wrong sign, so the negative partial of
+    a coordinate at its bound counts only when the probe
+    g(x + 1e-6 max(x) e_k) reads below fx = g(x)."""
+    h = 1e-6 * max(x)
+    residual, n_probes = 0.0, 0
+    for k, (v, lo, pk) in enumerate(zip(x, lower, _projected_gradient(x, grad, lower))):
+        if pk < 0.0 and v == lo:
+            n_probes += 1
+            if not scalar(*x[:k], v + h, *x[k + 1:]) < fx:
+                continue
+        residual = max(residual, abs(pk))
+    return residual, n_probes
+
+
 def eta_numeric(g: Gauge, C=None, n_starts: int = 8, maxfev: int = 400) -> EtaResult:
     """eta_C by bound-constrained multi-start minimisation of the gauge.
 
@@ -129,23 +150,24 @@ def eta_numeric(g: Gauge, C=None, n_starts: int = 8, maxfev: int = 400) -> EtaRe
     (x_c = 1, x_k = 0) are reached exactly.  The gauge alone picks the
     solver: the projected quasi-Newton solve when it has a gradient
     evaluator (``Gauge.gradient_evaluator``, the all-IEV logistic vines),
-    bounded Nelder-Mead otherwise.  The starts are corner + s for n_starts
-    log-spaced s in [0.05, 20] and a near-corner s = 1e-8, where the corner
-    (ones on C, zeros elsewhere) is the lower bound and one more candidate.
-    The best point is polished by Nelder-Mead restarts on fresh simplices
-    with the evaluations the starts left unused, so at most
+    whose best start is the result, and bounded Nelder-Mead otherwise, whose
+    best start Nelder-Mead restarts then polish.  The starts are corner + s
+    for n_starts log-spaced s in [0.05, 20] and a near-corner s = 1e-8,
+    where the corner (ones on C, zeros elsewhere) is the lower bound and one
+    more candidate.  The corner is taken when it matches the optimum to
+    rounding, and the best point is otherwise rescaled by homogeneity so
+    that its smallest C coordinate is one.  At most
     (n_starts + 1) * maxfev + 2 evaluations are made in all, value-only and
-    value-and-gradient together.  It is then rescaled by homogeneity so that
-    its smallest C coordinate is one, and the corner is taken when it
-    matches the optimum to rounding.
+    value-and-gradient together, and with a gradient up to d more probes
+    of the KKT residual.
 
     The diagnostics give the solver as ``local_solver`` ("quasi-newton" or
     "nelder-mead"), the evaluation counts as ``n_gauge_evals`` (value only)
     and ``n_gradient_evals`` (value and gradient), and the spread of the
     starts' values.  With a gradient, ``kkt_residual`` is the largest
-    projected partial at the argmin, which vanishes at a KKT point of the
-    box, and ``suspicious_landscape`` flags a residual above 1e-6; without
-    one it flags a spread above 1e-4.
+    projected partial at the argmin (``_kkt_residual``), which vanishes at
+    a KKT point of the box, and ``suspicious_landscape`` flags a residual
+    above 1e-6; without one it flags a spread above 1e-4.
     """
     d = g.dim
     C = _normalise_labels(C if C is not None else range(1, d + 1), d)
@@ -154,30 +176,27 @@ def eta_numeric(g: Gauge, C=None, n_starts: int = 8, maxfev: int = 400) -> EtaRe
     corner[cons] = 1.0
 
     found = _minimise_gauge(g, corner, range(d), n_starts, maxfev)
-    best_val, best_x, runs = found.value, found.x, found.runs
+    best_val, best_x, grad, runs = found.value, found.x, found.gradient, found.runs
     n_evals, n_grad = found.n_evals, found.n_gradient_evals
     if not np.isfinite(best_val):
         raise ConvergenceError("no minimisation start produced a finite gauge value",
                                {"C": C, "candidates": len(runs) + 1})
 
-    # homogeneity clean-up: scale so that min over C equals one exactly
-    gradient, grad = g.gradient_evaluator(), None
+    # homogeneity clean-up: take the corner when the optimum matches it to
+    # rounding (g(x/m) = g(x)/m), else scale so that min over C is one exactly
+    scalar, gradient = g.scalar_evaluator(), g.gradient_evaluator()
     m = float(np.min(best_x[cons]))
-    if m > 0 and abs(m - 1.0) > 1e-12:
-        best_x = best_x / m
-        if gradient is None:
-            best_val = float(g.scalar_evaluator()(*best_x.tolist()))  # the evaluator n_gauge_evals counts
-            n_evals += 1
-        else:
+    snap = found.corner_value <= best_val / m + 1e-12 and not np.array_equal(best_x, corner)
+    if snap or abs(m - 1.0) > 1e-12:
+        best_x = corner if snap else best_x / m
+        if gradient is not None:
             best_val, grad = gradient(*best_x.tolist())
             n_grad += 1
-
-    # snap to the corner when the optimum matches it to rounding
-    if found.corner_value <= best_val + 1e-12:
-        best_val, best_x, grad = found.corner_value, corner, found.corner_gradient
-    if gradient is not None and grad is None:
-        grad = gradient(*best_x.tolist())[1]
-        n_grad += 1
+        elif snap:
+            best_val = found.corner_value
+        else:
+            best_val = float(scalar(*best_x.tolist()))  # the evaluator n_gauge_evals counts
+            n_evals += 1
 
     spread = float(np.max(runs) - np.min(runs))
     diagnostics = {
@@ -191,7 +210,8 @@ def eta_numeric(g: Gauge, C=None, n_starts: int = 8, maxfev: int = 400) -> EtaRe
     if gradient is None:
         diagnostics["suspicious_landscape"] = bool(spread > 1e-4)
     else:
-        kkt = max(map(abs, _projected_gradient(best_x.tolist(), grad, corner.tolist())))
+        kkt, n_probes = _kkt_residual(scalar, best_x.tolist(), best_val, grad, corner.tolist())
+        diagnostics["n_gauge_evals"] += n_probes
         diagnostics |= {"kkt_residual": kkt, "suspicious_landscape": bool(kkt > 1e-6)}
     return EtaResult(eta=1.0 / best_val, argmin=best_x, method=NUMERIC, diagnostics=diagnostics)
 
@@ -444,9 +464,11 @@ def eta_dvine(spec: VineSpec) -> float:
 
     Reciprocals of eta combine exactly like the block gauges evaluated at
     the all-ones point, so this is 1/g(1, ..., 1) through the gauge's own
-    evaluation plan.  Derived for inverted-logistic components; other
-    all-IEV measures fall back to numeric minimisation of the recursive
-    gauge (with a warning).
+    evaluation plan.  That is eta only where the minimum over x >= 1 sits
+    at the all-ones point, which can fail for unequal parameters;
+    ``eta_subvine`` over every variable checks it with the gradient there.
+    Derived for inverted-logistic components; other all-IEV measures fall
+    back to numeric minimisation of the recursive gauge (with a warning).
     """
     if spec.structure not in (DVINE, TRIVARIATE):
         raise UnsupportedCombinationError("eta_dvine requires a dvine structure")
@@ -486,6 +508,35 @@ def eta_dvine_ilog_closed(alpha: float, d: int) -> float:
 # sub-vine margins
 # ---------------------------------------------------------------------------
 
+def _eta_whole_vine(g: Gauge) -> EtaResult:
+    """eta over every variable of a vine: the closed recursion
+    1/g(1, ..., 1) when the gradient there certifies it, else
+    ``eta_numeric`` with ``fallback_reason`` in the diagnostics.
+
+    The closed value is eta only if the minimum of g over x >= 1 sits at
+    the all-ones point.  A partial below -1e-12 there shows a descent
+    direction into the box, so the minimum lies elsewhere; with none, the
+    all-ones point is a KKT point of the box, and ``kkt_residual`` is the
+    largest projected partial.  The gradient dialect's value is the scalar
+    one bit for bit, so a certified eta is the recursion's.  A gauge with
+    no gradient dialect (an edge other than logistic) is not certified."""
+    gradient = g.gradient_evaluator()
+    if gradient is None:
+        reason = "the edges have no gradient to certify 1/g(1, ..., 1)"
+    else:
+        ones = [1.0] * g.dim
+        value, grad = gradient(*ones)
+        below = [f"x{k + 1}" for k, gk in enumerate(grad) if gk < -1e-12]
+        if not below:
+            kkt = max(map(abs, _projected_gradient(ones, grad, ones)))
+            return EtaResult(eta=1.0 / value, argmin=np.ones(g.dim), method=CLOSED,
+                             diagnostics={"kkt_residual": kkt})
+        reason = f"g decreases from (1, ..., 1) along {', '.join(below)}: 1/g(1, ..., 1) understates eta"
+    res = eta_numeric(g)
+    return EtaResult(eta=res.eta, argmin=res.argmin, method=res.method,
+                     diagnostics=res.diagnostics | {"fallback_reason": reason})
+
+
 def eta_subvine(spec: VineSpec, C) -> EtaResult:
     """eta_C for an all-IEV D- or C-vine, solved on the smallest sub-vine
     S that holds C.
@@ -495,10 +546,11 @@ def eta_subvine(spec: VineSpec, C) -> EtaResult:
     eta over the relabelled C.  It is solved by the route the marginal has:
     1/V(1, 1) of its one edge on two nodes, ``eta_mixed_trivariate`` on a
     three-node D-vine block, and ``eta_numeric`` on the marginal's gauge
-    otherwise, in fewer dimensions; when S is the whole vine that is
-    ``eta_numeric`` on the vine's gauge, as if called directly.  The closed
-    recursion is not used even where S = C, because 1/g(1, ..., 1) can
-    understate eta for unequal parameters.
+    otherwise, in fewer dimensions.  When S is the whole vine there is no
+    marginal: C of every variable takes the closed recursion
+    1/g(1, ..., 1) where the gradient at the all-ones point certifies it
+    (``_eta_whole_vine``), and any other C, or an uncertified recursion,
+    ``eta_numeric`` on the vine's gauge, as if called directly.
 
     The argmin takes zeros on the dropped coordinates: a plan step that
     meets a zero margin takes V(x, inf) = 1/x, so g(x_S, 0) = g_S(x_S).  One
@@ -512,7 +564,7 @@ def eta_subvine(spec: VineSpec, C) -> EtaResult:
     C = _normalise_labels(C, spec.d)
     S = spec.hull(C)
     if len(S) == spec.d:
-        return eta_numeric(g, C)
+        return _eta_whole_vine(g) if len(C) == spec.d else eta_numeric(g, C)
     margin = spec.marginal(S)
     C_S = [S.index(c) + 1 for c in C]
     if len(S) == 2:

@@ -20,10 +20,12 @@ module builds gauges analytically:
 
 and numerically: projections onto coordinate subsets by minimising over the
 dropped coordinates.  One box-constrained minimiser, ``_minimise_gauge``,
-serves the projections and ``eta.eta_numeric`` alike.  Of its three
-solvers, ``_nelder_mead`` and ``_fminbound`` repeat scipy's bounded
-Nelder-Mead and bounded Brent step for step, and ``_quasi_newton`` is a
-projected BFGS solve for the gauges with a gradient.  All three run on
+serves the projections and ``eta.eta_numeric`` alike, with one local
+solver per gauge.  ``_fminbound`` repeats scipy's bounded Brent step for
+step and serves one free coordinate.  For more, ``_quasi_newton`` is a
+projected BFGS solve for the gauges with a gradient, whose starts are the
+whole solve, and ``_nelder_mead`` repeats scipy's bounded Nelder-Mead step
+for step for the others, polishing the best start.  All three run on
 Python floats, so the scalar evaluators get floats with no array round
 trip, and importing the package does not load scipy.
 """
@@ -706,13 +708,13 @@ def _quasi_newton(fg, x, lower, maxfev):
     steepest-descent step finds no Armijo point, once the decrease
     -grad'(x_t - x) a trial step predicts is at most 1e-15 |f(x)| (rounding
     level), or after maxfev calls of fg.  Returns the last point, its value
-    (inf when maxfev < 1, and no call is made) and the number of calls.
+    and gradient, and the number of calls (inf, None and 0 if maxfev < 1).
     """
     n = len(x)
     tilt = [1.05**k for k in range(n)]
     x = [lo if v <= lo else v for v, lo in zip(x, lower)]
     if maxfev < 1:  # as Nelder-Mead, which then evaluates nothing either
-        return x, math.inf, 0
+        return x, math.inf, None, 0
     f, grad = fg(x)
     nfev = 1
     H = None  # None is diag(tilt)
@@ -768,20 +770,20 @@ def _quasi_newton(fg, x, lower, maxfev):
         c = rho * rho * _dot(y, hy) + rho
         H = [[h + (c * si - rho * hi) * sj - rho * si * hj for h, sj, hj in zip(row, s, hy)]
              for row, si, hi in zip(H, s, hy)]
-    return x, f, nfev
+    return x, f, grad, nfev
 
 
 class _BoxMinimum(NamedTuple):
-    """What ``_minimise_gauge`` found: the best value and its argmin, the
-    corner value g(lower) and, for a gauge with a gradient and two or more
-    free coordinates, its gradient in all d coordinates (else None), the
+    """What ``_minimise_gauge`` found: the best value, its argmin and, for a
+    gauge with a gradient and two or more free coordinates, the partials in
+    the free coordinates there (else None), the corner value g(lower), the
     value each start reached, and the counts of value-only and of
     value-and-gradient evaluations."""
 
     value: float
     x: np.ndarray
+    gradient: list | None
     corner_value: float
-    corner_gradient: list | None
     runs: list
     n_evals: int
     n_gradient_evals: int
@@ -798,11 +800,11 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
     g(x) >= max(x) puts every minimiser below g(lower).  Two or more free
     run one local solve per start lower + s m, for n_starts log-spaced s in
     [0.05, 20] and a near-corner s = 1e-8: the projected quasi-Newton solve
-    (``_quasi_newton``) when g has a gradient evaluator, which then also
-    evaluates the corner, and bounded Nelder-Mead (``_nelder_mead``)
-    otherwise.  Nelder-Mead restarts then polish the best point with the
-    evaluations the corner and the starts left of (n_starts + 1) * maxfev + 1.
-    The solvers run on Python floats, so the evaluators get floats straight
+    (``_quasi_newton``) when g has a gradient evaluator, whose best start,
+    with its gradient, is the result, and bounded Nelder-Mead
+    (``_nelder_mead``) otherwise, whose best start Nelder-Mead restarts
+    polish with the evaluations left of (n_starts + 1) * maxfev + 1.  The
+    solvers run on Python floats, so the evaluators get floats straight
     from them.
     """
     lower = np.asarray(lower, dtype=float)
@@ -810,12 +812,30 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
     scalar = g.scalar_evaluator()
     gradient = g.gradient_evaluator() if len(free) > 1 else None
     xs = lower.tolist()
-    if gradient is None:
-        corner_val, corner_grad, n_evals, n_grad = float(scalar(*xs)), None, 1, 0
-    else:
-        corner_val, corner_grad = gradient(*xs)
-        n_evals, n_grad = 0, 1
     m = max(xs)
+    if len(free) == len(xs):
+        def fun(t):
+            return float(scalar(*t))
+
+        def fg(t):
+            return gradient(*t)
+    else:
+        def fun(t):
+            for k, v in zip(free, t):
+                xs[k] = v
+            return float(scalar(*xs))
+
+        def fg(t):
+            for k, v in zip(free, t):
+                xs[k] = v
+            val, grad = gradient(*xs)
+            return val, [grad[k] for k in free]
+
+    lo = [xs[k] for k in free]
+    if gradient is None:
+        corner_val, corner_grad, n_evals, n_grad = fun(lo), None, 1, 0
+    else:
+        (corner_val, corner_grad), n_evals, n_grad = fg(lo), 0, 1
 
     if len(free) == 1:
         j = free[0]
@@ -840,51 +860,32 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
                 best_t, best_val = t, val
         best_x = lower.copy()
         best_x[j] = best_t
-        return _BoxMinimum(best_val, best_x, corner_val, corner_grad, runs, n_evals, n_grad)
+        return _BoxMinimum(best_val, best_x, None, corner_val, runs, n_evals, n_grad)
 
-    if len(free) == len(xs):
-        def fun(t):
-            return float(scalar(*t))
-
-        def fg(t):
-            return gradient(*t)
-    else:
-        def fun(t):
-            for k, v in zip(free, t):
-                xs[k] = v
-            return float(scalar(*xs))
-
-        def fg(t):
-            for k, v in zip(free, t):
-                xs[k] = v
-            val, grad = gradient(*xs)
-            return val, [grad[k] for k in free]
-
-    lo = [xs[k] for k in free]
-    best_val, best_t, runs = corner_val, lo, []
+    best_val, best_t, best_grad, runs = corner_val, lo, corner_grad, []
     for s in [*np.geomspace(0.05, 20.0, int(n_starts)).tolist(), 1e-8]:
         x0 = [a + s * m for a in lo]
         if gradient is not None:
-            t, val, nfev = _quasi_newton(fg, x0, lo, maxfev)
+            t, val, grad, nfev = _quasi_newton(fg, x0, lo, maxfev)
             n_grad += nfev
         else:
             # scipy's default simplex for a start with no zero coordinate
             sim = [x0] + [x0[:k] + [1.05 * x0[k]] + x0[k + 1:] for k in range(len(x0))]
             t, val, nfev = _nelder_mead(fun, sim, lo, maxfev)
+            grad = None
             n_evals += nfev
         runs.append(val)
         if val < best_val:
-            best_val, best_t = val, t
+            best_val, best_t, best_grad = val, t, grad
 
-    # polish: clipping to the box can collapse a simplex onto a face or a
-    # corner next to the minimum, and a quasi-Newton solve can stop on a face
-    # x_k = lower_k where g has a kink, so restart from the best point on
+    # Nelder-Mead polish: clipping to the box can collapse a simplex onto a
+    # face or a corner next to the minimum, so restart from the best point on
     # fresh simplices, ten times smaller after each restart that does not
     # improve.  The step floor 0.005 m lets a simplex built at a coordinate
     # the near-corner start left at about 1e-8 leave that face.
-    budget = len(runs) * maxfev - (n_evals + n_grad - 1)
+    budget = len(runs) * maxfev + 1 - n_evals
     scale = 0.05
-    while math.isfinite(best_val) and budget > len(free) and scale > 1e-6:
+    while gradient is None and math.isfinite(best_val) and budget > len(free) and scale > 1e-6:
         sim = [best_t] + [best_t[:k] + [t + max(t, 0.005 * m) * scale] + best_t[k + 1:]
                           for k, t in enumerate(best_t)]
         t, val, nfev = _nelder_mead(fun, sim, lo, budget)
@@ -896,7 +897,7 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
             scale *= 0.1
     best_x = lower.copy()
     best_x[free] = best_t
-    return _BoxMinimum(best_val, best_x, corner_val, corner_grad, runs, n_evals, n_grad)
+    return _BoxMinimum(best_val, best_x, best_grad, corner_val, runs, n_evals, n_grad)
 
 
 def gauge_project(g: Gauge, keep) -> Gauge:

@@ -23,7 +23,7 @@ from vinetail import (
 from vinetail.cli import build_parser, main
 from vinetail.vines import expected_edges
 
-from test_eta import ZERO_DENOMINATOR_VINES, zero_denominator_spec
+from test_eta import UNCERTIFIED_VINES, ZERO_DENOMINATOR_VINES, zero_denominator_spec
 
 
 @pytest.fixture
@@ -369,7 +369,7 @@ def test_eta_json_carries_diagnostics(capsys, ilog_spec):
     assert doc["method"] == "numeric"
     assert doc["eta"] == pytest.approx(0.7395, abs=1e-4)
     diag = doc["diagnostics"]
-    assert diag["n_starts"] == 9 and diag["n_gauge_evals"] > 0
+    assert diag["n_starts"] == 9 and diag["n_gauge_evals"] == 0
     assert isinstance(diag["spread"], float) and isinstance(diag["suspicious_landscape"], bool)
     assert diag["local_solver"] == "quasi-newton" and diag["n_gradient_evals"] > 0
     assert 0.0 <= diag["kkt_residual"] <= 1e-6 and diag["suspicious_landscape"] is False
@@ -450,3 +450,29 @@ def test_eta_dvine_pair_solves_on_its_sub_vine(capsys, tmp_path):
     assert doc["method"] == "numeric" and doc["eta"] == full.eta
     assert doc["diagnostics"]["n_gauge_evals"] == full.diagnostics["n_gauge_evals"]
     assert "marginal" not in doc["diagnostics"]
+
+
+@pytest.mark.parametrize("structure, alphas, reference, at_ones", UNCERTIFIED_VINES, ids=["cvine", "dvine"])
+def test_eta_whole_vine_falls_back_where_ones_is_not_the_minimum(capsys, tmp_path, structure, alphas, reference,
+                                                                 at_ones):
+    path = tmp_path / "vine.json"
+    path.write_text(zero_denominator_spec(structure, 6, alphas).to_json())
+    code, out = run(capsys, "eta", "--spec", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["method"] == "numeric" and "x4" in doc["diagnostics"]["fallback_reason"]
+    assert doc["eta"] == pytest.approx(reference, abs=1e-8) and doc["eta"] > at_ones + 1e-5
+    code, out = run(capsys, "eta", "--spec", str(path), "--method", "closed")
+    assert code == 3 and "error" in json.loads(out)
+
+
+def test_eta_whole_vine_without_a_gradient_is_not_closed(capsys, tmp_path):
+    from vinetail import AsymmetricLogistic
+
+    spec = VineSpec.uniform("dvine", 4, PairCopula("iev", AsymmetricLogistic(0.5, 0.3, 0.6)))
+    path = tmp_path / "alog.json"
+    path.write_text(spec.to_json())
+    code, out = run(capsys, "eta", "--spec", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["method"] == "numeric" and "no gradient" in doc["diagnostics"]["fallback_reason"]
+    code, out = run(capsys, "eta", "--spec", str(path), "--method", "closed")
+    assert code == 3 and "error" in json.loads(out)

@@ -168,20 +168,21 @@ def test_recursion_resolves_zero_denominators(structure, d, alphas, expected):
 
 
 @pytest.mark.parametrize("structure, a, C, evals, eta, argmin, eta_before, reference", [
-    ("dvine", 0.5, (1, 6), (500, 213), 0.7866772990874611,
+    ("dvine", 0.5, (1, 6), (0, 212), 0.7866772990874611,
      [1.0, 0.23695372236449372, 0.4356887537761208, 0.4411868801556232, 0.28598405329740856, 1.0],
      0.7866772797115702, 0.7866772990874414),
-    ("cvine", 0.45, (1, 3), (175, 126), 0.7320428479728127, [1, 0, 1, 0, 0, 0], 0.7320428479728127,
+    ("cvine", 0.45, (1, 3), (0, 126), 0.7320428479728127, [1, 0, 1, 0, 0, 0], 0.7320428479728127,
      0.7320428479728127),
 ], ids=["dvine", "cvine"])
 def test_numeric_optimiser_path_is_pinned(structure, a, C, evals, eta, argmin, eta_before, reference):
     # the gauge and its gradient must stay bit-identical: any change in their
-    # rounding moves the quasi-Newton and Nelder-Mead paths and with them the
-    # evaluation counts (value-only, value and gradient).  The D-vine is
-    # symmetric under reversal, so the mirror image of this argmin is a
-    # minimiser too; the tilt of the quasi-Newton solve's first step picks
-    # this one.  eta_before is what the pinned-subset solver returned, and
-    # reference the Nelder-Mead solve at 16 starts and maxfev=20000.
+    # rounding moves the quasi-Newton path and with it the evaluation counts
+    # (value-only, value and gradient; with a gradient the starts are the
+    # whole solve, so there are no value-only ones).  The D-vine is symmetric
+    # under reversal, so the mirror image of this argmin is a minimiser too;
+    # the tilt of the quasi-Newton solve's first step picks this one.
+    # eta_before is what the pinned-subset solver returned, and reference the
+    # Nelder-Mead solve at 16 starts and maxfev=20000.
     build = gauge_dvine if structure == "dvine" else gauge_cvine
     res = eta_numeric(build(VineSpec.uniform(structure, 6, ilog(a))), C)
     assert res.diagnostics["local_solver"] == "quasi-newton"
@@ -509,3 +510,75 @@ def test_gauges_without_a_gradient_keep_nelder_mead(g):
     d = res.diagnostics
     assert d["local_solver"] == "nelder-mead" and d["n_gradient_evals"] == 0
     assert "kkt_residual" not in d and d["suspicious_landscape"] == (d["spread"] > 1e-4)
+
+
+# 6-d vines, alphas in expected_edges order, whose gauge decreases from the
+# all-ones point along x4, so the closed recursion 1/g(1, ..., 1) (the last
+# value) understates eta over all six variables; the reference is
+# eta_numeric at 16 starts and maxfev=20000
+UNCERTIFIED_VINES = [
+    ("cvine", [0.395186, 0.517692, 0.447982, 0.541568, 0.550288, 0.326212, 0.305267, 0.634988, 0.403742,
+               0.393732, 0.698258, 0.488105, 0.634585, 0.490541, 0.555627], 0.58288888016332, 0.5828150368350014),
+    ("dvine", [0.613814, 0.41081, 0.302518, 0.333348, 0.627495, 0.567375, 0.352225, 0.352219, 0.461363,
+               0.548146, 0.453012, 0.635334, 0.334296, 0.645995, 0.52807], 0.5706204933822314, 0.5706001575466838),
+]
+
+
+@pytest.mark.parametrize("structure, alphas, reference, at_ones", UNCERTIFIED_VINES, ids=["cvine", "dvine"])
+def test_whole_vine_recursion_is_certified_by_the_gradient(structure, alphas, reference, at_ones):
+    from vinetail.eta import _kkt_residual
+
+    spec = zero_denominator_spec(structure, 6, alphas)
+    assert (eta_dvine if structure == "dvine" else eta_cvine)(spec) == at_ones  # still the bare recursion
+    res = eta_subvine(spec, range(1, 7))
+    assert res.method == "numeric" and "x4" in res.diagnostics["fallback_reason"]
+    assert res.eta == pytest.approx(reference, abs=1e-8)
+    assert res.diagnostics["suspicious_landscape"] is False
+    # the negative partial at ones is genuine: the probe reads below g(1, ..., 1),
+    # so the residual counts it
+    g = (gauge_dvine if structure == "dvine" else gauge_cvine)(spec)
+    value, grad = g.gradient_evaluator()(*[1.0] * 6)
+    assert [k for k, gk in enumerate(grad) if gk < 0.0] == [3]
+    assert _kkt_residual(g.scalar_evaluator(), [1.0] * 6, value, grad, [1.0] * 6) == (-grad[3], 1)
+
+
+@pytest.mark.parametrize("structure", ["dvine", "cvine"])
+def test_whole_uniform_vines_stay_closed(structure):
+    # one alpha on every edge: the recursion's value and the all-ones argmin,
+    # bit for bit, with the residual of the certificate
+    for d in range(2, 9):
+        for a in (0.05, 0.2, 0.5, 0.8, 0.95, 1.0):
+            spec = VineSpec.uniform(structure, d, ilog(a))
+            res = eta_subvine(spec, range(1, d + 1))
+            assert res.method == "closed" and res.diagnostics["kkt_residual"] <= 1e-12
+            assert res.eta == (eta_dvine if structure == "dvine" else eta_cvine)(spec)
+            assert np.array_equal(res.argmin, np.ones(d))
+
+
+def test_whole_vine_without_a_gradient_is_not_certified():
+    import warnings
+
+    spec = VineSpec.uniform("dvine", 4, PairCopula("iev", AsymmetricLogistic(0.5, 0.3, 0.6)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = eta_subvine(spec, (1, 2, 3, 4))
+    assert res.method == "numeric" and "no gradient" in res.diagnostics["fallback_reason"]
+    with pytest.warns(UserWarning):
+        assert res.eta == eta_dvine(spec)
+
+
+# minima on a zero coordinate where g has a kink: the gradient dialect gives
+# that coordinate a negative partial, though g rises along it
+@pytest.mark.parametrize("structure, alphas, C, argmin, k", [
+    ("dvine", [0.7189, 0.9442, 0.0466], (1, 3), [1.0, 0.0, 1.0], 1),
+    ("cvine", [0.9957, 0.9103, 0.8833, 0.3088, 0.8757, 0.8778], (2, 3), [0.0, 1.0, 1.0, 0.0], 0),
+], ids=["dvine", "cvine"])
+def test_kkt_residual_probes_a_negative_partial_at_a_bound(structure, alphas, C, argmin, k):
+    d = len(argmin)
+    g = (gauge_dvine if structure == "dvine" else gauge_cvine)(zero_denominator_spec(structure, d, alphas))
+    res = eta_numeric(g, C)
+    assert_allclose(res.argmin, argmin, rtol=0, atol=0)
+    assert g.gradient_evaluator()(*argmin)[1][k] < -0.03
+    assert res.diagnostics["kkt_residual"] == 0.0 and res.diagnostics["suspicious_landscape"] is False
+    assert res.diagnostics["n_gauge_evals"] == 1  # the one probe
+    assert res.eta == pytest.approx(eta_numeric(g, C, n_starts=16, maxfev=20000).eta, abs=1e-12)

@@ -202,7 +202,7 @@ def test_quasi_newton_matches_lbfgsb(problem):
         Az = A @ z
         return 1.0 + 0.5 * float(z @ Az) + k * float(np.sum(z**4)), (Az + 4.0 * k * z**3).tolist()
 
-    x, fx, nfev = _quasi_newton(fg, start, lower, 2000)
+    x, fx, grad, nfev = _quasi_newton(fg, start, lower, 2000)
     ref = optimize.minimize(fg, start, jac=True, method="L-BFGS-B", bounds=[(lo, None) for lo in lower],
                             options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 2000})
     assert nfev < 2000
@@ -210,8 +210,8 @@ def test_quasi_newton_matches_lbfgsb(problem):
     assert_allclose(x, ref.x, rtol=0, atol=1e-5)
     # the point is feasible, meets strictly active bounds (to rounding: the
     # solve ends once a step's predicted decrease is below 1e-15 f) and has
-    # a vanishing projected gradient
-    grad = fg(x)[1]
+    # a vanishing projected gradient, which the solve returns with the point
+    assert (fx, grad) == fg(x)
     assert all(v >= lo for v, lo in zip(x, lower))
     for v, r, gk, lo in zip(x, ref.x, grad, lower):
         if r == lo and gk > 1e-3:
@@ -228,7 +228,7 @@ def test_quasi_newton_leaves_a_symmetry_axis():
         return 2.0 + (u * u - 0.5) ** 2 + v * v, [4.0 * u * (u * u - 0.5) + 2.0 * v,
                                                   -4.0 * u * (u * u - 0.5) + 2.0 * v]
 
-    x, fx, nfev = _quasi_newton(fg, [1.5, 1.5], [0.0, 0.0], 400)
+    x, fx, grad, nfev = _quasi_newton(fg, [1.5, 1.5], [0.0, 0.0], 400)
     assert fx == pytest.approx(2.0, abs=1e-12) and abs(x[0] - x[1]) == pytest.approx(0.5**0.5, abs=1e-6)
 
 
@@ -241,10 +241,10 @@ def test_quasi_newton_stops_at_its_budget():
 
     for maxfev in (1, 2, 5):
         calls.clear()
-        x, fx, nfev = _quasi_newton(fg, [0.0, 0.0], [0.0, 0.0], maxfev)
-        assert nfev == len(calls) <= maxfev and fx == fg(x)[0]
+        x, fx, grad, nfev = _quasi_newton(fg, [0.0, 0.0], [0.0, 0.0], maxfev)
+        assert nfev == len(calls) <= maxfev and (fx, grad) == fg(x)
     calls.clear()
-    assert _quasi_newton(fg, [-1.0, 2.0], [0.0, 0.0], 0) == ([0.0, 2.0], math.inf, 0) and not calls
+    assert _quasi_newton(fg, [-1.0, 2.0], [0.0, 0.0], 0) == ([0.0, 2.0], math.inf, None, 0) and not calls
 
 
 # ---------------------------------------------------------------------------
