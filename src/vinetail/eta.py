@@ -38,7 +38,15 @@ import numpy as np
 
 from .copulas import EV, IEV
 from .errors import ConvergenceError, DomainError, ParameterError, UnsupportedCombinationError
-from .gauges import Gauge, _minimise_gauge, _projected_gradient, gauge_cvine, gauge_dvine, gauge_trivariate
+from .gauges import (
+    Gauge,
+    _iev_vine_gauge,
+    _minimise_gauge,
+    _projected_gradient,
+    gauge_cvine,
+    gauge_dvine,
+    gauge_trivariate,
+)
 from .measures import Logistic
 from .vines import CVINE, DVINE, TRIVARIATE, VineSpec
 
@@ -559,8 +567,7 @@ def eta_subvine(spec: VineSpec, C) -> EtaResult:
     with ``fallback_reason`` in the diagnostics.  The diagnostics name S,
     in the vine's labels, as ``marginal``.
     """
-    build = gauge_cvine if spec.structure == CVINE else gauge_dvine
-    g = build(spec)
+    g = _iev_vine_gauge(spec)
     C = _normalise_labels(C, spec.d)
     S = spec.hull(C)
     if len(S) == spec.d:
@@ -573,7 +580,7 @@ def eta_subvine(spec: VineSpec, C) -> EtaResult:
     elif len(S) == 3 and spec.structure != CVINE:
         res = eta_mixed_trivariate(margin, C_S)
     else:
-        res = eta_numeric(build(margin), C_S)
+        res = eta_numeric(_iev_vine_gauge(margin), C_S)
     argmin = np.zeros(spec.d)
     argmin[[s - 1 for s in S]] = res.argmin
     gap = abs(g(argmin) * res.eta - 1.0)

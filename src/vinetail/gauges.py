@@ -19,15 +19,16 @@ module builds gauges analytically:
   gradient from a reverse (adjoint) sweep,
 
 and numerically: projections onto coordinate subsets by minimising over the
-dropped coordinates.  One box-constrained minimiser, ``_minimise_gauge``,
-serves the projections and ``eta.eta_numeric`` alike, with one local
-solver per gauge.  ``_fminbound`` repeats scipy's bounded Brent step for
-step and serves one free coordinate.  For more, ``_quasi_newton`` is a
-projected BFGS solve for the gauges with a gradient, whose starts are the
-whole solve, and ``_nelder_mead`` repeats scipy's bounded Nelder-Mead step
-for step for the others, polishing the best start.  All three run on
-Python floats, so the scalar evaluators get floats with no array round
-trip, and importing the package does not load scipy.
+dropped coordinates, except that an all-IEV vine projected onto the nodes
+of a sub-vine gives that sub-vine's gauge.  One box-constrained minimiser,
+``_minimise_gauge``, serves the projections and ``eta.eta_numeric`` alike,
+with one local solver per gauge.  ``_fminbound`` repeats scipy's bounded
+Brent step for step and serves one free coordinate.  For more,
+``_quasi_newton`` is a projected BFGS solve for the gauges with a gradient,
+whose starts are the whole solve, and ``_nelder_mead`` repeats scipy's
+bounded Nelder-Mead step for step for the others, polishing the best
+start.  All three run on Python floats, so the scalar evaluators get floats
+with no array round trip, and importing the package does not load scipy.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ class Gauge:
 
     def __init__(self, dim: int, fn, tag: str, sfn=None, gradient=None):
         self.dim = int(dim)
+        self.spec = None  # the VineSpec of a vine gauge (``_vine_gauge``)
         self._fn = fn
         self._sfn = sfn
         self._gradient = gradient  # builds the gradient evaluator, or None
@@ -475,8 +477,10 @@ def _vine_gauge(spec: VineSpec, tag: str) -> Gauge:
     plan = _compile_vine(spec)
     fn = _bind_plan(d, plan, ARRAY)
     gradient = (lambda: _bind_plan(d, plan, GRADIENT)) if _has_gradient(plan) else None
-    return Gauge(d, lambda x: fn(*(x[..., k] for k in range(d))), tag, sfn=_bind_plan(d, plan, SCALAR),
-                 gradient=gradient)
+    g = Gauge(d, lambda x: fn(*(x[..., k] for k in range(d))), tag, sfn=_bind_plan(d, plan, SCALAR),
+              gradient=gradient)
+    g.spec = spec
+    return g
 
 
 def gauge_trivariate(spec: VineSpec) -> Gauge:
@@ -523,6 +527,14 @@ def gauge_cvine(spec: VineSpec) -> Gauge:
         raise UnsupportedCombinationError("gauge_cvine requires a cvine structure")
     _require_all_iev(spec, "gauge_cvine")
     return _vine_gauge(spec, f"cvine(d={spec.d})")
+
+
+def _iev_vine_gauge(spec: VineSpec) -> Gauge:
+    """The gauge of an all-IEV vine by its structure: ``gauge_cvine`` for a
+    C-vine, ``gauge_dvine`` for a D-vine or the trivariate vine.  It builds
+    a vine's margins too, as ``_iev_vine_gauge(spec.marginal(nodes))``, for
+    ``gauge_project`` and ``eta.eta_subvine`` alike."""
+    return (gauge_cvine if spec.structure == CVINE else gauge_dvine)(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -901,23 +913,51 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
 
 
 def gauge_project(g: Gauge, keep) -> Gauge:
-    """Lower-dimensional gauge: minimise g over the dropped coordinates.
+    """Lower-dimensional gauge: the minimum of g over the dropped coordinates.
 
-    keep is a set of 1-based coordinate labels.  Each point is the box
-    minimum of g with the kept coordinates fixed at their values and the
-    dropped ones >= 0 (``_minimise_gauge``): bounded Brent searches when one
-    coordinate is dropped, multi-start quasi-Newton or Nelder-Mead solves
-    when more are.
+    keep is a set of 1-based coordinate labels.  The limit set of a margin
+    is the projection of the joint limit set, so the projection of an
+    all-IEV vine's gauge onto the nodes of a proper sub-vine (two or more
+    labels with ``spec.hull(keep) == keep``) is that sub-vine's gauge, and
+    it is returned, built as ``eta.eta_subvine`` builds its margins
+    (``_iev_vine_gauge``): a plan step that meets a zero margin takes
+    V(x, inf) = 1/x, so g(x_S, 0) = g_S(x_S), the corner where the search
+    below stops.  It evaluates arrays in one call, with the vine's scalar,
+    array and gradient dialects.
+
+    Every other projection is searched point by point: each value is the
+    box minimum of g with the kept coordinates fixed and the dropped ones
+    >= 0 (``_minimise_gauge``), by bounded Brent searches when one
+    coordinate is dropped and multi-start quasi-Newton or Nelder-Mead
+    solves when more are.  That covers the builtins, single labels and
+    two cases the sub-vine route leaves alone:
+    - a trivariate vine with an EV edge, whose projection onto a tree-1
+      pair need not be that edge's own gauge: for the (EV, IEV, IEV)
+      pattern with alpha 0.5 on every edge, the search reads
+      g(0.3, 0.9, 0) = 2.1 onto (1, 2), where the bivariate EV gauge of
+      edge 12 reads 1.5, so the search keeps the value until the sampler
+      settles which is right;
+    - a keep whose hull is larger than itself: a minimisation over
+      hull(keep) minus keep on the hull's marginal alone can stop above the
+      full-gauge search where two or more coordinates are free.
     The corner, with every dropped coordinate at zero, is a candidate, so a
     projection never reads above g(x, 0).
+
+    Both routes tag the result ``project(<g.tag>; keep=...)``.
     """
     keep = tuple(sorted(set(int(k) for k in keep)))
     if not keep or any(k < 1 or k > g.dim for k in keep):
         raise DomainError(f"keep must be a nonempty subset of 1..{g.dim}")
     dropped = [k - 1 for k in range(1, g.dim + 1) if k not in keep]
-    kept_idx = [k - 1 for k in keep]
     if not dropped:
         return g
+    tag = f"project({g.tag}; keep={keep})"
+    spec = g.spec
+    if spec is not None and len(keep) > 1 and spec.all_iev() and spec.hull(keep) == keep:
+        margin = _iev_vine_gauge(spec.marginal(keep))
+        margin.tag = tag
+        return margin
+    kept_idx = [k - 1 for k in keep]
 
     def minimise_point(x_keep):
         if np.all(x_keep == 0.0):
@@ -932,7 +972,7 @@ def gauge_project(g: Gauge, keep) -> Gauge:
         vals = np.array([minimise_point(row) for row in flat])
         return vals.reshape(x.shape[:-1])
 
-    return Gauge(len(keep), fn, f"project({g.tag}; keep={keep})")
+    return Gauge(len(keep), fn, tag)
 
 
 def boundary_point(g: Gauge, w):

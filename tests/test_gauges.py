@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -454,6 +455,52 @@ def test_projection_polish_leaves_collapsed_face():
     # from that coordinate cannot leave the face x3 = 0
     g = gauge_dvine(dvine4([0.488077, 0.579518, 0.416815, 0.633143, 0.343542, 0.653497]))
     assert gauge_project(g, (2, 4))((1.166474, 0.090259)) <= 1.1667034449 + 1e-9
+
+
+@pytest.mark.parametrize("families", list(itertools.product(["iev", "ev"], repeat=3)), ids="".join)
+def test_trivariate_projections_onto_tree1_pairs_keep_the_search(families):
+    # the all-IEV pattern takes its sub-vine's gauge, which the box search
+    # reaches to rounding; a pattern with an EV edge keeps the search bit for
+    # bit.  For eii the search reads g(0.3, 0.9, 0) = 2.1 onto (1, 2), where
+    # the edge's own bivariate EV gauge reads 1.5
+    spec = VineSpec.trivariate(*(PairCopula(f, Logistic(0.5)) for f in families))
+    g = gauge_trivariate(spec)
+    for keep in ((1, 2), (2, 3)):
+        proj = gauge_project(g, keep)
+        for x in ((0.3, 0.9), (0.9, 0.3), (1.0, 1.0), (0.05, 2.0)):
+            lower = np.zeros(3)
+            lower[[k - 1 for k in keep]] = x
+            ref = gauges._minimise_gauge(g, lower, [({1, 2, 3} - set(keep)).pop() - 1]).value
+            if spec.all_iev():
+                assert abs(proj(x) - ref) <= 1e-12 * ref
+            else:
+                assert proj(x) == ref
+    if families == ("ev", "iev", "iev"):
+        assert gauge_project(g, (1, 2))((0.3, 0.9)) == pytest.approx(2.1, rel=1e-12)
+        assert bev_gauge_from_measure(Logistic(0.5))((0.3, 0.9)) == pytest.approx(1.5, rel=1e-12)
+
+
+def test_sub_vine_projection_arrays_match_single_points():
+    for spec in (VineSpec(5, "dvine", {e: ilog(a) for e, a in zip(expected_edges("dvine", 5),
+                                                                  RNG.uniform(0.3, 0.7, 10))}),
+                 VineSpec(5, "cvine", {e: ilog(a) for e, a in zip(expected_edges("cvine", 5),
+                                                                  RNG.uniform(0.3, 0.7, 10))})):
+        g = gauge_dvine(spec) if spec.structure == "dvine" else gauge_cvine(spec)
+        assert g.spec is spec
+        for keep in ((1, 2), (1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5) if spec.structure == "dvine" else (1, 2, 5)):
+            proj = gauge_project(g, keep)
+            assert proj.tag == f"project({g.tag}; keep={keep})"
+            pts = RNG.uniform(0.05, 2.0, (50, len(keep)))
+            assert_allclose(proj(pts), [proj(p) for p in pts], rtol=1e-13)
+
+
+def test_projection_spec_is_recorded_on_vine_gauges_only():
+    assert independence_gauge().spec is None
+    assert inverted_ev_gauge(Logistic(0.5)).spec is not None
+    g = gauge_dvine(dvine4([0.3, 0.4, 0.5, 0.6, 0.45, 0.55]))
+    # a keep whose hull is larger than itself keeps the search
+    assert gauge_project(g, (1, 3)).spec is None
+    assert gauge_project(g, (2, 3, 4)).spec.edges == g.spec.marginal((2, 3, 4)).edges
 
 
 def test_projection_validates_keep():

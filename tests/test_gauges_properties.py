@@ -19,6 +19,7 @@ from vinetail import (
     gauge_trivariate,
     inverted_ev_gauge,
 )
+from vinetail.gauges import _minimise_gauge
 from vinetail.vines import expected_edges
 
 BUILD = {"dvine": (gauge_dvine, eta_dvine), "cvine": (gauge_cvine, eta_cvine),
@@ -156,3 +157,32 @@ def test_cvine5_projections_onto_sub_vines(alphas, xs):
         x = np.array(xs[:len(keep)])
         ref = gauge_cvine(spec.marginal(keep))(x)
         assert abs(gauge_project(g, keep)(x) - ref) <= 1e-6 * ref
+
+
+@st.composite
+def unequal_vines(draw):
+    structure = draw(st.sampled_from(["cvine", "dvine"]))
+    d = draw(st.integers(3, 6))
+    edges = expected_edges(structure, d)
+    alphas = draw(st.lists(st.floats(0.3, 0.7), min_size=len(edges), max_size=len(edges), unique=True))
+    return VineSpec(d, structure, {e: PairCopula("iev", Logistic(a)) for e, a in zip(edges, alphas)})
+
+
+@given(unequal_vines(), st.lists(coordinate, min_size=5, max_size=5))
+def test_sub_vine_projection_is_the_full_gauge_box_minimum(spec, xs):
+    # the projection onto a proper sub-vine's nodes is that sub-vine's gauge;
+    # the box search on the full gauge reaches the same value another way
+    g = gauge(spec)
+    keeps = [keep for r in range(2, spec.d) for keep in combinations(range(1, spec.d + 1), r)
+             if spec.hull(keep) == keep]
+    for keep in keeps:
+        x = xs[:len(keep)]
+        val = gauge_project(g, keep)(x)
+        if not any(x):
+            assert val == 0.0
+            continue
+        lower = np.zeros(spec.d)
+        lower[[k - 1 for k in keep]] = x
+        ref = _minimise_gauge(g, lower, [k for k in range(spec.d) if k + 1 not in keep]).value
+        assert abs(val - ref) <= 1e-12 * ref
+
