@@ -14,8 +14,15 @@ ln(V1 V2 - V12) together: its w is the h-function, and V and ln K give the
 density.  ``measure._solve_t`` inverts w in the log-scale coordinate, so
 that the inverse stays accurate out to t = 35 and beyond: by default with
 safeguarded Newton on s = ln t over that kernel, and for the logistic
-measure with Newton on one convex equation, one expm1 per step.
-Everything broadcasts over numpy arrays.
+measure with Halley steps on one convex equation, one expm1 per step.
+
+The uniform-scale methods validate their inputs and broadcast over numpy
+arrays.  ``hfunc_x`` and ``hinv_x`` are the same h-function and inverse on
+exponential margins, x = -ln(1 - u) in and out, for the sampling cascade:
+they validate nothing and reach any depth of the tail.  On an IEV edge x is
+the measure's own coordinate, so the h-function is -w(xu, xv) and the
+inverse is ``_solve_t(-xp, xv)``, both exact; an EV edge passes through
+z = -ln(1 - e^-x) and back.
 """
 
 from __future__ import annotations
@@ -48,6 +55,17 @@ def _check_unit(name, a, lo_open=False, hi_open=False):
 
 def _clamped(a):
     return np.clip(a, _EDGE, 1.0 - _EDGE)
+
+
+_LN2 = float(np.log(2.0))
+
+
+def _flip(x):
+    """-ln(1 - e^-x): the EV coordinate z = -ln u of x = -ln(1 - u), and x
+    of z, since the map is its own inverse.  Each branch keeps full relative
+    precision on its side of ln 2."""
+    with np.errstate(divide="ignore"):  # the limits at 0 and inf
+        return np.where(x > _LN2, -np.log1p(-np.exp(-x)), -np.log(-np.expm1(-x)))
 
 
 class PairCopula:
@@ -161,3 +179,26 @@ class PairCopula:
             t = self.measure._solve_t(wstar, self._t(_clamped(v_b[inner])))
             u[inner] = np.exp(-t) if self.is_ev else -np.expm1(-t)
         return _maybe_scalar(u)
+
+    # exponential coordinates: the sampling cascade's entry points
+
+    def hfunc_x(self, xu, xv):
+        """-ln(1 - hfunc(u, v)) at x = -ln(1 - u), -ln(1 - v).
+
+        Float arrays of one shape, with 0 < x < inf; nothing is validated.
+        For IEV edges x is the measure's own coordinate and the result is
+        -w exactly; EV edges pass through z = -ln u and back.
+        """
+        if self.is_ev:
+            return _flip(-self.measure._cond_exponent(_flip(xu), _flip(xv)))
+        return -self.measure._cond_exponent(xu, xv)
+
+    def hinv_x(self, xp, xv):
+        """x = -ln(1 - u) with hfunc_x(x, xv) = xp, on 1-d float arrays.
+
+        The exponential-coordinate form of ``hinv``: the same solve, with
+        w* = -xp (IEV) or -z(xp) (EV), and nothing validated or clamped.
+        """
+        if self.is_ev:
+            return _flip(self.measure._solve_t(-_flip(xp), _flip(xv)))
+        return self.measure._solve_t(-xp, xv)

@@ -166,7 +166,10 @@ class ExponentMeasure:
         (|2G| > |ds_prev G'|) is replaced by bisection.  The bracket
         [ln _T_MIN, ln(tv - wstar)] always holds the root, because
         -w >= t - tv for every exponent measure.  Only the points not yet
-        converged are iterated.
+        converged are iterated.  A converged point closes with the Newton
+        step in t from its last evaluation, t (1 - (1 - wstar/w) / G'):
+        e^s carries the absolute error of s, |s| eps, into t as relative
+        error, which the ratio wstar/w does not.
         """
         out = np.empty_like(wstar)
         idx = np.arange(wstar.size)
@@ -192,12 +195,15 @@ class ExponentMeasure:
             ds_old, ds, s = ds, new - s, new
             done = (g == 0.0) | (np.abs(ds) <= _S_TOL) | (hi - lo <= _S_TOL)
             if done.any():
-                out[idx[done]] = s[done]
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    close = t * (1.0 - (1.0 - wstar / w) / dg)
+                close = np.where(np.isfinite(close), close, np.exp(s))
+                out[idx[done]] = close[done]
                 keep = np.flatnonzero(~done)
                 if keep.size == 0:
-                    return np.exp(out)
-                idx, tv, tv_part, lgoal, lo, hi, s, ds, ds_old = (
-                    a.take(keep) for a in (idx, tv, tv_part, lgoal, lo, hi, s, ds, ds_old)
+                    return out
+                idx, tv, tv_part, wstar, lgoal, lo, hi, s, ds, ds_old = (
+                    a.take(keep) for a in (idx, tv, tv_part, wstar, lgoal, lo, hi, s, ds, ds_old)
                 )
         raise _unconverged(idx.size, hi - lo, ds)
 
@@ -352,12 +358,18 @@ class Logistic(ExponentMeasure):
 
         increasing and convex with F(0) = 0.  Since expm1(x) >= x, both
         c/(alpha tv + 1 - alpha) and log1p(c/tv)/alpha bound the root of
-        F(y) = c = -wstar from above, so Newton started from the smaller
-        one descends onto it monotonically, one expm1 per step, inside the
-        bracket [0, y0].  A step stops once it is below 1e-15 y or 1e-300,
-        the latter for subnormal roots.  z^q = expm1(y) then gives
-        ln t = ln tv + alpha (y + ln(-expm1(-y))), which does not overflow
-        however small alpha is.  At alpha = 1, -w = t.
+        F(y) = c = -wstar from above, and the solve descends onto it from
+        the smaller one by Halley steps, one expm1 per step: the curvature
+        F'' = alpha (F' - (1 - alpha)) comes from the slope.  A Halley step
+        that would leave the bracket (0, y] is replaced by the Newton step.
+        A point stops once its step is below 1e-15 y or 1e-300, the latter
+        for subnormal roots, and stays where it stopped; the arrays drop the
+        stopped points only once a quarter of them have stopped, so a
+        point's result does not depend on when they are dropped.
+        z^q = expm1(y) then gives t = tv expm1(y)^alpha, one power with
+        full relative precision however small t is; past y = 700, where
+        expm1 overflows, ln t = ln tv + alpha (y + ln(-expm1(-y))) takes
+        over.  At alpha = 1, -w = t.
         """
         a = self.alpha
         c = -wstar
@@ -365,32 +377,54 @@ class Logistic(ExponentMeasure):
             return c
         b = 1.0 - a
         atv = a * tv
-        y = y0 = np.minimum(c / (atv + b), np.log1p(c / tv) / a)
+        y0 = np.minimum(c / (atv + b), np.log1p(c / tv) / a)
+        y = y0.copy()
         out = np.empty_like(c)
         idx = np.arange(c.size)
-        ltv = np.log(tv)
+        moving = np.ones(c.size, dtype=bool)
+        tv_all = tv
         for _ in range(_SOLVE_MAXITER):
-            # dy = (F(y) - c) / F'(y), with F'(y) = alpha tv (1 + e) + 1 - alpha;
-            # the temporaries are updated in place to keep memory traffic down
+            # the Halley step F F' / (F'^2 - F F''/2), with F' = e + 1 - alpha
+            # and F'' = alpha e for e = alpha tv (1 + expm1(alpha y)); the
+            # Newton step F/F' where it would leave (0, y]
             e = a * y
             np.expm1(e, out=e)
-            dy = tv * e
-            dy += b * y
-            dy -= c
+            F = tv * e
+            F += b * y
+            F -= c
             e += 1.0
             e *= atv
-            e += b
-            dy /= e
-            y = y - dy
-            done = np.abs(dy) <= _Y_RTOL * y + 1e-300
-            if done.any():
-                out[idx[done]] = y[done]
-                keep = np.flatnonzero(~done)
-                if keep.size == 0:
-                    with np.errstate(divide="ignore"):  # y = 0 where c/(atv + b) underflows
-                        return np.exp(ltv + a * (out + np.log(-np.expm1(-out))))
-                idx, tv, atv, c, y = (v.take(keep) for v in (idx, tv, atv, c, y))
-        raise _unconverged(idx.size, y0[idx], dy[~done])
+            slope = e + b
+            e *= F
+            e *= 0.5 * a
+            den = slope * slope
+            den -= e
+            dy = F * slope
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dy /= den
+            newton = np.flatnonzero(~((dy >= 0.0) & (dy < y)))
+            if newton.size:
+                dy[newton] = F[newton] / slope[newton]
+            dy *= moving
+            y -= dy
+            moving &= ~(np.abs(dy) <= _Y_RTOL * y + 1e-300)
+            n_moving = np.count_nonzero(moving)
+            if 4 * (idx.size - n_moving) >= idx.size:
+                stopped = np.flatnonzero(~moving)
+                out[idx[stopped]] = y[stopped]
+                if n_moving == 0:
+                    break
+                keep = np.flatnonzero(moving)
+                idx, tv, atv, c, y, dy = (v.take(keep) for v in (idx, tv, atv, c, y, dy))
+                moving = np.ones(keep.size, dtype=bool)
+        else:
+            raise _unconverged(n_moving, y0[idx[moving]], dy[moving])
+        t = tv_all * np.expm1(np.minimum(out, 700.0)) ** a
+        big = np.flatnonzero(out > 700.0)
+        if big.size:
+            yb = out[big]
+            t[big] = np.exp(np.log(tv_all[big]) + a * (yb + np.log(-np.expm1(-yb))))
+        return t
 
     def transposed(self) -> "Logistic":
         return self

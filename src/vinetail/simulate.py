@@ -10,6 +10,13 @@ that no inversion left behind.  The variables are drawn in the order
 1, ..., d for D- and C-vines and 2, 1, 3 for the trivariate vine, whose
 cascade then needs no h-function at all.
 
+The cascade runs on exponential margins from end to end: each chunk's
+uniforms are mapped to x = -ln(1 - u) once, every slot holds a conditional
+distribution F as -ln(1 - F), and the steps call ``PairCopula.hinv_x`` and
+``hfunc_x``, which neither validate nor clamp: only the uniforms, nudged
+off {0, 1}, stay below x = 34.5, and nothing the steps produce is capped.
+The last inversion of each variable leaves its coordinate.
+
 Clouds are generated in fixed-size chunks whose substreams derive from
 SeedSequence(seed, spawn_key=(chunk,)), making results independent of any
 parallel execution plan; the PCG64 generator carries 128-bit state and is
@@ -31,6 +38,10 @@ from .vines import TRIVARIATE, VineSpec
 __all__ = ["SampleCloud", "sample_vine", "scale_cloud"]
 
 CHUNK = 65536
+# rows per pass of the cascade over a chunk: the dozen arrays a solve keeps
+# live then fit a 2 MB cache.  Every step is elementwise, so the draws do
+# not depend on it
+_BLOCK = 16384
 # rows formatted per block by SampleCloud.to_csv
 _CSV_BLOCK = 4096
 _MAGIC = b"VINETCLD"
@@ -149,25 +160,26 @@ class SampleCloud:
         )
 
 
-def _open_uniforms(rng, shape):
-    # [0, 1) from the generator; nudge exact zeros off the boundary so they
-    # can serve as h-function conditioners
-    w = rng.random(shape)
-    return np.clip(w, 1e-15, 1.0 - 1e-15)
+def _open_exponentials(rng, shape):
+    # [0, 1) from the generator, nudged off the boundary so that exact zeros
+    # can serve as h-function conditioners, then x = -ln(1 - u)
+    u = np.clip(rng.random(shape), 1e-15, 1.0 - 1e-15)
+    return -np.log1p(-u)
 
 
 def _compile_cascade(spec: VineSpec):
     """The pair-copula sampling cascade (Aas et al. 2009) as a flat plan.
 
-    Slot (a, D) holds F(x_a | x_D).  Variable i, drawn after the set S,
-    starts in slot (i, S) with its uniform and inverts one edge per tree,
-    from the edge on S u {i} down to tree 1; each inversion leaves
-    F(x_i | D) for a smaller D in its own slot.  A conditioner F(x_b | D)
-    not yet in a slot is built by h-functions the first time it is needed,
-    from the edge on D u {b}.  Slots 0..d-1 hold the uniforms (slot k for
-    variable k + 1).  A step is (method, pc, out, target, cond) with pc
-    oriented to condition on its second argument.  Returns the steps and
-    the slots of u_1, ..., u_d.
+    Slot (a, D) holds F(x_a | x_D) on the exponential scale, as
+    -ln(1 - F).  Variable i, drawn after the set S, starts in slot (i, S)
+    with its uniform and inverts one edge per tree, from the edge on
+    S u {i} down to tree 1; each inversion leaves F(x_i | D) for a smaller
+    D in its own slot.  A conditioner F(x_b | D) not yet in a slot is built
+    by h-functions the first time it is needed, from the edge on D u {b}.
+    Slots 0..d-1 hold the chunk's uniforms, mapped to -ln(1 - u) (slot k
+    for variable k + 1).  A step is (method, pc, out, target, cond), with
+    method ``hinv_x`` or ``hfunc_x`` and pc oriented to condition on its
+    second argument.  Returns the steps and the slots of x_1, ..., x_d.
     """
     # the trivariate vine draws x2 first: F(x1 | x2) is then its own
     # uniform, and the cascade needs no h-function
@@ -190,22 +202,23 @@ def _compile_cascade(spec: VineSpec):
     def conditioner(b, cond):
         if (b, cond) not in slot:
             pc, c, rest = edge(b, cond)
-            slot[b, cond] = add("hfunc", pc, conditioner(b, rest), conditioner(c, rest))
+            slot[b, cond] = add("hfunc_x", pc, conditioner(b, rest), conditioner(c, rest))
         return slot[b, cond]
 
     for k, i in enumerate(order):
         cond = frozenset(order[:k])
         while cond:
             pc, c, rest = edge(i, cond)
-            slot[i, rest] = add("hinv", pc, slot[i, cond], conditioner(c, rest))
+            slot[i, rest] = add("hinv_x", pc, slot[i, cond], conditioner(c, rest))
             cond = rest
     return steps, [slot[i, frozenset()] for i in range(1, spec.d + 1)]
 
 
-def _run_cascade(steps, outs, w):
-    vals = [w[:, k] for k in range(w.shape[1])] + [None] * len(steps)
+def _run_cascade(steps, outs, x):
+    vals = list(x) + [None] * len(steps)
     for method, pc, out, target, cond in steps:
-        # through the instance, so that patches of PairCopula see every call
+        # looked up on the instance, so that a patched PairCopula.hinv_x or
+        # .hfunc_x sees every step
         vals[out] = getattr(pc, method)(vals[target], vals[cond])
     return np.column_stack([vals[s] for s in outs])
 
@@ -239,9 +252,11 @@ def sample_vine(spec: VineSpec, n: int, seed: int, chunk_size: int = CHUNK) -> S
     while start < n:
         m = min(chunk_size, n - start)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_idx,)))
-        w = _open_uniforms(rng, (m, spec.d))
-        u = _run_cascade(steps, outs, w)
-        out[start : start + m] = -np.log1p(-u)
+        # one contiguous row per variable
+        x = np.ascontiguousarray(_open_exponentials(rng, (m, spec.d)).T)
+        rows = out[start : start + m]
+        for i in range(0, m, _BLOCK):
+            rows[i : i + _BLOCK] = _run_cascade(steps, outs, x[:, i : i + _BLOCK])
         start += m
         chunk_idx += 1
     return SampleCloud(

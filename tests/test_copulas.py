@@ -182,6 +182,32 @@ def test_log_scale_solve_deep_tail(family, measure):
     assert np.max(np.abs(measure._solve_t(w, TV) - T)) <= 1e-6
 
 
+@pytest.mark.parametrize("family", ["ev", "iev"])
+@pytest.mark.parametrize(
+    "measure",
+    [Logistic(0.3), Logistic(0.7), AsymmetricLogistic(0.5, 0.3, 0.6), AsymmetricLogistic(0.5, 0.6, 0.3)],
+    ids=repr,
+)
+def test_exponential_coordinate_roundtrip_deep_tail(family, measure):
+    """hfunc_x(hinv_x(xp, xv), xv) = xp out to xp, xv = 60, where the
+    uniform scale has no room: 1 - e^-40 already rounds to 1."""
+    assert -np.expm1(-40.0) == 1.0
+    pc = PairCopula(family, measure)
+    x = np.geomspace(1e-4, 60.0, 40)
+    XP, XV = (a.ravel() for a in np.meshgrid(x, x))
+    back = pc.hfunc_x(pc.hinv_x(XP, XV), XV)
+    assert np.all(np.abs(back - XP) <= 1e-12 * XP)
+
+
+def test_generic_solve_keeps_precision_at_tiny_t():
+    # with alpha = 1 and no atoms the IEV h-inverse is u = p; s = ln t near
+    # -549 carries 4e-14 of relative error into e^s, which the closing
+    # Newton step in t removes
+    pc = PairCopula("iev", AsymmetricLogistic(1.0, 0.0, 0.0))
+    p = 2.807216203941101e-239
+    assert abs(pc.hinv(p, 1.0 - 1e-15) - p) <= 4 * np.spacing(p)
+
+
 @pytest.mark.parametrize("alpha", [0.001, 0.003, 0.05, 0.3, 0.7, 0.95, 1.0])
 @pytest.mark.parametrize("family", ["ev", "iev"])
 def test_logistic_solve_matches_generic_route(family, alpha):

@@ -17,6 +17,7 @@ from vinetail import (
     sample_vine,
     scale_cloud,
 )
+from vinetail import copulas, simulate
 from vinetail.vines import expected_edges
 
 RNG = np.random.default_rng(141421)
@@ -53,13 +54,25 @@ def chunk_uniforms(seed, n, d, chunk_size):
 
 
 def cascade_trivariate(spec, w):
-    """The hand-indexed trivariate cascade, x2 drawn first, as an oracle."""
+    """The hand-indexed trivariate cascade on uniforms, x2 drawn first."""
     c12, c23, c13 = spec.copula(1, 2), spec.copula(2, 3), spec.copula(1, 3)
     u2 = w[:, 1]
     u1 = c12.hinv(w[:, 0], u2)
     z = c13.swapped().hinv(w[:, 2], w[:, 0])
     u3 = c23.swapped().hinv(z, u2)
     return np.column_stack([u1, u2, u3])
+
+
+def cascade_trivariate_x(spec, w):
+    """The same cascade in exponential coordinates, one row per variable as
+    sample_vine lays them out, as an oracle."""
+    c12, c23, c13 = spec.copula(1, 2), spec.copula(2, 3), spec.copula(1, 3)
+    x = np.ascontiguousarray(-np.log1p(-w).T)
+    x2 = x[1]
+    x1 = c12.hinv_x(x[0], x2)
+    z = c13.swapped().hinv_x(x[2], x[0])
+    x3 = c23.swapped().hinv_x(z, x2)
+    return np.column_stack([x1, x2, x3])
 
 
 def rosenblatt(spec, u):
@@ -96,6 +109,14 @@ def test_chunking_is_part_of_the_plan():
     whole = sample_vine(spec, 70_000, seed=3)
     head = sample_vine(spec, 65_536, seed=3)
     assert np.array_equal(whole.values[:65_536], head.values)
+
+
+def test_draws_do_not_depend_on_the_cascade_block(monkeypatch):
+    # the cascade runs each chunk in row blocks; every step is elementwise
+    spec = logistic_vine("dvine", 4, ("iev", "ev"))
+    whole = sample_vine(spec, 5000, seed=9, chunk_size=4096)
+    monkeypatch.setattr(simulate, "_BLOCK", 1000)
+    assert np.array_equal(sample_vine(spec, 5000, seed=9, chunk_size=4096).values, whole.values)
 
 
 def test_exponential_margins():
@@ -251,7 +272,7 @@ def test_cascade_work_per_chunk(monkeypatch, structure, d):
     # one inversion per edge; the D-vine builds its conditioners
     # F(x_k | x_{k+1}, ..., x_{i-1}) by h-functions, the C-vine's and the
     # trivariate vine's are the uniforms of earlier draws
-    calls = {"hinv": 0, "hfunc": 0}
+    calls = {"hinv_x": 0, "hfunc_x": 0}
     for name in calls:
         def counted(self, *args, _name=name, _method=getattr(PairCopula, name)):
             calls[_name] += 1
@@ -260,15 +281,31 @@ def test_cascade_work_per_chunk(monkeypatch, structure, d):
         monkeypatch.setattr(PairCopula, name, counted)
     sample_vine(logistic_vine(structure, d), 100, seed=1)
     hfunc = (d - 1) * (d - 2) // 2 if structure == "dvine" else 0
-    assert calls == {"hinv": d * (d - 1) // 2, "hfunc": hfunc}
+    assert calls == {"hinv_x": d * (d - 1) // 2, "hfunc_x": hfunc}
 
 
 @pytest.mark.parametrize("families", list(itertools.product(("ev", "iev"), repeat=3)))
 def test_trivariate_draws_match_hand_cascade(families):
     spec = logistic_vine("trivariate", 3, families)
     cloud = sample_vine(spec, 3000, seed=43, chunk_size=1024)
-    want = np.vstack([-np.log1p(-cascade_trivariate(spec, w)) for w in chunk_uniforms(43, 3000, 3, 1024)])
-    assert np.array_equal(cloud.values, want)
+    chunks = list(chunk_uniforms(43, 3000, 3, 1024))
+    assert np.array_equal(cloud.values, np.vstack([cascade_trivariate_x(spec, w) for w in chunks]))
+    # the uniform-scale cascade agrees to rounding
+    uniform = np.vstack([-np.log1p(-cascade_trivariate(spec, w)) for w in chunks])
+    assert_allclose(cloud.values, uniform, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("spec", [logistic_vine("dvine", 5), logistic_vine("trivariate", 3, ("ev", "iev", "iev"))],
+                         ids=["dvine5", "eii"])
+def test_cascade_runs_no_validation(monkeypatch, spec):
+    # sample_vine checks its arguments once; the cascade steps take the
+    # exponential coordinates as they are
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cascade validated an input")
+
+    monkeypatch.setattr(copulas, "_check_unit", refuse)
+    cloud = sample_vine(spec, 2000, seed=5, chunk_size=512)
+    assert cloud.values.shape == (2000, spec.d) and np.all(np.isfinite(cloud.values))
 
 
 @pytest.mark.parametrize("families", [("iev",), ("iev", "ev")], ids=["iev", "mixed"])
