@@ -40,6 +40,7 @@ from .copulas import EV, IEV
 from .errors import ConvergenceError, DomainError, ParameterError, UnsupportedCombinationError
 from .gauges import (
     Gauge,
+    _compile_vine,
     _iev_vine_gauge,
     _minimise_gauge,
     _projected_gradient,
@@ -326,7 +327,7 @@ def _pair_margin_eta(spec, gauge, i, j, other):
     if pc.family == EV:
         eta = 1.0
     else:
-        eta = 1.0 / float(pc.measure.V(1.0, 1.0))
+        eta = 1.0 / pc.measure.V(1.0, 1.0)
     x = _minimise_gauge(gauge, lower, [other - 1]).x
     return EtaResult(eta=eta, argmin=x, method=CLOSED, diagnostics={"pair": (i, j)})
 
@@ -369,15 +370,19 @@ def eta_mixed_trivariate(spec: VineSpec, C) -> EtaResult:
     fall back to numeric minimisation of the analytic gauge, flagged by
     method = "numeric".  Patterns with the families of edges 12 and 23
     exchanged are handled by the x1 <-> x3 relabelling.
+
+    Only the two routes that read the gauge build it: a tree-1 pair and
+    the numeric fallback.  The others compile its plan alone
+    (``gauges._compile_vine``), so a pattern whose gauge cannot be built
+    raises UnsupportedCombinationError on every route.
     """
-    if spec.d != 3:
-        raise UnsupportedCombinationError("eta_mixed_trivariate needs a trivariate vine")
+    if not (spec.d == 3 and spec.structure in (TRIVARIATE, DVINE)):
+        raise UnsupportedCombinationError("eta_mixed_trivariate needs a trivariate vine with edges 12, 23, 13|2")
     C = _normalise_labels(C, 3)
-    gauge = gauge_trivariate(spec)
 
     if C in ((1, 2), (2, 3)):
         i, j = C
-        return _pair_margin_eta(spec, gauge, i, j, other=({1, 2, 3} - set(C)).pop())
+        return _pair_margin_eta(spec, gauge_trivariate(spec), i, j, other=({1, 2, 3} - set(C)).pop())
 
     c12, c23, c13 = spec.copula(1, 2), spec.copula(2, 3), spec.copula(1, 3)
     fams = (c12.family, c23.family, c13.family)
@@ -387,12 +392,13 @@ def eta_mixed_trivariate(spec: VineSpec, C) -> EtaResult:
         return EtaResult(eta=res.eta, argmin=np.asarray(res.argmin)[::-1].copy(),
                          method=res.method, diagnostics=res.diagnostics | {"relabelled": "x1<->x3"})
 
+    _compile_vine(spec)  # raises where the gauge cannot be built
     all_logistic = all(_is_logistic(pc) for pc in (c12, c23, c13))
-    v12_11 = float(c12.measure.V(1.0, 1.0))
-    v23_11 = float(c23.measure.V(1.0, 1.0))
+    v12_11 = c12.measure.V(1.0, 1.0)
+    v23_11 = c23.measure.V(1.0, 1.0)
 
     def numeric():
-        return eta_numeric(gauge, C)
+        return eta_numeric(gauge_trivariate(spec), C)
 
     if fams == (IEV, IEV, IEV):
         if not all_logistic:
@@ -409,13 +415,13 @@ def eta_mixed_trivariate(spec: VineSpec, C) -> EtaResult:
             # the minimum sits where the smaller tree-1 term catches the larger
             if v12_11 >= v23_11:
                 x3 = _bisect(
-                    lambda t: float(c23.measure.V(1.0, 1.0 / t)) - v12_11,
+                    lambda t: c23.measure.V(1.0, 1.0 / t) - v12_11,
                     1.0, max(v12_11, 1.0) + 1e-9,
                 ) if v12_11 > v23_11 else 1.0
                 arg = np.array([1.0, 1.0, x3])
             else:
                 x1 = _bisect(
-                    lambda t: float(c12.measure.V(1.0 / t, 1.0)) - v23_11,
+                    lambda t: c12.measure.V(1.0 / t, 1.0) - v23_11,
                     1.0, max(v23_11, 1.0) + 1e-9,
                 )
                 arg = np.array([x1, 1.0, 1.0])
@@ -575,7 +581,7 @@ def eta_subvine(spec: VineSpec, C) -> EtaResult:
     margin = spec.marginal(S)
     C_S = [S.index(c) + 1 for c in C]
     if len(S) == 2:
-        eta = 1.0 / float(margin.copula(1, 2).measure.V(1.0, 1.0))
+        eta = 1.0 / margin.copula(1, 2).measure.V(1.0, 1.0)
         res = EtaResult(eta=eta, argmin=np.ones(2), method=CLOSED)
     elif len(S) == 3 and spec.structure != CVINE:
         res = eta_mixed_trivariate(margin, C_S)

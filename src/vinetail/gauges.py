@@ -83,8 +83,11 @@ class Gauge:
     emitter generates both paths from it as straight-line functions per
     plan shape, with the vine's parameters bound as their globals: the
     scalar path evaluates only the form each point's sides select, the
-    array path blends the forms a point's sides can reach.  An all-IEV
-    logistic vine also has a gradient dialect, bound on first use.
+    array path blends the forms a point's sides can reach.  The scalar
+    dialect is bound when the gauge is built; the array dialect is bound on
+    the first array call, and the gradient dialect, which only an all-IEV
+    logistic vine has, on first use, so a gauge that only ever sees single
+    points binds neither.
     """
 
     def __init__(self, dim: int, fn, tag: str, sfn=None, gradient=None):
@@ -92,8 +95,7 @@ class Gauge:
         self.spec = None  # the VineSpec of a vine gauge (``_vine_gauge``)
         self._fn = fn
         self._sfn = sfn
-        self._gradient = gradient  # builds the gradient evaluator, or None
-        self._gfn = None
+        self._gradient = gradient  # returns the gradient evaluator, or None
         self.tag = str(tag)
 
     def __repr__(self):
@@ -128,9 +130,7 @@ class Gauge:
         list of the d partials.  Only vine gauges whose every plan step is a
         logistic V over upper margins have one; the others return None.  It
         is bound on first use, to code compiled once per plan shape."""
-        if self._gfn is None and self._gradient is not None:
-            self._gfn = self._gradient()
-        return self._gfn
+        return None if self._gradient is None else self._gradient()
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +475,10 @@ def _has_gradient(plan):
 def _vine_gauge(spec: VineSpec, tag: str) -> Gauge:
     d = spec.d
     plan = _compile_vine(spec)
-    fn = _bind_plan(d, plan, ARRAY)
-    gradient = (lambda: _bind_plan(d, plan, GRADIENT)) if _has_gradient(plan) else None
-    g = Gauge(d, lambda x: fn(*(x[..., k] for k in range(d))), tag, sfn=_bind_plan(d, plan, SCALAR),
+    # the array and gradient dialects are bound on first use, once
+    array = cache(lambda: _bind_plan(d, plan, ARRAY))
+    gradient = cache(lambda: _bind_plan(d, plan, GRADIENT)) if _has_gradient(plan) else None
+    g = Gauge(d, lambda x: array()(*(x[..., k] for k in range(d))), tag, sfn=_bind_plan(d, plan, SCALAR),
               gradient=gradient)
     g.spec = spec
     return g

@@ -12,7 +12,9 @@ whose tail exponents s1 (w -> 1) and s2 (w -> 0) drive every gauge-function
 result for vines with asymptotically dependent components.
 
 All evaluators broadcast over numpy arrays and accept ``inf`` arguments, for
-which the exact analytic limits are returned.
+which the exact analytic limits are returned.  ``V`` on two Python floats
+checks them in Python and takes the float branch of ``_v``, the one the
+scalar vine gauge calls, with no array round trip.
 """
 
 from __future__ import annotations
@@ -57,13 +59,17 @@ class TailOrders:
         return TailOrders(self.s2, self.s1, self.c2, self.c1)
 
 
+_NAN_ARGUMENT = "exponent measure arguments must not be NaN"
+_NONPOSITIVE_ARGUMENT = "exponent measure arguments must be > 0"
+
+
 def _validate_positive(x, y, allow_inf):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(np.isnan(x)) or np.any(np.isnan(y)):
-        raise DomainError("exponent measure arguments must not be NaN")
+        raise DomainError(_NAN_ARGUMENT)
     if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise DomainError("exponent measure arguments must be > 0")
+        raise DomainError(_NONPOSITIVE_ARGUMENT)
     if not allow_inf and (np.any(np.isinf(x)) or np.any(np.isinf(y))):
         raise DomainError("derivatives of the exponent measure require finite arguments")
     return x, y
@@ -99,7 +105,19 @@ class ExponentMeasure:
     """
 
     def V(self, x, y):
-        """V(x, y); extended-real inputs allowed, limits honoured exactly."""
+        """V(x, y); extended-real inputs allowed, limits honoured exactly.
+
+        Two Python floats, +-inf included, are checked in Python and go to
+        the float branch of ``_v``, which returns a Python float.  Anything
+        else (arrays, 0-d arrays, numpy scalars, ints) is validated and
+        evaluated as arrays, with a float for a 0-d result.
+        """
+        if type(x) is float and type(y) is float:
+            if x != x or y != y:
+                raise DomainError(_NAN_ARGUMENT)
+            if not (x > 0.0 and y > 0.0):
+                raise DomainError(_NONPOSITIVE_ARGUMENT)
+            return self._v(x, y)
         x, y = _validate_positive(x, y, allow_inf=True)
         return _maybe_scalar(self._v(x, y))
 
@@ -207,7 +225,9 @@ class ExponentMeasure:
                 )
         raise _unconverged(idx.size, hi - lo, ds)
 
-    # raw evaluators on validated float arrays; subclasses implement these
+    # raw evaluators on validated float arrays; subclasses implement these.
+    # _v also takes two Python floats in (0, inf] and returns a Python float:
+    # V and the scalar vine gauge call it so
     def _v(self, x, y):
         raise NotImplementedError
 
@@ -490,11 +510,16 @@ class AsymmetricLogistic(ExponentMeasure):
         if self._degenerate:
             return 1.0 / x + 1.0 / y
         if type(x) is float and type(y) is float:
-            if x == np.inf:
-                return 0.0 if y == np.inf else 1.0 / y
-            if y == np.inf:
+            if x == math.inf:
+                return 0.0 if y == math.inf else 1.0 / y
+            if y == math.inf:
                 return 1.0 / x
-            return self.theta1 / x + self.theta2 / y + self._p(x, y) ** self.alpha
+            try:
+                return self.theta1 / x + self.theta2 / y + self._p(x, y) ** self.alpha
+            except OverflowError:
+                # a float power overflows where numpy's gives inf: the array
+                # form, with its warning, on the same two values
+                return float(self._v(np.float64(x), np.float64(y)))
         out = self.theta1 / x + self.theta2 / y + self._p(x, y) ** self.alpha
         if np.any(np.isinf(x)) or np.any(np.isinf(y)):
             x_inf, y_inf = np.isinf(x), np.isinf(y)

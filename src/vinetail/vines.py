@@ -16,6 +16,7 @@ relabelling.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -32,9 +33,12 @@ STRUCTURES = (TRIVARIATE, DVINE, CVINE)
 
 
 class EdgeLabel:
-    """Conditioned pair plus conditioning set, hashable and order-normalised."""
+    """Conditioned pair plus conditioning set, hashable and order-normalised.
 
-    __slots__ = ("pair", "cond")
+    The hash is taken once, when the label is built: a spec looks its labels
+    up in dicts and sets some ten times per edge while it is parsed."""
+
+    __slots__ = ("pair", "cond", "_hash")
 
     def __init__(self, pair, cond=()):
         i, j = int(pair[0]), int(pair[1])
@@ -44,12 +48,13 @@ class EdgeLabel:
         self.cond = tuple(sorted(int(c) for c in cond))
         if set(self.pair) & set(self.cond):
             raise SpecError(f"conditioning set of {self} overlaps its conditioned pair")
+        self._hash = hash((self.pair, self.cond))
 
     def __eq__(self, other):
         return isinstance(other, EdgeLabel) and (self.pair, self.cond) == (other.pair, other.cond)
 
     def __hash__(self):
-        return hash((self.pair, self.cond))
+        return self._hash
 
     def __repr__(self):
         return f"EdgeLabel({self})"
@@ -71,9 +76,13 @@ class EdgeLabel:
             part = part.strip()
             if not part:
                 return ()
-            if "," in part:
-                return tuple(int(p) for p in part.split(","))
-            return tuple(int(ch) for ch in part)
+            try:
+                if "," in part:
+                    return tuple(int(p) for p in part.split(","))
+                return tuple(int(ch) for ch in part)
+            except ValueError:
+                raise SpecError(f"edge label {text!r} must be digits, or integers separated by commas, "
+                                f"on each side of '|'") from None
 
         pair = ints(head)
         if len(pair) != 2:
@@ -82,25 +91,31 @@ class EdgeLabel:
 
 
 def expected_edges(structure: str, d: int) -> list[EdgeLabel]:
-    """The full edge-label set implied by a structure, tree by tree."""
+    """The full edge-label set implied by a structure, tree by tree, as a
+    new list; the labels are built once per (structure, d)."""
+    return list(_expected_edges(structure, d))
+
+
+@functools.lru_cache(maxsize=64)
+def _expected_edges(structure: str, d: int) -> tuple[EdgeLabel, ...]:
     if d < 2:
         raise SpecError(f"vine dimension must be at least 2, got {d}")
     if structure == TRIVARIATE:
         if d != 3:
             raise SpecError("trivariate structure requires dimension 3")
-        return [EdgeLabel((1, 2)), EdgeLabel((2, 3)), EdgeLabel((1, 3), (2,))]
+        return (EdgeLabel((1, 2)), EdgeLabel((2, 3)), EdgeLabel((1, 3), (2,)))
     if structure == DVINE:
-        return [
+        return tuple(
             EdgeLabel((i, i + k), range(i + 1, i + k))
             for k in range(1, d)
             for i in range(1, d - k + 1)
-        ]
+        )
     if structure == CVINE:
-        return [
+        return tuple(
             EdgeLabel((k, j), range(1, k))
             for k in range(1, d)
             for j in range(k + 1, d + 1)
-        ]
+        )
     raise SpecError(f"unknown structure {structure!r}; expected one of {STRUCTURES}")
 
 
@@ -108,9 +123,20 @@ class VineSpec:
     """Dimension, structure, and one pair copula per edge."""
 
     def __init__(self, d: int, structure: str, edges: dict):
-        self.d = int(d)
+        try:
+            whole = int(d)
+            integral = whole == d and not isinstance(d, bool)
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise SpecError(f"vine dimension must be an integer, got {d!r}")
+        self.d = whole
         self.structure = str(structure)
-        expected = expected_edges(self.structure, self.d)
+        # checked before the labels are built: their count grows as d^2
+        n_edges = whole * (whole - 1) // 2
+        if whole >= 2 and len(edges) != n_edges:
+            raise SpecError(f"a vine on {whole} variables has {n_edges} edges, got {len(edges)}")
+        expected = _expected_edges(self.structure, self.d)
         normalised = {}
         for label, pc in edges.items():
             if not isinstance(label, EdgeLabel):
@@ -120,8 +146,9 @@ class VineSpec:
             if label in normalised:
                 raise SpecError(f"duplicate edge label {label}")
             normalised[label] = pc
+        expected_set = set(expected)
         missing = [str(e) for e in expected if e not in normalised]
-        extra = [str(e) for e in normalised if e not in set(expected)]
+        extra = [str(e) for e in normalised if e not in expected_set]
         if missing or extra:
             raise SpecError(
                 f"edge labels inconsistent with {self.structure} trees for d={self.d}: "

@@ -82,6 +82,24 @@ def test_invalid_spec_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("dimension", None, "vine dimension must be an integer, got None"),
+    ("dimension", 3.7, "vine dimension must be an integer, got 3.7"),
+    ("label", "1.5 2", "edge label '1.5 2'"),
+])
+def test_malformed_spec_exits_2_with_json_error(capsys, tmp_path, field, value, message):
+    doc = VineSpec.trivariate(*[PairCopula("iev", Logistic(0.5))] * 3).to_dict()
+    if field == "label":
+        doc["edges"][0]["label"] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "eta", "--spec", str(path))
+    assert code == 2
+    assert message in json.loads(out)["error"]
+
+
 def test_method_closed_unavailable_exits_3(capsys, tmp_path):
     from vinetail import AsymmetricLogistic
 

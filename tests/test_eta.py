@@ -306,6 +306,46 @@ def test_mixed_tree1_pairs():
     assert eta_mixed_trivariate(spec, (2, 3)).eta == pytest.approx(2.0**-0.25)
 
 
+def _trivariate(fams, alphas=(0.45, 0.3, 0.6)):
+    return VineSpec.trivariate(*((lgst if f == "e" else ilog)(a) for f, a in zip(fams, alphas)))
+
+
+def test_mixed_closed_and_root_routes_build_no_gauge(monkeypatch):
+    from vinetail import eta as eta_module
+    from vinetail import gauges
+
+    def no_gauge(*args):
+        raise AssertionError("a gauge was built")
+
+    for name in ("gauge_trivariate", "gauge_dvine", "gauge_cvine", "_iev_vine_gauge"):
+        monkeypatch.setattr(eta_module, name, no_gauge)
+    monkeypatch.setattr(gauges, "_vine_gauge", no_gauge)
+    for fams in ("eee", "iii"):
+        assert eta_mixed_trivariate(_trivariate(fams), (1, 2, 3)).method == "closed"
+    # the mirrored patterns and the root solves build none either
+    for fams in ("iii", "iie", "iei", "iee", "eii", "eie", "eei", "eee"):
+        for C in ((1, 2, 3), (1, 3)):
+            assert eta_mixed_trivariate(_trivariate(fams), C).method in ("closed", "root")
+    with pytest.raises(AssertionError, match="a gauge was built"):
+        eta_mixed_trivariate(_trivariate("iii"), (1, 2))  # a tree-1 pair reads the gauge
+
+
+@pytest.mark.parametrize("spec", [
+    VineSpec.trivariate(PairCopula("ev", AsymmetricLogistic(0.5, 0.3, 0.6)), ilog(0.4), ilog(0.5)),
+    VineSpec.trivariate(ilog(0.4), ilog(0.5), PairCopula("ev", AsymmetricLogistic(0.5, 0.3, 0.6))),
+    VineSpec.trivariate(lgst(0.4), ilog(0.5), PairCopula("iev", AsymmetricLogistic(0.5, 0.3, 0.6))),
+    VineSpec.trivariate(ilog(0.4), lgst(0.5), PairCopula("iev", AsymmetricLogistic(0.5, 0.3, 0.6))),
+    VineSpec.trivariate(lgst(1.0), ilog(0.5), ilog(0.6)),
+    VineSpec.uniform("cvine", 3, ilog(0.5)),
+], ids=["ev-al-tree1", "ev-al-top", "iev-al-top-over-ev", "mirrored", "ev-alpha-1", "cvine"])
+def test_mixed_routes_reject_vines_without_a_trivariate_gauge(spec):
+    # an EV edge needs regularly varying spectral tails, and so does the
+    # top edge over an EV tree-1 edge; every route raises where the gauge would
+    for C in ((1, 2, 3), (1, 3), (1, 2)):
+        with pytest.raises(UnsupportedCombinationError):
+            eta_mixed_trivariate(spec, C)
+
+
 def test_mixed_iie_argmin_hits_boundary():
     spec = VineSpec.trivariate(ilog(0.5), ilog(0.25), lgst(0.5))
     res = eta_numeric(gauge_trivariate(spec), (1, 3))

@@ -735,8 +735,9 @@ def test_scalar_plan_is_bit_identical_to_interpreted_plan(spec):
 
 
 def _array_code(g):
-    # the generated array evaluator that a vine gauge's array path calls
-    return next(c.cell_contents.__code__ for c in g._fn.__closure__ if callable(c.cell_contents))
+    # the generated array evaluator that a vine gauge's array path binds
+    # (through a cached builder) and calls
+    return next(c.cell_contents for c in g._fn.__closure__ if callable(c.cell_contents))().__code__
 
 
 def test_scalar_plan_code_is_shared_per_shape(monkeypatch):
@@ -749,12 +750,16 @@ def test_scalar_plan_code_is_shared_per_shape(monkeypatch):
     gauges._plan_code.cache_clear()
     first, second = (0.3172, 0.6481, 0.5519), (0.4271, 0.2893, 0.7713)
     g1, g2 = gauge_trivariate(spec(first)), gauge_trivariate(spec(second))
+    pts = np.array([[0.8, 1.1, 0.6], [0.2, 0.1, 0.4]])
+    for g in (g1, g2):
+        g(pts)  # the array dialect is bound on the first array call
     assert len(sources) == 2  # one source and one compile per dialect for the shape
     assert g1._sfn.__code__ is g2._sfn.__code__
     assert _array_code(g1) is _array_code(g2)
     x = [0.8, 1.1, 0.6]
     assert g1(x) == _interpreted_plan(spec(first))(*x) != g2(x) == _interpreted_plan(spec(second))(*x)
     g3 = gauge_trivariate(spec(first, "ev"))
+    g3(pts)
     assert g3._sfn.__code__ is not g1._sfn.__code__ and _array_code(g3) is not _array_code(g1)
     assert len(sources) == 4
     for source in sources[:2]:
@@ -802,7 +807,9 @@ def test_gradient_code_is_compiled_on_first_use_and_shared_per_shape(monkeypatch
     monkeypatch.setattr(gauges, "_plan_source", lambda *shape: sources.append(plan_source(*shape)) or sources[-1])
     gauges._plan_code.cache_clear()
     g1, g2 = (gauge_dvine(VineSpec.uniform("dvine", 4, ilog(a))) for a in (0.3, 0.6))
-    assert len(sources) == 2  # building compiles the scalar and array dialects only
+    for g in (g1, g2):
+        g(np.ones((2, 4)))  # the array dialect is bound on the first array call
+    assert len(sources) == 2  # one array call and building compile the scalar and array dialects only
     grad1 = g1.gradient_evaluator()
     assert len(sources) == 3 and sources[-1].startswith("def vine_gauge(s0, s1, s2, s3):")
     assert g1.gradient_evaluator() is grad1
@@ -810,6 +817,21 @@ def test_gradient_code_is_compiled_on_first_use_and_shared_per_shape(monkeypatch
     assert grad2.__code__ is grad1.__code__ and len(sources) == 3
     x = [1.0, 0.4, 0.2, 1.0]
     assert grad1(*x)[0] == g1(x) != grad2(*x)[0] == g2(x)
+
+
+def test_scalar_only_gauge_never_binds_the_array_dialect(monkeypatch):
+    dialects = []
+    bind_plan = gauges._bind_plan
+    monkeypatch.setattr(gauges, "_bind_plan", lambda d, plan, dialect: dialects.append(dialect)
+                        or bind_plan(d, plan, dialect))
+    spec = VineSpec.trivariate(lgst(0.4), ilog(0.5), ilog(0.6))
+    g = gauge_trivariate(spec)
+    g([0.8, 1.1, 0.6])
+    g.scalar_evaluator()(0.2, 0.1, 0.4)
+    gauges._minimise_gauge(gauge_dvine(VineSpec.uniform("dvine", 4, ilog(0.5))), [1.0, 0.0, 0.0, 1.0], range(4))
+    assert dialects == [gauges.SCALAR, gauges.SCALAR, gauges.GRADIENT]
+    assert g(np.array([[0.8, 1.1, 0.6]]))[0] == pytest.approx(g([0.8, 1.1, 0.6]), rel=1e-14)
+    assert dialects[-1] == gauges.ARRAY
 
 
 def test_gradient_at_zero_coordinates_takes_the_documented_limits():

@@ -2,9 +2,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from vinetail import AsymmetricLogistic, DomainError, Logistic, ParameterError, UnsupportedMeasureError
+from vinetail import (
+    AsymmetricLogistic,
+    DomainError,
+    Logistic,
+    ParameterError,
+    UnsupportedMeasureError,
+    inverted_ev_gauge,
+)
 from vinetail.measures import ExponentMeasure
 
 RNG = np.random.default_rng(314159)
@@ -127,6 +136,53 @@ def test_domain_and_parameter_errors():
         Logistic(1.5)
     with pytest.raises(ParameterError):
         AsymmetricLogistic(0.5, -0.1, 0.5)
+
+
+FLOAT_PATH_MEASURES = [Logistic(0.5), Logistic(1.0), AsymmetricLogistic(0.7, 0.2, 0.9), AsymmetricLogistic(0.5, 1.0, 0.3)]
+
+
+@pytest.mark.parametrize("m", FLOAT_PATH_MEASURES, ids=repr)
+@pytest.mark.parametrize("x, y", [(np.nan, 1.0), (1.0, np.nan), (np.nan, -1.0), (-1.0, np.nan), (0.0, 1.0),
+                                  (1.0, -0.0), (-2.0, 3.0), (-np.inf, 1.0), (0.0, np.inf), (np.nan, np.inf)])
+def test_float_path_raises_the_array_path_errors(m, x, y):
+    # two Python floats are checked in Python; the messages, and which
+    # check fires first, are the array path's
+    with pytest.raises(DomainError) as on_floats:
+        m.V(x, y)
+    with pytest.raises(DomainError) as on_arrays:
+        m.V(np.array(x), np.array(y))
+    assert str(on_floats.value) == str(on_arrays.value)
+
+
+@pytest.mark.parametrize("m", FLOAT_PATH_MEASURES, ids=repr)
+def test_float_path_takes_the_exact_limits_and_returns_floats(m):
+    for x in (1e-300, 0.3, 1.0, 7.5, 1e300):
+        for v in (m.V(x, np.inf), m.V(np.inf, x)):
+            assert type(v) is float and v == 1.0 / x
+    assert type(m.V(0.4, 2.5)) is float and type(m.V(np.inf, np.inf)) is float
+    assert m.V(np.inf, np.inf) == 0.0
+
+
+def test_float_path_overflow_takes_the_array_form():
+    # alpha = 0.01 gives x^-100, which overflows as a float power at x = 1e-4;
+    # numpy's power gives inf there, and so does V on floats
+    m = AsymmetricLogistic(0.01, 0.3, 0.6)
+    with np.errstate(over="ignore"):
+        assert m.V(1e-4, 1.0) == float(m.V(np.array(1e-4), np.array(1.0))) == np.inf
+        assert inverted_ev_gauge(m)([1e4, 1.0]) == np.inf  # the scalar gauge calls the same branch
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        m.V(1e-4, 1.0)
+
+
+margins = st.floats(1e-6, 1e6)
+
+
+@given(st.floats(0.05, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), margins, margins)
+def test_float_path_is_the_scalar_gauge_bit_for_bit(a, t1, t2, p, q):
+    # g(p, q) = V(1/p, 1/q) of the inverted EV gauge, whose scalar plan
+    # inlines the logistic float form and calls _v for other measures
+    for m in (Logistic(a), AsymmetricLogistic(a, t1, t2)):
+        assert m.V(1.0 / p, 1.0 / q) == inverted_ev_gauge(m).scalar_evaluator()(p, q)
 
 
 def test_transpose():

@@ -60,6 +60,45 @@ def test_json_roundtrip_identity():
     assert again.spec_hash() == spec.spec_hash()
 
 
+@pytest.mark.parametrize("dimension", [None, 3.7, True, "3", [3], float("nan"), float("inf")])
+def test_dimension_must_be_an_integer(dimension):
+    doc = VineSpec.trivariate(ilog(0.5), ilog(0.4), ilog(0.3)).to_dict()
+    doc["dimension"] = dimension
+    with pytest.raises(SpecError, match="vine dimension must be an integer"):
+        VineSpec.from_dict(doc)
+
+
+def test_integral_dimension_of_another_type_is_taken():
+    doc = VineSpec.trivariate(ilog(0.5), ilog(0.4), ilog(0.3)).to_dict()
+    doc["dimension"] = 3.0
+    spec = VineSpec.from_dict(doc)
+    assert spec.d == 3 and type(spec.d) is int
+
+
+@pytest.mark.parametrize("label", ["1.5 2", "1,x", "a2", "12|x", "1,,2", None])
+def test_malformed_edge_label_raises_spec_error(label):
+    with pytest.raises(SpecError, match="edge label"):
+        EdgeLabel.parse(label)
+    doc = VineSpec.trivariate(ilog(0.5), ilog(0.4), ilog(0.3)).to_dict()
+    doc["edges"][0]["label"] = label
+    with pytest.raises(SpecError, match="edge label"):
+        VineSpec.from_dict(doc)
+
+
+def test_edge_count_is_checked_before_the_labels_are_built():
+    # a vine on 10^6 variables would have 5e11 labels to build and list
+    doc = VineSpec.trivariate(ilog(0.5), ilog(0.4), ilog(0.3)).to_dict()
+    doc["dimension"], doc["structure"] = 10**6, "dvine"
+    with pytest.raises(SpecError, match="a vine on 1000000 variables has 499999500000 edges, got 3"):
+        VineSpec.from_dict(doc)
+
+
+def test_expected_edges_returns_a_new_list():
+    first = expected_edges("dvine", 4)
+    first.clear()
+    assert len(expected_edges("dvine", 4)) == 6
+
+
 def test_json_unknown_keys_rejected():
     spec = VineSpec.trivariate(ilog(0.5), ilog(0.4), ilog(0.3))
     doc = spec.to_dict()
