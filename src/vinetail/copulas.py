@@ -14,7 +14,8 @@ ln(V1 V2 - V12) together: its w is the h-function, and V and ln K give the
 density.  ``measure._solve_t`` inverts w in the log-scale coordinate, so
 that the inverse stays accurate out to t = 35 and beyond: by default with
 safeguarded Newton on s = ln t over that kernel, and for the logistic
-measure with Halley steps on one convex equation, one expm1 per step.
+measure by Newton with a certified stop on one convex equation, one expm1
+per step.
 
 The uniform-scale methods validate their inputs and broadcast over numpy
 arrays.  ``hfunc_x`` and ``hinv_x`` are the same h-function and inverse on

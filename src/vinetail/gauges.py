@@ -65,10 +65,10 @@ __all__ = [
 
 
 def _recip(a):
-    """1/a with the conventions 1/0 = inf and negatives (roundoff) clamped."""
-    a = np.maximum(a, 0.0)
-    out = np.full(np.shape(a), np.inf)
-    return np.divide(1.0, a, out=out, where=(a > 0.0))
+    """1/a with the conventions 1/0 = inf and negatives (roundoff) clamped:
+    np.maximum(-0.0, 0.0) is +0.0, so -0.0 and negatives give inf too."""
+    with np.errstate(divide="ignore"):
+        return np.divide(1.0, np.maximum(a, 0.0))
 
 
 class Gauge:

@@ -29,12 +29,13 @@ from .errors import ConvergenceError, DomainError, ParameterError, UnsupportedMe
 __all__ = ["TailOrders", "ExponentMeasure", "Logistic", "AsymmetricLogistic"]
 
 # h-inverse solves: the generic solve's bracket floor and step tolerance in
-# s = ln t, the logistic solve's relative step tolerance in y, and the
+# s = ln t, the logistic solve's certified relative error in y, and the
 # iteration cap of both
 _T_MIN = 1e-300
 _S_TOL = 1e-12
 _Y_RTOL = 1e-15
 _SOLVE_MAXITER = 100
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -303,8 +304,7 @@ class Logistic(ExponentMeasure):
         return out
 
     def _v1(self, x, y):
-        a = self.alpha
-        q = 1.0 / a
+        a, q = self.alpha, self._q
         s = x ** (-q) + y ** (-q)
         return -(s ** (a - 1.0)) * x ** (-q - 1.0)
 
@@ -339,8 +339,7 @@ class Logistic(ExponentMeasure):
         # conditional exponent: the 2 ln(tv) term cancels against ln(-V2),
         # leaving expm1/log1p forms with full relative precision however
         # small the conditional mass is
-        a = self.alpha
-        q = 1.0 / a
+        a, q = self.alpha, self._q
         m = np.maximum(tu, tv)
         l1p = np.log1p((np.minimum(tu, tv) / m) ** q)
         grow = np.expm1(a * l1p)
@@ -355,8 +354,7 @@ class Logistic(ExponentMeasure):
 
     def _cond_parts(self, tu, tv):
         # K = (tu tv)^(q+1) S^(alpha-2) (V + q - 1), from the terms of w
-        a = self.alpha
-        q = 1.0 / a
+        a, q = self.alpha, self._q
         w, V, l1p, grow, ltu, ltv = self._cond_terms(tu, tv)
         # V holds m until it is scaled in place, so the kernel keeps few
         # arrays alive at once
@@ -371,80 +369,70 @@ class Logistic(ExponentMeasure):
     def _solve_t(self, wstar, tv):
         """t > 0 with _cond_exponent(t, tv) = wstar < 0, on 1-d arrays.
 
-        With q = 1/alpha, z = t/tv and y = ln(1 + z^q), homogeneity turns
-        the conditional exponent into one function of y alone,
-
-            -w = F(y) = tv expm1(alpha y) + (1 - alpha) y,
-
-        increasing and convex with F(0) = 0.  Since expm1(x) >= x, both
-        c/(alpha tv + 1 - alpha) and log1p(c/tv)/alpha bound the root of
-        F(y) = c = -wstar from above, and the solve descends onto it from
-        the smaller one by Halley steps, one expm1 per step: the curvature
-        F'' = alpha (F' - (1 - alpha)) comes from the slope.  A Halley step
-        that would leave the bracket (0, y] is replaced by the Newton step.
-        A point stops once its step is below 1e-15 y or 1e-300, the latter
-        for subnormal roots, and stays where it stopped; the arrays drop the
-        stopped points only once a quarter of them have stopped, so a
-        point's result does not depend on when they are dropped.
-        z^q = expm1(y) then gives t = tv expm1(y)^alpha, one power with
-        full relative precision however small t is; past y = 700, where
-        expm1 overflows, ln t = ln tv + alpha (y + ln(-expm1(-y))) takes
-        over.  At alpha = 1, -w = t.
+        With q = 1/alpha, z = t/tv and y = ln(1 + z^q), homogeneity makes
+        -w one function F(y) of y alone (``_solve_y``), and z^q = expm1(y)
+        gives t = tv expm1(y)^alpha, with full relative precision however
+        small t is; past y = 700, where expm1 overflows, ln t = ln tv +
+        alpha (y + ln(-expm1(-y))).  At alpha = 1, -w = t.
         """
         a = self.alpha
-        c = -wstar
         if a == 1.0:
-            return c
-        b = 1.0 - a
-        atv = a * tv
-        y0 = np.minimum(c / (atv + b), np.log1p(c / tv) / a)
-        y = y0.copy()
-        out = np.empty_like(c)
-        idx = np.arange(c.size)
-        moving = np.ones(c.size, dtype=bool)
-        tv_all = tv
+            return -wstar
+        y = self._solve_y(-wstar, tv)
+        t = tv * np.expm1(np.minimum(y, 700.0)) ** a
+        big = y > 700.0
+        if big.any():  # where ln(-expm1(-y)) rounds to 0
+            t[big] = np.exp(np.log(tv[big]) + a * y[big])
+        return t
+
+    def _solve_y(self, c, tv):
+        """The root of the increasing, convex F(y) = tv expm1(alpha y) +
+        (1 - alpha) y = c > 0 on 1-d arrays, by Newton with a certified stop.
+
+        With u = alpha y and k = 1/alpha - 1, expm1(u) >= u + u^2/2 makes
+        log1p(c/tv) and 2c / ((tv + k) + sqrt((tv + k)^2 + 2 tv c)), the root
+        of tv (u + u^2/2) + k u = c, bounds on u from above; Newton descends
+        from the smaller.  F'' = alpha (F' - 1 + alpha) <= alpha F' bounds
+        the error left after a step dy by (alpha/2) dy^2 (1 + O(alpha dy)), so
+        a point stops once that is at most 1e-15 y, and stays there; the
+        arrays drop stopped points once a quarter have stopped, so no result
+        depends on when.  Needs alpha < 1.  Block-sized temporaries cost about
+        a pass each, so most steps work in place.
+        """
+        a, b = self.alpha, 1.0 - self.alpha
+        atvb = tv + b / a  # tv + k, then alpha tv + 1 - alpha
+        y = np.sqrt(atvb * atvb + 2.0 * tv * c)
+        y += atvb
+        np.divide(2.0 * c, y, out=y)
+        np.minimum(y, np.log1p(c / tv), out=y)
+        y /= a
+        atvb *= a
+        out, idx, moving = np.empty_like(c), np.arange(c.size), np.ones(c.size, dtype=bool)
         for _ in range(_SOLVE_MAXITER):
-            # the Halley step F F' / (F'^2 - F F''/2), with F' = e + 1 - alpha
-            # and F'' = alpha e for e = alpha tv (1 + expm1(alpha y)); the
-            # Newton step F/F' where it would leave (0, y]
+            # the Newton step F/F', with F' = alpha tv expm1(alpha y) + alpha tv + 1 - alpha
             e = a * y
             np.expm1(e, out=e)
-            F = tv * e
-            F += b * y
-            F -= c
-            e += 1.0
-            e *= atv
-            slope = e + b
-            e *= F
-            e *= 0.5 * a
-            den = slope * slope
-            den -= e
-            dy = F * slope
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dy /= den
-            newton = np.flatnonzero(~((dy >= 0.0) & (dy < y)))
-            if newton.size:
-                dy[newton] = F[newton] / slope[newton]
+            e *= tv
+            dy = b * y
+            dy += e
+            dy -= c
+            e *= a
+            e += atvb
+            dy /= e
             dy *= moving
             y -= dy
-            moving &= ~(np.abs(dy) <= _Y_RTOL * y + 1e-300)
+            np.multiply(dy, dy, out=e)
+            e *= 0.5 * a / _Y_RTOL
+            moving &= ~(e <= y)  # the stop (alpha/2) dy^2 <= 1e-15 y; NaN keeps moving
             n_moving = np.count_nonzero(moving)
             if 4 * (idx.size - n_moving) >= idx.size:
-                stopped = np.flatnonzero(~moving)
-                out[idx[stopped]] = y[stopped]
+                out[idx] = y  # the moving points are written again when they stop
                 if n_moving == 0:
-                    break
+                    return out
                 keep = np.flatnonzero(moving)
-                idx, tv, atv, c, y, dy = (v.take(keep) for v in (idx, tv, atv, c, y, dy))
+                idx, tv, atvb, c, y, dy = (v.take(keep) for v in (idx, tv, atvb, c, y, dy))
                 moving = np.ones(keep.size, dtype=bool)
-        else:
-            raise _unconverged(n_moving, y0[idx[moving]], dy[moving])
-        t = tv_all * np.expm1(np.minimum(out, 700.0)) ** a
-        big = np.flatnonzero(out > 700.0)
-        if big.size:
-            yb = out[big]
-            t[big] = np.exp(np.log(tv_all[big]) + a * (yb + np.log(-np.expm1(-yb))))
-        return t
+        raise _unconverged(n_moving, y[moving], dy[moving])
 
     def transposed(self) -> "Logistic":
         return self
@@ -487,6 +475,12 @@ class AsymmetricLogistic(ExponentMeasure):
         self.alpha = alpha
         self.theta1 = theta1
         self.theta2 = theta2
+        # either weight at 1 collapses the dependent component: V = 1/x + 1/y
+        self._degenerate = theta1 == 1.0 or theta2 == 1.0
+        self._q = 1.0 / alpha
+        # the weights' powers, and whether both are normal floats (see _v)
+        self._w1, self._w2 = (1.0 - theta1) ** self._q, (1.0 - theta2) ** self._q
+        self._direct = min(self._w1, self._w2) >= _TINY
 
     def __repr__(self):
         return f"AsymmetricLogistic(alpha={self.alpha}, theta1={self.theta1}, theta2={self.theta2})"
@@ -497,30 +491,40 @@ class AsymmetricLogistic(ExponentMeasure):
             and (other.alpha, other.theta1, other.theta2) == (self.alpha, self.theta1, self.theta2)
         )
 
-    @property
-    def _degenerate(self):
-        # either weight at 1 collapses the dependent component: V = 1/x + 1/y
-        return self.theta1 == 1.0 or self.theta2 == 1.0
-
     def _p(self, x, y):
-        q = 1.0 / self.alpha
-        return ((1.0 - self.theta1) ** q) * x ** (-q) + ((1.0 - self.theta2) ** q) * y ** (-q)
+        return self._w1 * x ** (-self._q) + self._w2 * y ** (-self._q)
 
     def _v(self, x, y):
+        # arguments live in (0, inf], with the exact marginal limits at inf.
+        # The direct form theta1/x + theta2/y + p^alpha fails at small alpha,
+        # where (1-theta)^q underflows (0.4^1000 at alpha = 0.001) or x^-q
+        # overflows; where a weight's power or p is not a normal float, the
+        # one-power form M (1 + (m/M)^q)^alpha of p^alpha takes over, with
+        # M, m the larger and smaller of (1-theta1)/x and (1-theta2)/y
         if self._degenerate:
             return 1.0 / x + 1.0 / y
+        a, t1, t2 = self.alpha, self.theta1, self.theta2
         if type(x) is float and type(y) is float:
             if x == math.inf:
                 return 0.0 if y == math.inf else 1.0 / y
             if y == math.inf:
                 return 1.0 / x
             try:
-                return self.theta1 / x + self.theta2 / y + self._p(x, y) ** self.alpha
+                p = self._p(x, y)
+                if self._direct and _TINY <= p < math.inf:
+                    return t1 / x + t2 / y + p**a
             except OverflowError:
-                # a float power overflows where numpy's gives inf: the array
-                # form, with its warning, on the same two values
-                return float(self._v(np.float64(x), np.float64(y)))
-        out = self.theta1 / x + self.theta2 / y + self._p(x, y) ** self.alpha
+                pass
+            return float(self._v(np.float64(x), np.float64(y)))  # the array form, on the same two values
+        with np.errstate(over="ignore", invalid="ignore"):  # 0/0 at x = y = inf is set below
+            p = self._p(x, y)
+            out = t1 / x + t2 / y + p**a
+            bad = ~(self._direct & (p >= _TINY) & (p < math.inf))
+            if np.any(bad):
+                A, B = (1.0 - t1) / x, (1.0 - t2) / y
+                m, M = np.minimum(A, B), np.maximum(A, B)
+                r = np.where(m < M, m / M, 1.0) ** self._q
+                out = np.where(bad, t1 / x + t2 / y + M * (1.0 + r) ** a, out)
         if np.any(np.isinf(x)) or np.any(np.isinf(y)):
             x_inf, y_inf = np.isinf(x), np.isinf(y)
             with np.errstate(divide="ignore"):
@@ -529,19 +533,17 @@ class AsymmetricLogistic(ExponentMeasure):
         return out
 
     def _v1(self, x, y):
-        a = self.alpha
-        q = 1.0 / a
+        a, q = self.alpha, self._q
         if self._degenerate:
             return -1.0 / x**2
         p = self._p(x, y)
-        return -self.theta1 / x**2 - ((1.0 - self.theta1) ** q) * x ** (-q - 1.0) * p ** (a - 1.0)
+        return -self.theta1 / x**2 - self._w1 * x ** (-q - 1.0) * p ** (a - 1.0)
 
     def _v2(self, x, y):
         return self.transposed()._v1(y, x)
 
     def _v12(self, x, y):
-        a = self.alpha
-        q = 1.0 / a
+        a, q = self.alpha, self._q
         if a == 1.0 or self._degenerate:
             return np.zeros(np.broadcast(x, y).shape)
         p = self._p(x, y)
@@ -566,8 +568,7 @@ class AsymmetricLogistic(ExponentMeasure):
         #   K = (tu tv)^2 mixA mixB (1 + (q-1) rhoA rhoB / W),
         # with rhoA = (1-theta1) uA / mixA <= 1.  Every term of w is <= 0
         # and every term of K >= 0, so nothing cancels however small w is
-        a, t1, t2 = self.alpha, self.theta1, self.theta2
-        q = 1.0 / a
+        a, q, t1, t2 = self.alpha, self._q, self.theta1, self.theta2
         A, B = (1.0 - t1) * tu, (1.0 - t2) * tv
         big = A > B
         # (A/B)^q overflows where A >> B, so take r <= 1: then q ln(A/B)
@@ -586,8 +587,7 @@ class AsymmetricLogistic(ExponentMeasure):
             # w = -tu and K = (tu tv)^2
             with np.errstate(divide="ignore"):
                 return self._cond_exponent(tu, tv), tu + tv, 2.0 * (np.log(tu) + np.log(tv))
-        a, t1, t2 = self.alpha, self.theta1, self.theta2
-        q = 1.0 / a
+        a, q, t1, t2 = self.alpha, self._q, self.theta1, self.theta2
         w, M, l1p, grow, lr, lnmix_B, rho_B = self._cond_terms(tu, tv)
         lnmix_A, rho_A = _mix(t1, (a - 1.0) * (l1p + np.maximum(-lr, 0.0)))
         W = M * (1.0 + grow)

@@ -734,6 +734,14 @@ def test_scalar_plan_is_bit_identical_to_interpreted_plan(spec):
     assert np.array_equal(g(pts), _interpreted_array_plan(spec)(pts))
 
 
+def test_recip_takes_zero_signed_zero_and_roundoff_to_inf():
+    # the array plan's 1/a: a zero margin, -0.0 and a negative difference
+    # left by roundoff all give +inf, never -inf or a warning
+    out = gauges._recip(np.array([0.0, -0.0, -1e-17, -3.0, 0.25, np.inf]))
+    assert out.tolist() == [np.inf, np.inf, np.inf, np.inf, 4.0, 0.0]
+    assert not np.signbit(out).any()
+
+
 def _array_code(g):
     # the generated array evaluator that a vine gauge's array path binds
     # (through a cached builder) and calls

@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -163,15 +164,37 @@ def test_float_path_takes_the_exact_limits_and_returns_floats(m):
     assert m.V(np.inf, np.inf) == 0.0
 
 
-def test_float_path_overflow_takes_the_array_form():
+def test_float_path_past_the_float_range_takes_the_one_power_form():
     # alpha = 0.01 gives x^-100, which overflows as a float power at x = 1e-4;
-    # numpy's power gives inf there, and so does V on floats
+    # the one-power form keeps V finite on both paths and in the scalar
+    # gauge: V = 0.3e4 + 0.6 + 0.7e4 (1 + (0.4e-4/0.7)^100)^0.01
     m = AsymmetricLogistic(0.01, 0.3, 0.6)
-    with np.errstate(over="ignore"):
-        assert m.V(1e-4, 1.0) == float(m.V(np.array(1e-4), np.array(1.0))) == np.inf
-        assert inverted_ev_gauge(m)([1e4, 1.0]) == np.inf  # the scalar gauge calls the same branch
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        m.V(1e-4, 1.0)
+    v = m.V(1e-4, 1.0)
+    assert v == pytest.approx(10000.6, rel=1e-15)
+    assert float(m.V(np.array(1e-4), np.array(1.0))) == pytest.approx(v, rel=1e-15)
+    assert inverted_ev_gauge(m)([1e4, 1.0]) == v  # the scalar gauge calls the same branch
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.003, 0.05])
+@pytest.mark.parametrize("t1, t2", [(0.3, 0.6), (0.9, 0.6), (0.55, 0.3), (0.0, 0.999)])
+def test_asymmetric_logistic_small_alpha_against_mpmath(alpha, t1, t2):
+    # at alpha = 0.001 the weights' powers (1 - theta)^(1/alpha) underflow
+    # and x^(-1/alpha) overflows, which made the direct form NaN or dropped
+    # a term; the reference is the same formula in 50-digit mpmath, with the
+    # float q = 1/alpha
+    pts = [(0.5, 0.04), (1.0, 1.0), (5.0, 1.0), (1.0, 5.0), (2.5, 2.0), (1e3, 0.5), (1e-6, 10.0),
+           (1e-4, 1.0), (0.4966, 0.774)]
+    m = AsymmetricLogistic(alpha, t1, t2)
+    with mpmath.workdps(50):
+        q, a = mpmath.mpf(1.0 / alpha), mpmath.mpf(alpha)
+        T1, T2 = mpmath.mpf(t1), mpmath.mpf(t2)
+        ref = [float(T1 / x + T2 / y + (((1 - T1) / x) ** q + ((1 - T2) / y) ** q) ** a)
+               for x, y in (map(mpmath.mpf, pt) for pt in pts)]
+    xs, ys = np.array(pts).T
+    assert_allclose([m.V(x, y) for x, y in pts], ref, rtol=1e-14)  # float path
+    assert_allclose(m.V(xs, ys), ref, rtol=1e-14)                  # array path
+    x, y = RNG.uniform(1e-3, 10.0, size=(2, 20_000))
+    assert np.all(np.isfinite(m.V(x, y)))
 
 
 margins = st.floats(1e-6, 1e6)

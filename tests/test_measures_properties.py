@@ -5,7 +5,9 @@ import math
 import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -68,7 +70,8 @@ def test_asymmetric_logistic_without_atoms_is_logistic(a, ts):
 
 def newton_steps(a, c, tv):
     """Steps of plain Newton on F(y) = tv expm1(a y) + (1 - a) y = c from
-    the logistic solve's start, to the solve's stopping rule."""
+    the looser start min(c/(a tv + 1 - a), log1p(c/tv)/a), to the stop
+    |dy| <= 1e-15 y + 1e-300, which takes a confirming step."""
     b = 1.0 - a
     y = min(c / (a * tv + b), math.log1p(c / tv) / a)
     for k in range(1, 101):
@@ -96,9 +99,10 @@ def solve_steps(measure, wstar, tv):
 @example(0.01, math.log10(60.0), -15.0)
 @example(0.999, -300.0, math.log10(80.0))
 @example(0.5, -300.0, -15.0)
-def test_logistic_halley_solve(a, log_c, log_tv):
-    # the Halley solve of Logistic against the generic Newton solve in
-    # s = ln t on the same kernel, at w* = -c
+def test_logistic_newton_solve(a, log_c, log_tv):
+    # the Newton solve of Logistic against the generic Newton solve in
+    # s = ln t on the same kernel, at w* = -c; its tighter start and
+    # certified stop take no more steps than plain Newton
     c, tv = 10.0**log_c, 10.0**log_tv
     m = Logistic(a)
     wstar, tvs = np.array([-c]), np.array([tv])
@@ -112,3 +116,37 @@ def test_logistic_halley_solve(a, log_c, log_tv):
         assert abs(t - want) <= 1e-13 * want
     if a < 1.0:
         assert solve_steps(m, wstar, tvs) <= newton_steps(a, c, tv)
+
+
+@given(st.floats(0.9, 0.999999), st.floats(-300.0, math.log10(60.0)), st.floats(-15.0, math.log10(80.0)))
+@example(0.999999, -300.0, math.log10(80.0))
+@example(0.999, -8.0, math.log10(80.0))
+@example(0.9375, 0.0, 0.96875)
+@example(0.99, -2.625, 0.0)
+def test_logistic_newton_stop_is_certified(a, log_c, log_tv):
+    # the stop (alpha/2) dy^2 <= 1e-15 y takes no confirming step, so the
+    # bound must hold for the last step's own error, to which the step's
+    # rounding adds a few ulp.  It is tightest with alpha near 1, where
+    # F''/F' = alpha (1 - (1 - alpha)/F') reaches alpha.  Where c is tiny,
+    # so that u = alpha y <= c/(tv + 1/alpha - 1) is below 1e-3, the start
+    # is so close that only the rounding is left.  The root is a 50-digit
+    # mpmath root of F(y) = c at the same float alpha, c and tv
+    c, tv = 10.0**log_c, 10.0**log_tv
+    y = Logistic(a)._solve_y(np.array([c]), np.array([tv]))[0]
+    with mpmath.workdps(50):
+        A, C, TV = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(tv)
+        root = mpmath.findroot(lambda r: TV * mpmath.expm1(A * r) + (1 - A) * r - C, mpmath.mpf(y))
+        err = float(abs(mpmath.mpf(y) - root))
+    tol = 4 * math.ulp(float(root))
+    assert err <= (tol if c <= 1e-3 * (tv + 1.0 / a - 1.0) else tol + 1e-15 * float(root))
+
+
+def test_logistic_solve_raises_past_its_iteration_cap():
+    # one step stops the point with tiny c but not the other, which the
+    # error counts
+    m = Logistic(0.5)
+    wstar, tv = np.array([-10.0, -1e-300]), np.array([1.0, 1.0])
+    assert solve_steps(m, wstar[:1], tv[:1]) > 1
+    with mock.patch.object(measures, "_SOLVE_MAXITER", 1), pytest.raises(ConvergenceError) as err:
+        m._solve_t(wstar, tv)
+    assert err.value.diagnostics["unconverged"] == 1
