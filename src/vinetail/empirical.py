@@ -51,7 +51,11 @@ def min_over_set(cloud: SampleCloud, C) -> np.ndarray:
     C = tuple(sorted(set(int(c) for c in C)))
     if not C or C[0] < 1 or C[-1] > cloud.d:
         raise DomainError(f"index set must be a subset of 1..{cloud.d}")
-    return cloud.values[:, [c - 1 for c in C]].min(axis=1)
+    # a running minimum over column views: T is the only new array
+    t = cloud.values[:, C[0] - 1].copy()
+    for c in C[1:]:
+        np.minimum(t, cloud.values[:, c - 1], out=t)
+    return t
 
 
 def _require_unscaled(cloud):
@@ -96,7 +100,8 @@ def threshold_at(cloud: SampleCloud, C, percentile: float = 95.0) -> float:
     """Empirical percentile of T = min over C, the default threshold rule."""
     if not 0.0 <= percentile <= 100.0:  # also false for NaN
         raise DomainError(f"percentile must be in [0, 100], got {percentile}")
-    return float(np.percentile(min_over_set(cloud, C), percentile))
+    # T is this call's own, so the selection may reorder it in place
+    return float(np.percentile(min_over_set(cloud, C), percentile, overwrite_input=True))
 
 
 def cloud_coverage(cloud: SampleCloud, g: Gauge, slack: float) -> float:

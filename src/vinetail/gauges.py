@@ -45,6 +45,7 @@ import numpy as np
 from .copulas import EV, IEV, PairCopula
 from .errors import DomainError, ParameterError, UnsupportedCombinationError
 from .measures import ExponentMeasure, Logistic, TailOrders
+from .simulate import _BLOCK
 from .vines import CVINE, DVINE, TRIVARIATE, VineSpec
 
 __all__ = [
@@ -112,10 +113,21 @@ class Gauge:
                 if not 0.0 <= v < math.inf:  # also false for NaN
                     raise DomainError("gauge arguments must be finite nonnegative reals")
             return float(self._sfn(*xs))
-        if not np.all((x >= 0.0) & (x < np.inf)):  # also false for NaN
-            raise DomainError("gauge arguments must be finite nonnegative reals")
-        out = np.asarray(self._fn(x))
+        if x.ndim == 2 and x.shape[0] > _BLOCK:
+            # a cloud: block by block, so that the evaluator's temporaries
+            # stay cache-sized and are reused, not faulted in afresh
+            out = np.empty(x.shape[0])
+            for i in range(0, x.shape[0], _BLOCK):
+                out[i : i + _BLOCK] = self._array(x[i : i + _BLOCK])
+            return out
+        out = np.asarray(self._array(x))
         return float(out) if out.ndim == 0 else out
+
+    def _array(self, x):
+        # reductions, not boolean temporaries; an empty array passes
+        if x.size and not (x.min() >= 0.0 and x.max() < math.inf):  # also true for NaN
+            raise DomainError("gauge arguments must be finite nonnegative reals")
+        return self._fn(x)
 
     def scalar_evaluator(self):
         """The fastest single-point evaluator, taking d separate floats."""
@@ -314,9 +326,11 @@ def _compile_vine(spec: VineSpec):
 
 # V(1/p, 1/q) on floats for a logistic measure in step n, with 1/0 = inf:
 # the direct form (x^e + y^e)^a of Logistic._v, e = -1/alpha, with the same
-# operations in the same order; an infinite argument or an overflowing sum
-# calls Logistic._v itself (v{n}), which repeats the form and takes the
-# exact limits and the one-power form there, so every value keeps its bits
+# operations in the same order; an infinite argument or a sum that is not a
+# normal float (it overflows, or both powers underflow) calls Logistic._v
+# itself (v{n}), which repeats the form and takes the exact limits and the
+# one-power form there, so every value keeps its bits.  The smallest normal
+# float is a literal: a constant is loaded faster than a global
 _LOGISTIC_FORM = """\
 x = 1.0 / {p} if {p} > 0.0 else inf
 y = 1.0 / {q} if {q} > 0.0 else inf
@@ -324,16 +338,16 @@ try:
     {r} = x ** e{n} + y ** e{n} if x < inf > y else inf
 except OverflowError:
     {r} = inf
-{r} = {r} ** a{n} if {r} < inf else v{n}(x, y)"""
+{r} = {r} ** a{n} if 2.2250738585072014e-308 <= {r} < inf else v{n}(x, y)"""
 
 # the partials of r = V(1/p, 1/q) = (p^(1/alpha) + q^(1/alpha))^alpha in step
 # n, kept by the gradient dialect: dr/dp = (p/r)^c{n} with c{n} = 1/alpha - 1.
-# p/r <= 1, so the power cannot overflow, and the overflow branch, whose r
-# the one-power form leaves exact, takes the same power.  A zero margin
-# (p <= 0, where the value takes V(inf, y) = 1/y) takes the limit
-# z{n} = 0^c{n}: 0 for alpha < 1, 1 at alpha = 1.  With both margins zero
-# r = 0, and each partial is 1, the one-sided partial r(t, 0)/t along that
-# margin with the other held at zero.
+# p/r <= 1, so the power cannot overflow, and the one-power branches (the
+# sum overflows or underflows), whose r they leave exact, take the same
+# power.  A zero margin (p <= 0, where the value takes V(inf, y) = 1/y)
+# takes the limit z{n} = 0^c{n}: 0 for alpha < 1, 1 at alpha = 1.  With
+# both margins zero r = 0, and each partial is 1, the one-sided partial
+# r(t, 0)/t along that margin with the other held at zero.
 _LOGISTIC_PARTIALS = """\
 if {r} > 0.0:
     d{n}p = ({p} / {r}) ** c{n} if {p} > 0.0 else z{n}

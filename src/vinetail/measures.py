@@ -20,6 +20,7 @@ scalar vine gauge calls, with no array round trip.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ _T_MIN = 1e-300
 _S_TOL = 1e-12
 _Y_RTOL = 1e-15
 _SOLVE_MAXITER = 100
-_TINY = np.finfo(float).tiny  # the smallest normal float
+_TINY = sys.float_info.min  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -270,11 +271,13 @@ class Logistic(ExponentMeasure):
         # marginal limits V(inf, y) = 1/y, V(x, inf) = 1/x, V(inf, inf) = 0.
         # The direct form overflows once q ln(1/x) > 709 (alpha below about
         # 0.004 at ordinary arguments), in a power or in the sum of two
-        # finite ones; there alone the one-power form
-        # (1 + (m/M)^q)^alpha / m, with m = min(x, y) and M = max(x, y),
-        # takes over, so values in range keep their bits.  The scalar vine
-        # plan inlines the direct form of the float branch operation for
-        # operation (gauges._LOGISTIC_FORM) and calls this method for the rest
+        # finite ones, and underflows once q ln(x) > 708 in both powers
+        # (x and y above about 1200 at alpha = 0.01); where the sum is not a
+        # normal float the one-power form (1 + (m/M)^q)^alpha / m, with
+        # m = min(x, y) and M = max(x, y), takes over, so values in range
+        # keep their bits.  The scalar vine plan inlines the direct form of
+        # the float branch operation for operation (gauges._LOGISTIC_FORM)
+        # and calls this method for the rest
         q = self._q
         if type(x) is float and type(y) is float:
             if x == math.inf:
@@ -285,17 +288,19 @@ class Logistic(ExponentMeasure):
                 s = x ** (-q) + y ** (-q)
             except OverflowError:
                 s = math.inf
-            if s == math.inf:
+            if not _TINY <= s < math.inf:
                 m, M = (x, y) if x < y else (y, x)
                 return (1.0 + (m / M) ** q) ** self.alpha / m
             return s ** self.alpha
         with np.errstate(over="ignore"):
-            out = (x ** (-q) + y ** (-q)) ** self.alpha
-        over = np.isinf(out)
-        if np.any(over):
+            s = x ** (-q) + y ** (-q)
+            out = s ** self.alpha
+        # two reductions find whether any point needs the mask
+        if s.size and not (s.min() >= _TINY and s.max() < math.inf):
+            bad = (s < _TINY) | np.isinf(s)
             m, M = np.minimum(x, y), np.maximum(x, y)
             with np.errstate(over="ignore", invalid="ignore"):  # the discarded points
-                out = np.where(over, (1.0 + (m / M) ** q) ** self.alpha / m, out)
+                out = np.where(bad, (1.0 + (m / M) ** q) ** self.alpha / m, out)
         if np.any(np.isinf(x)) or np.any(np.isinf(y)):
             x_inf, y_inf = np.isinf(x), np.isinf(y)
             with np.errstate(divide="ignore"):
@@ -532,23 +537,34 @@ class AsymmetricLogistic(ExponentMeasure):
                 out = np.where(y_inf & ~x_inf, 1.0 / x, out)
         return out
 
+    def _folded(self, x, y):
+        # the weights folded into their bases, as in the one-power form of
+        # _v: A = (1-theta1)/x, M = max(A, (1-theta2)/y) and r <= 1 with
+        # p = M^q (1 + r).  The partials take these forms everywhere: their
+        # direct forms multiply (1-theta)^q, which underflows at small
+        # alpha, by x^(-q-1), which overflows, and read NaN
+        A, B = (1.0 - self.theta1) / x, (1.0 - self.theta2) / y
+        M = np.maximum(A, B)
+        return A, M, (np.minimum(A, B) / M) ** self._q
+
     def _v1(self, x, y):
-        a, q = self.alpha, self._q
+        # -V1 x^2 = theta1 + (1-theta1) (A/M)^(q-1) (1 + r)^(alpha-1)
         if self._degenerate:
             return -1.0 / x**2
-        p = self._p(x, y)
-        return -self.theta1 / x**2 - self._w1 * x ** (-q - 1.0) * p ** (a - 1.0)
+        a, q, t1 = self.alpha, self._q, self.theta1
+        A, M, r = self._folded(x, y)
+        return -(t1 + (1.0 - t1) * (A / M) ** (q - 1.0) * (1.0 + r) ** (a - 1.0)) / x**2
 
     def _v2(self, x, y):
         return self.transposed()._v1(y, x)
 
     def _v12(self, x, y):
-        a, q = self.alpha, self._q
+        # ((alpha-1)/alpha) (A B)^q p^(alpha-2) / (x y) = ((alpha-1)/alpha) M r (1 + r)^(alpha-2) / (x y)
+        a = self.alpha
         if a == 1.0 or self._degenerate:
             return np.zeros(np.broadcast(x, y).shape)
-        p = self._p(x, y)
-        w = ((1.0 - self.theta1) * (1.0 - self.theta2)) ** q
-        return ((a - 1.0) / a) * w * (x * y) ** (-q - 1.0) * p ** (a - 2.0)
+        _, M, r = self._folded(x, y)
+        return ((a - 1.0) / a) * M * r * (1.0 + r) ** (a - 2.0) / (x * y)
 
     def _cond_exponent(self, tu, tv):
         if self._degenerate:

@@ -139,6 +139,33 @@ def test_scalar_and_vector_paths_agree(g):
     assert_allclose(vec, sca, rtol=1e-14, atol=1e-14)
 
 
+@pytest.mark.parametrize("g", [ALL_PATTERNS[0], ALL_PATTERNS[3], BIVARIATE[1], BIVARIATE[5]], ids=repr)
+def test_arrays_of_several_blocks_equal_their_rows(g, monkeypatch):
+    # an (n, d) array of more than one block of rows is evaluated block by
+    # block; every evaluator is elementwise over rows, so each value is the
+    # one its row gives alone
+    rng = np.random.default_rng(2718)
+    pts = rng.uniform(0.0, 3.0, (29, g.dim))
+    monkeypatch.setattr(gauges, "_BLOCK", 8)
+    vals = g(pts)
+    assert vals.shape == (29,)
+    assert np.array_equal(vals, [g(row[None, :])[0] for row in pts])
+    monkeypatch.undo()
+    many = rng.uniform(0.0, 3.0, (gauges._BLOCK + 3, g.dim))
+    assert np.array_equal(g(many), g._fn(many))
+    assert g(np.empty((0, g.dim))).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-300])
+def test_a_bad_value_in_the_last_block_raises(bad, monkeypatch):
+    g = ALL_PATTERNS[0]
+    monkeypatch.setattr(gauges, "_BLOCK", 8)
+    pts = np.random.default_rng(2718).uniform(0.0, 3.0, (29, 3))
+    pts[-1, 1] = bad
+    with pytest.raises(DomainError):
+        g(pts)
+
+
 @pytest.mark.parametrize("g", ALL_PATTERNS + BIVARIATE)
 def test_limit_set_inside_unit_cube(g):
     dirs = RNG.dirichlet(np.ones(g.dim), size=1000)

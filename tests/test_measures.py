@@ -175,6 +175,71 @@ def test_float_path_past_the_float_range_takes_the_one_power_form():
     assert inverted_ev_gauge(m)([1e4, 1.0]) == v  # the scalar gauge calls the same branch
 
 
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05])
+def test_logistic_below_the_float_range_takes_the_one_power_form(alpha):
+    # where both powers x^(-1/alpha) underflow the direct sum is 0 or
+    # subnormal, and V read 0: Logistic(0.01).V(2000, 2000) is 2^0.01/2000.
+    # The reference is the formula in 50-digit mpmath with the float q
+    q = 1.0 / alpha
+    pts = [(2000.0, 2000.0), (2000.0, 3000.0), (1e4, 5e3), (1300.0, 1400.0), (1.5, 1e6), (3.0, 3.5)]
+    pts = [(x ** (0.01 / alpha), y ** (0.01 / alpha)) for x, y in pts]  # the same powers at every alpha
+    with mpmath.workdps(50):
+        ref = [float((mpmath.mpf(x) ** -mpmath.mpf(q) + mpmath.mpf(y) ** -mpmath.mpf(q)) ** mpmath.mpf(alpha))
+               for x, y in pts]
+    m = Logistic(alpha)
+    xs, ys = np.array(pts).T
+    assert_allclose([m.V(x, y) for x, y in pts], ref, rtol=1e-14)  # float path
+    assert_allclose(m.V(xs, ys), ref, rtol=1e-14)                  # array path
+    g = inverted_ev_gauge(m)
+    gv = [g([1.0 / x, 1.0 / y]) for x, y in pts]
+    assert gv == [m.V(1.0 / (1.0 / x), 1.0 / (1.0 / y)) for x, y in pts]  # the scalar plan calls the same branch
+    assert_allclose(g(1.0 / np.array(pts)), gv, rtol=1e-15)
+    if alpha == 0.01:
+        assert m.V(2000.0, 2000.0) == pytest.approx(2.0**0.01 / 2000.0, rel=1e-15)
+        assert g([5e-4, 5e-4]) > 0.0
+    # where the direct sum is a normal float every value keeps its bits
+    x, y = np.random.default_rng(2718).uniform(0.05, 20.0, size=(2, 2000))
+    with np.errstate(over="ignore"):
+        s = x ** (-q) + y ** (-q)
+    ok = (s >= np.finfo(float).tiny) & (s < np.inf)
+    assert np.array_equal(m.V(x[ok], y[ok]), s[ok] ** alpha)
+    for a, b in zip(x[:200].tolist(), y[:200].tolist()):  # the float path, on Python floats
+        try:
+            s = a ** (-q) + b ** (-q)
+        except OverflowError:
+            continue
+        if np.finfo(float).tiny <= s < np.inf:
+            assert m.V(a, b) == s**alpha
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.05])
+@pytest.mark.parametrize("t1, t2", [(0.3, 0.6), (0.9, 0.6), (0.55, 0.3), (0.0, 0.999)])
+def test_asymmetric_logistic_partials_at_small_alpha_against_mpmath(alpha, t1, t2):
+    # the direct partials multiply (1 - theta)^(1/alpha), which underflows,
+    # by x^(-1/alpha - 1), which overflows, and read NaN:
+    # AsymmetricLogistic(0.001, 0.3, 0.6).V1(0.5, 0.04) was nan.  The
+    # reference is the direct form in 50-digit mpmath, where nothing
+    # underflows.  The rounding of 1 - theta, half an ulp, enters raised to
+    # the power q, so the tolerance is 4 q ulp
+    pts = [(0.5, 0.04), (1.0, 1.0), (5.0, 1.0), (2.5, 2.0), (1e3, 0.5), (1e-4, 1.0), (0.4966, 0.774)]
+    m = AsymmetricLogistic(alpha, t1, t2)
+    with mpmath.workdps(50):
+        q, a = mpmath.mpf(1.0 / alpha), mpmath.mpf(alpha)
+        T1, T2 = mpmath.mpf(t1), mpmath.mpf(t2)
+        ref = {"V1": [], "V2": [], "V12": []}
+        for x, y in (map(mpmath.mpf, pt) for pt in pts):
+            p = ((1 - T1) / x) ** q + ((1 - T2) / y) ** q
+            ref["V1"].append(float(-T1 / x**2 - (1 - T1) ** q * x ** (-q - 1) * p ** (a - 1)))
+            ref["V2"].append(float(-T2 / y**2 - (1 - T2) ** q * y ** (-q - 1) * p ** (a - 1)))
+            ref["V12"].append(float((a - 1) / a * ((1 - T1) * (1 - T2)) ** q * (x * y) ** (-q - 1) * p ** (a - 2)))
+    xs, ys = np.array(pts).T
+    for name, want in ref.items():
+        assert_allclose(getattr(m, name)(xs, ys), want, rtol=4.0 / alpha * np.finfo(float).eps, err_msg=name)
+    x, y = np.random.default_rng(2718).uniform(1e-3, 10.0, size=(2, 20_000))
+    for name in ref:
+        assert np.all(np.isfinite(getattr(m, name)(x, y))), name
+
+
 @pytest.mark.parametrize("alpha", [0.001, 0.003, 0.05])
 @pytest.mark.parametrize("t1, t2", [(0.3, 0.6), (0.9, 0.6), (0.55, 0.3), (0.0, 0.999)])
 def test_asymmetric_logistic_small_alpha_against_mpmath(alpha, t1, t2):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
@@ -117,6 +118,26 @@ def test_draws_do_not_depend_on_the_cascade_block(monkeypatch):
     whole = sample_vine(spec, 5000, seed=9, chunk_size=4096)
     monkeypatch.setattr(simulate, "_BLOCK", 1000)
     assert np.array_equal(sample_vine(spec, 5000, seed=9, chunk_size=4096).values, whole.values)
+
+
+@pytest.mark.parametrize("block, chunk_size", [(1000, 3000), (1000, 2500), (simulate._BLOCK, 2 * simulate._BLOCK),
+                                               (simulate._BLOCK, 20_000)])
+def test_block_draws_are_the_whole_chunk_draw(block, chunk_size, monkeypatch):
+    # each cascade block draws its own rows; consecutive draws continue the
+    # chunk's stream, so the cloud is the cascade run once over one
+    # whole-chunk draw, whether or not the chunk is a multiple of the block
+    spec = logistic_vine("dvine", 4, ("iev", "ev"))
+    n = 2 * chunk_size + 777
+    monkeypatch.setattr(simulate, "_BLOCK", block)
+    cloud = sample_vine(spec, n, seed=13, chunk_size=chunk_size)
+    steps, outs = simulate._compile_cascade(spec)
+    want = np.empty((n, spec.d))
+    for c, start in enumerate(range(0, n, chunk_size)):
+        rng = np.random.default_rng(np.random.SeedSequence(13, spawn_key=(c,)))
+        rows = want[start : start + chunk_size]
+        x = simulate._open_exponentials(rng, rows.shape)
+        simulate._run_cascade(steps, outs, np.ascontiguousarray(x.T), rows)
+    assert np.array_equal(cloud.values, want)
 
 
 def test_exponential_margins():
@@ -237,8 +258,10 @@ def test_scaled_cloud_mostly_inside_limit_set(fams):
 def test_validation_errors():
     with pytest.raises(DomainError):
         sample_vine(tri_spec(), 0, seed=1)
-    with pytest.raises(DomainError):
-        SampleCloud(values=np.array([[1.0, -2.0]]), seed=0)
+    for bad in (-2.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            SampleCloud(values=np.array([[1.0, bad]]), seed=0)
+    assert SampleCloud(values=np.empty((0, 2)), seed=0).n == 0
     with pytest.raises(DomainError):
         scale_cloud(SampleCloud(values=np.ones((1, 2)), seed=0))
 
@@ -386,7 +409,27 @@ def test_truncated_binary_raises_spec_error(tmp_path):
     path = tmp_path / "cloud.bin"
     SampleCloud(values=np.ones((10, 3)), seed=0).to_binary(path)
     data = path.read_bytes()
-    for cut in (8, len(data) - 20):
+    for cut in (1, 8, len(data) - 20):
         path.write_bytes(data[:-cut])
         with pytest.raises(SpecError):
             SampleCloud.from_binary(path)
+
+
+def test_short_read_raises_spec_error(tmp_path, monkeypatch):
+    # a payload that ends before the size the file reported when opened
+    # (it shrank while being read) fails the read's own byte count
+    path = tmp_path / "cloud.bin"
+    SampleCloud(values=np.ones((10, 3)), seed=0).to_binary(path)
+    path.write_bytes(path.read_bytes()[:-40])
+    real = simulate.os.fstat
+    monkeypatch.setattr(simulate.os, "fstat", lambda fd: os.stat_result((0,) * 6 + (real(fd).st_size + 40,) + (0,) * 3))
+    with pytest.raises(SpecError, match="ended after 200 of 240 bytes"):
+        SampleCloud.from_binary(path)
+
+
+def test_zero_row_binary_roundtrip(tmp_path):
+    path = tmp_path / "cloud.bin"
+    SampleCloud(values=np.empty((0, 3)), seed=5).to_binary(path)
+    assert path.stat().st_size == 48
+    back = SampleCloud.from_binary(path)
+    assert back.values.shape == (0, 3) and back.seed == 5
