@@ -320,7 +320,11 @@ def _is_logistic(pc):
 
 
 def _pair_margin_eta(spec, gauge, i, j, other):
-    """eta for a pair directly linked in tree 1 (its copula is the margin)."""
+    """eta for a pair directly linked in tree 1 (its copula is the margin).
+
+    The argmin is the corner x_other = 0 when g there is at most
+    (1 + 1e-12)/eta, the rounding level at which ``eta_numeric`` snaps to
+    its corner, and the box minimum over x_other otherwise."""
     pc = spec.copula(i, j)
     lower = np.zeros(3)
     lower[[i - 1, j - 1]] = 1.0
@@ -328,7 +332,10 @@ def _pair_margin_eta(spec, gauge, i, j, other):
         eta = 1.0
     else:
         eta = 1.0 / pc.measure.V(1.0, 1.0)
-    x = _minimise_gauge(gauge, lower, [other - 1]).x
+    if gauge.scalar_evaluator()(*lower.tolist()) <= (1.0 + 1e-12) / eta:
+        x = lower
+    else:
+        x = _minimise_gauge(gauge, lower, [other - 1]).x
     return EtaResult(eta=eta, argmin=x, method=CLOSED, diagnostics={"pair": (i, j)})
 
 

@@ -14,9 +14,10 @@ module builds gauges analytically:
   bivariate gauge to two margins; a margin's side (upper, or lower below
   an EV tree-1 edge) selects the form.  One emitter turns each plan shape
   into straight-line Python in three dialects, each bound to the plan's
-  parameters: one for single points, one for arrays, and, for the all-IEV
-  logistic vines, one that returns the value of a single point with its
-  gradient from a reverse (adjoint) sweep,
+  parameters: one for single points, which inlines the logistic V and the
+  EV edge rules, one for arrays, and, for the all-IEV logistic vines, one
+  that returns the value of a single point with its gradient from a
+  reverse (adjoint) sweep,
 
 and numerically: projections onto coordinate subsets by minimising over the
 dropped coordinates, except that an all-IEV vine projected onto the nodes
@@ -36,7 +37,7 @@ from __future__ import annotations
 import bisect
 import math
 import types
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from operator import add, mul, sub
 from typing import NamedTuple
 
@@ -255,17 +256,18 @@ def gauge_bivariate(case: str, **params) -> Gauge:
 # vine gauges: the nested sub-vine recursion as one plan per vine
 # ---------------------------------------------------------------------------
 
-def _edge_rules(t, bev):
-    """The edge gauge g_e(p, q) over margins with a lower side, keyed by
-    (lower_p, lower_q): upper + (2 + s) lower with one lower margin, s1 when
-    it is p and s2 when it is q, and bev with the tail orders t when both
-    are lower.  Over two upper margins g_e is V(1/p, 1/q), which each
-    dialect of ``_step_source`` emits in its own way."""
+def _edge_rules(t):
+    """The edge gauge g_e(p, q) over margins with a lower side, on arrays,
+    keyed by (lower_p, lower_q): upper + (2 + s) lower with one lower
+    margin, s1 when it is p and s2 when it is q, and bev with the tail
+    orders t when both are lower.  Over two upper margins g_e is
+    V(1/p, 1/q).  The scalar dialect of ``_step_source`` emits the same
+    rules inline (``_EV_FORMS``)."""
     s1, s2 = t.s1, t.s2
     return {
         (False, True): lambda p, q: p + (2.0 + s2) * q,
         (True, False): lambda p, q: q + (2.0 + s1) * p,
-        (True, True): lambda p, q: bev(p, q, s1, s2),
+        (True, True): lambda p, q: _bev_eval(p, q, s1, s2),
     }
 
 
@@ -355,6 +357,20 @@ if {r} > 0.0:
 else:
     d{n}p = d{n}q = 1.0"""
 
+# the rules of ``_edge_rules`` on floats in step n, keyed by (lower_p,
+# lower_q), with the operations of the array rules and of ``_bev_eval_s``:
+# the tail-order sums are bound as h{n}p = 2 + s1, h{n}q = 2 + s2,
+# l{n}p = 1 + s1 and l{n}q = 1 + s2
+_EV_FORMS = {
+    (False, True): "{r} = {p} + h{n}q * {q}",
+    (True, False): "{r} = {q} + h{n}p * {p}",
+    (True, True): """\
+if {p} >= {q}:
+    {r} = h{n}p * {p} - l{n}p * {q}
+else:
+    {r} = h{n}q * {q} - l{n}q * {p}""",
+}
+
 SCALAR, ARRAY, GRADIENT = "scalar", "array", "gradient"
 
 
@@ -375,15 +391,15 @@ def _step_source(out, left, right, inner, inline, sides, dialect):
 
     def form(lp, lq):
         # an expression in the array dialect, statements in the others
+        if array:
+            return f"rule{out}_{lp:d}{lq:d}({p}, {q})" if lp or lq else f"v{out}(recip({p}), recip({q}))"
         if lp or lq:
-            expr = f"rule{out}_{lp:d}{lq:d}({p}, {q})"
-        elif array:
-            expr = f"v{out}(recip({p}), recip({q}))"
+            template = _EV_FORMS[lp, lq]
         elif inline:
-            return _LOGISTIC_FORM.format(p=p, q=q, r=r, n=out).splitlines()
+            template = _LOGISTIC_FORM
         else:
-            expr = f"v{out}(1.0 / {p} if {p} > 0.0 else inf, 1.0 / {q} if {q} > 0.0 else inf)"
-        return expr if array else [f"{r} = {expr}"]
+            return [f"{r} = v{out}(1.0 / {p} if {p} > 0.0 else inf, 1.0 / {q} if {q} > 0.0 else inf)"]
+        return template.format(p=p, q=q, r=r, n=out).splitlines()
 
     def side(s, arm):
         # arm(lower) for the side s = (i, j, flip), lower where (x_i < x_j) != flip
@@ -460,8 +476,10 @@ def _plan_code(d, shape, dialect):
 def _bind_plan(d, plan, dialect):
     """The evaluator of a compiled plan in one dialect: its shape's
     generated code (``_plan_code``) bound to the plan's measures and rules.
-    The scalar and gradient dialects inline the direct form of a logistic V;
-    the gradient dialect takes plans whose steps are all inline logistic
+    The scalar and gradient dialects inline the direct form of a logistic V,
+    and the scalar dialect the EV edge rules (``_EV_FORMS``), whose tail-order
+    sums it binds; the array dialect binds the rules of ``_edge_rules``.
+    The gradient dialect takes plans whose steps are all inline logistic
     steps over upper margins (``_has_gradient``)."""
     env = {"inf": math.inf, "recip": _recip, "where": np.where}
     shape = []
@@ -472,9 +490,11 @@ def _bind_plan(d, plan, dialect):
             env.update({f"e{out}": -m._q, f"a{out}": m.alpha})
         if dialect == GRADIENT:
             env.update({f"c{out}": m._q - 1.0, f"z{out}": 0.0 ** (m._q - 1.0)})
-        if sides is not None:
-            rules = _edge_rules(t, _bev_eval if dialect == ARRAY else _bev_eval_s)
-            env.update({f"rule{out}_{lp:d}{lq:d}": rule for (lp, lq), rule in rules.items()})
+        if sides is not None and dialect == ARRAY:
+            env.update({f"rule{out}_{lp:d}{lq:d}": rule for (lp, lq), rule in _edge_rules(t).items()})
+        elif sides is not None:
+            env.update({f"h{out}p": 2.0 + t.s1, f"h{out}q": 2.0 + t.s2,
+                        f"l{out}p": 1.0 + t.s1, f"l{out}q": 1.0 + t.s2})
         shape.append((out, left, right, inner, inline, sides))
     return types.FunctionType(_plan_code(d, tuple(shape), dialect), env)
 
@@ -556,6 +576,9 @@ def _iev_vine_gauge(spec: VineSpec) -> Gauge:
 # projections and boundary geometry
 # ---------------------------------------------------------------------------
 
+_map_add = partial(map, add)  # the elementwise sum of two vectors, lazily
+
+
 def _nelder_mead(f, sim, lower, maxfev):
     """Bounded Nelder-Mead on Python floats: scipy's
     ``minimize(method="Nelder-Mead", bounds=Bounds(lower, inf))`` step for
@@ -578,20 +601,23 @@ def _nelder_mead(f, sim, lower, maxfev):
     sim, fsim = [sim[k] for k in order], [fsim[k] for k in order]
     while nfev < maxfev:
         best, f0 = sim[0], fsim[0]
-        if all(abs(f0 - fk) <= 1e-10 for fk in fsim[1:]) and all(
+        # scipy's stop test alone decides; the spread of the sorted values,
+        # which it implies (NaN and inf fail both), skips it cheaply
+        if fsim[-1] - f0 <= 1e-10 and all(abs(f0 - fk) <= 1e-10 for fk in fsim[1:]) and all(
                 abs(v - b) <= 1e-6 for x in sim[1:] for v, b in zip(x, best)):
             break
-        # the centroid of all but the worst vertex, summed in vertex order
-        xbar = [reduce(add, col) / n for col in zip(*sim[:-1])]
+        # the centroid of all but the worst vertex, summed in vertex order:
+        # each coordinate's maps add the vertices from the first on
+        xbar = [v / n for v in reduce(_map_add, sim[1:-1], sim[0])]
         worst = sim[-1]
-        xr = [lo if (v := 2 * a - w) <= lo else v for a, w, lo in zip(xbar, worst, lower)]
+        xr = [lo if (v := 2.0 * a - w) <= lo else v for a, w, lo in zip(xbar, worst, lower)]
         fxr = f(xr)
         nfev += 1
         new = None
         if fxr < f0:
             if nfev >= maxfev:
                 break
-            xe = [lo if (v := 3 * a - 2 * w) <= lo else v for a, w, lo in zip(xbar, worst, lower)]
+            xe = [lo if (v := 3.0 * a - 2.0 * w) <= lo else v for a, w, lo in zip(xbar, worst, lower)]
             fxe = f(xe)
             nfev += 1
             new = (xe, fxe) if fxe < fxr else (xr, fxr)
@@ -768,22 +794,28 @@ def _quasi_newton(fg, x, lower, maxfev):
             break
         eps = min(1e-3, w)
         free = [v - lo > eps or gk <= 0.0 for v, gk, lo in zip(x, grad, lower)]
-        steepest = [-gk * tk for gk, tk in zip(grad, tilt)]
+        binds = not all(free)  # with none binding, the masks would be copies
         found = None
         if H is not None:
-            gfree = [gk if fr else 0.0 for gk, fr in zip(grad, free)]
-            d = [-_dot(row, gfree) if fr else sk for row, fr, sk in zip(H, free, steepest)]
+            if binds:
+                gfree = [gk if fr else 0.0 for gk, fr in zip(grad, free)]
+                d = [-_dot(row, gfree) if fr else -gk * tk for row, fr, gk, tk in zip(H, free, grad, tilt)]
+            else:
+                d = [-_dot(row, grad) for row in H]
             if _dot(grad, d) < 0.0:
                 found = search(d)
             if found is None:
                 H = None
         if found is None:
-            found = search(steepest)
+            found = search([-gk * tk for gk, tk in zip(grad, tilt)])
             if found is None:
                 break
         xt, ft, gt = found
-        s = [b - a if fr else 0.0 for a, b, fr in zip(x, xt, free)]
-        y = [b - a if fr else 0.0 for a, b, fr in zip(grad, gt, free)]
+        if binds:
+            s = [b - a if fr else 0.0 for a, b, fr in zip(x, xt, free)]
+            y = [b - a if fr else 0.0 for a, b, fr in zip(grad, gt, free)]
+        else:
+            s, y = list(map(sub, xt, x)), list(map(sub, gt, grad))
         x, f, grad = found
         sy = _dot(s, y)
         if sy <= 0.0:
@@ -795,8 +827,9 @@ def _quasi_newton(fg, x, lower, maxfev):
         rho = 1.0 / sy
         hy = [_dot(row, y) for row in H]
         c = rho * rho * _dot(y, hy) + rho
-        H = [[h + (c * si - rho * hi) * sj - rho * si * hj for h, sj, hj in zip(row, s, hy)]
-             for row, si, hi in zip(H, s, hy)]
+        for i, (si, hi) in enumerate(zip(s, hy)):
+            a, b = c * si - rho * hi, rho * si
+            H[i] = [h + a * sj - b * hj for h, sj, hj in zip(H[i], s, hy)]
     return x, f, grad, nfev
 
 
@@ -824,7 +857,9 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
     runs a bounded Brent search (``_fminbound``) on each panel between
     log-spaced seeds in [0, hi] above its lower bound, where
     hi = max(10 m, 1.05 g(lower)) and m = max(lower): the containment
-    g(x) >= max(x) puts every minimiser below g(lower).  Two or more free
+    g(x) >= max(x) puts every minimiser below g(lower), and it puts a panel
+    whose lower end reaches the best value so far at or above that value
+    (to rounding), so the search stops there.  Two or more free
     run one local solve per start lower + s m, for n_starts log-spaced s in
     [0.05, 20] and a near-corner s = 1e-8: the projected quasi-Newton solve
     (``_quasi_newton``) when g has a gradient evaluator, whose best start,
@@ -880,6 +915,10 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
         if v_hi < best_val:
             best_t, best_val = lo_j + hi, v_hi
         for lo, up in zip(seeds[:-1], seeds[1:]):
+            # g(x) >= x_j >= lo, to a few ulps: neither this panel nor a
+            # later one improves by more than rounding
+            if lo >= best_val:
+                break
             t, val, nfev = _fminbound(f, lo, up, 1e-10)
             n_evals += nfev
             runs.append(val)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from vinetail import (
     independence_gauge,
     inverted_ev_gauge,
 )
+from vinetail import gauges
 from vinetail.vines import expected_edges
 
 RNG = np.random.default_rng(577215)
@@ -308,6 +309,30 @@ def test_mixed_tree1_pairs():
 
 def _trivariate(fams, alphas=(0.45, 0.3, 0.6)):
     return VineSpec.trivariate(*((lgst if f == "e" else ilog)(a) for f, a in zip(fams, alphas)))
+
+
+@pytest.mark.parametrize("fams", ["iii", "iie", "eii", "eie", "eei", "eee", "iei", "iee"])
+def test_tree1_pair_argmin_is_the_box_minimum(fams):
+    # a tree-1 pair takes the corner x_other = 0 unsearched when g there is
+    # at most (1 + 1e-12)/eta, else the one-coordinate box minimum.  Where
+    # the search leaves that corner, it does so for a value that rounds below
+    # g(corner) = 1/eta (one ulp on the all-IEV vines with an edge at 0.7)
+    corners = 0
+    for alphas in product((0.2, 0.45, 0.7), repeat=3):
+        spec = _trivariate(fams, alphas)
+        g = gauge_trivariate(spec)
+        for C, other in (((1, 2), 2), ((2, 3), 0)):
+            res = eta_mixed_trivariate(spec, C)
+            lower = np.ones(3)
+            lower[other] = 0.0
+            found = gauges._minimise_gauge(g, lower, [other])
+            if np.array_equal(res.argmin, lower):
+                corners += 1
+                assert found.corner_value <= (1.0 + 1e-12) / res.eta
+                assert np.array_equal(found.x, lower) or found.value >= found.corner_value * (1.0 - 1e-15)
+            else:
+                assert np.array_equal(res.argmin, found.x)
+    assert corners > 0 or fams in ("iie", "eei", "eee")
 
 
 def test_mixed_closed_and_root_routes_build_no_gauge(monkeypatch):

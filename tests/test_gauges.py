@@ -174,6 +174,34 @@ def test_limit_set_inside_unit_cube(g):
     assert np.all(pts >= -1e-15)
 
 
+def _containment_points(d, seed):
+    # a draw with a zero coordinate, ties with the largest and one coordinate
+    # far above the others, where g meets max(x) or comes closest
+    pts = np.random.default_rng(seed).uniform(0.0, 5.0, (3000, d))
+    for k in range(d):
+        pts[k::2 * d + 2, k] = 0.0
+        pts[d + k::2 * d + 2, k] = pts[d + k::2 * d + 2].max(axis=1) * (1.0 + 50.0 * (k == 0))
+    return pts.tolist()
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.7, 0.95])
+def test_single_points_keep_g_at_least_max_x(alpha):
+    # g(x) >= max(x), the unit-cube containment that lets the one-coordinate
+    # search of ``gauges._minimise_gauge`` stop at a panel whose lower end
+    # reaches its best value.  It holds to rounding: a few ulps, times 1 + s
+    # with s = 1/alpha - 2 where an EV rule (2 + s) hi - (1 + s) lo cancels
+    tol = 1.0 - 8.0 * (1.0 + 1.0 / alpha) * 2.0**-52
+    pts = _containment_points(2, 3141)
+    for g in (independence_gauge(), gaussian_gauge(alpha), inverted_ev_gauge(Logistic(alpha)),
+              bev_gauge_from_measure(Logistic(alpha)), asymmetric_logistic_gauge(alpha)):
+        sfn = g.scalar_evaluator()
+        assert all(sfn(*p) >= max(p) * tol for p in pts), g
+    pts = _containment_points(3, 2718)
+    for fams in itertools.product((ilog, lgst), repeat=3):
+        g = tri(*(f(a) for f, a in zip(fams, (alpha, 0.5, max(alpha, 0.25)))))
+        assert all(g._sfn(*p) >= max(p) * tol for p in pts), g
+
+
 def test_all_iev_monotone_in_outer_coordinates():
     g = tri(ilog(0.5), ilog(0.25), ilog(0.5))
     h = 1e-6
@@ -462,6 +490,42 @@ def dvine4(alphas):
     return VineSpec(4, "dvine", {e: ilog(a) for e, a in zip(expected_edges("dvine", 4), alphas)})
 
 
+def _every_panel(g, lower, j, n_starts=8):
+    """The one-coordinate search of ``gauges._minimise_gauge`` with no early
+    stop: the corner, the far end and every Brent panel.  An oracle for the
+    bits of its value and argmin."""
+    xs = list(lower)
+    m = max(xs)
+
+    def f(t):
+        xs[j] = t
+        return float(g._sfn(*xs))
+
+    best_t = lo = xs[j]
+    best_val = f(lo)
+    hi = max(10.0 * m, 1.05 * best_val)
+    seeds = [lo + s for s in [0.0, *np.geomspace(hi * 1e-6, hi, n_starts).tolist()]]
+    found = [(lo + hi, f(lo + hi))] + [gauges._fminbound(f, a, b, 1e-10)[:2] for a, b in zip(seeds[:-1], seeds[1:])]
+    for t, val in found:
+        if val < best_val:
+            best_t, best_val = t, val
+    return best_val, best_t
+
+
+@pytest.mark.parametrize("g", ALL_PATTERNS + [gauge_dvine(dvine4([0.3, 0.5, 0.7, 0.4, 0.6, 0.35]))], ids=repr)
+def test_one_coordinate_search_stops_early_with_the_same_bits(g):
+    # the search stops at the first panel whose lower end reaches its best
+    # value, since g(x) >= max(x) puts the rest no lower
+    rng = np.random.default_rng(8128)
+    for j in range(g.dim):
+        for _ in range(12):
+            lower = rng.uniform(0.05, 2.0, g.dim)
+            lower[j] = 0.0
+            found = gauges._minimise_gauge(g, lower, [j])
+            assert (found.value, found.x[j]) == _every_panel(g, lower.tolist(), j)
+            assert np.array_equal(np.delete(found.x, j), np.delete(lower, j))
+
+
 def test_projection_off_tree1_pair_lies_in_its_bounds():
     # minimising over x1 and x3 used to stop with "did not stabilise"
     g = gauge_dvine(dvine4([0.56426, 0.520418, 0.641805, 0.321789, 0.530049, 0.538621]))
@@ -725,6 +789,11 @@ def _plan_points(d):
         pts[5::12, 0] = pts[5::12, 1]
         pts[6::12, 2] = pts[6::12, 1]
         pts[7::12, 0] = pts[7::12, 2] = pts[7::12, 1]
+        # x1 = x3 ties the top step's margins, p = q, on the vines whose
+        # tree-1 edges are equal (the bev kink when both sides are lower),
+        # and x1 = x3 = 0 < x2 zeroes both margins below inverted EV edges
+        pts[9::12, 2] = pts[9::12, 0]
+        pts[10::12, 0] = pts[10::12, 2] = 0.0
     return pts.tolist()
 
 
@@ -738,6 +807,10 @@ PLAN_SPECS = [
         for f, a, (s1, s2) in zip(fams, (0.4, 0.55, 0.7), ((0.1, 1.7), (2.5, -0.4), (-0.6, 0.9)))
     ))
     for fams in ("iii", "iie", "eii", "eie", "eei", "eee", "iei", "iee")
+] + [
+    # equal symmetric tree-1 edges: g12(x1, x2) = g23(x2, x3) bit for bit at x1 = x3
+    VineSpec.trivariate(*(PairCopula("ev" if f == "e" else "iev", Logistic(a)) for f, a in zip(fams, (0.45, 0.45, 0.6))))
+    for fams in ("iii", "iie", "eei", "eee")
 ] + [_unequal_vine(s, d) for s in ("dvine", "cvine") for d in range(2, 9)] + [
     _unequal_vine("dvine", 4, _al),
     _unequal_vine("cvine", 5, _al),
@@ -747,9 +820,11 @@ PLAN_SPECS = [
 
 
 def _plan_id(spec):
-    # one letter per edge: i(nverted), e(xtreme value), a(symmetric logistic, inverted)
+    # one letter per edge: i(nverted), e(xtreme value), a(symmetric logistic,
+    # inverted); "-sym" marks the trivariate vines with equal logistic tree-1 edges
+    sym = "-sym" if spec.structure == "trivariate" and type(spec.copula(1, 2).measure) is Logistic else ""
     return f"{spec.structure}{spec.d}-" + "".join(
-        "a" if isinstance(pc.measure, AsymmetricLogistic) else pc.family[0] for pc in spec.edges.values())
+        "a" if isinstance(pc.measure, AsymmetricLogistic) else pc.family[0] for pc in spec.edges.values()) + sym
 
 
 @pytest.mark.parametrize("spec", PLAN_SPECS, ids=_plan_id)
