@@ -28,6 +28,7 @@ from .eta import (
     eta_numeric,
     eta_subvine,
     eta_trivariate_ilog_closed,
+    eta_vine,
 )
 from .gauges import (
     Gauge,
@@ -40,6 +41,7 @@ from .gauges import (
     gauge_dvine,
     gauge_project,
     gauge_trivariate,
+    gauge_vine,
     gaussian_gauge,
     independence_gauge,
     inverted_ev_gauge,

@@ -34,10 +34,8 @@ from .gauges import (
     asymmetric_logistic_gauge,
     bev_gauge,
     boundary_point,
-    gauge_cvine,
-    gauge_dvine,
     gauge_project,
-    gauge_trivariate,
+    gauge_vine,
     gaussian_gauge,
     independence_gauge,
     inverted_ev_gauge,
@@ -89,7 +87,7 @@ def check_trivariate_oracle(full):
         for b in grid:
             for c in grid:
                 spec = VineSpec.trivariate(_ilog(a), _ilog(b), _ilog(c))
-                res = eta_numeric(gauge_trivariate(spec))
+                res = eta_numeric(gauge_vine(spec))
                 closed = eta_trivariate_ilog_closed(a, b, c)
                 worst = max(worst, abs(res.eta - closed), float(np.max(np.abs(res.argmin - 1.0))))
     return worst < 1e-6, f"{len(grid)**3} cases, max deviation {worst:.2e}"
@@ -146,7 +144,7 @@ def check_vine_recursions(full):
         res = eta_subvine(spec, range(1, 7))
         if "fallback_reason" not in res.diagnostics:
             return False, f"{structure}: 1/g(1, ..., 1) = {res.eta!r} passed the gradient check"
-        ref = eta_numeric((gauge_dvine if structure == "dvine" else gauge_cvine)(spec), n_starts=16, maxfev=20000)
+        ref = eta_numeric(gauge_vine(spec), n_starts=16, maxfev=20000)
         worst_numeric = max(worst_numeric, abs(res.eta - ref.eta))
     ok = worst < 1e-10 and worst_numeric < 1e-8
     return ok, f"{detail}, max uncertified-vine/reference gap {worst_numeric:.2e}"
@@ -166,12 +164,12 @@ def check_subvine_route(full):
     budget, tol = ({"n_starts": 16, "maxfev": 20000}, 1e-8) if full else ({}, 1e-6)
     worst, n = 0.0, 0
     worst_proj, n_proj = 0.0, 0
-    for structure, build in (("dvine", gauge_dvine), ("cvine", gauge_cvine)):
+    for structure in ("dvine", "cvine"):
         for d in (4, 5):
             edges = expected_edges(structure, d)
             alphas = rng.uniform(0.05, 0.99, len(edges)) if full else [rng.uniform(0.3, 0.7)] * len(edges)
             spec = VineSpec(d, structure, {e: _ilog(a) for e, a in zip(edges, alphas)})
-            g = build(spec)
+            g = gauge_vine(spec)
             for C in (c for r in ((2, 3) if full else (2,)) for c in combinations(range(1, d + 1), r)):
                 if spec.hull(C) == C:
                     proj = gauge_project(g, C)
@@ -218,7 +216,7 @@ def check_mixed_cases(full):
             r13 = eta_mixed_trivariate(s_eie, (1, 3))
             if not r13.eta > 2.0**-b:
                 return False, f"eie-pattern eta13 not above eta123 at ({a},{b})"
-            worst = max(worst, abs(eta_numeric(gauge_trivariate(s_iie)).eta - min(2.0**-a, 2.0**-b)))
+            worst = max(worst, abs(eta_numeric(gauge_vine(s_iie)).eta - min(2.0**-a, 2.0**-b)))
     return worst < 1e-6, f"max closed-form gap {worst:.2e}"
 
 
@@ -226,8 +224,8 @@ def check_contours(full):
     specs = [
         independence_gauge(),
         gaussian_gauge(0.5),
-        gauge_trivariate(VineSpec.trivariate(_ilog(0.5), _ilog(0.25), _log(0.5))),
-        gauge_dvine(VineSpec.uniform("dvine", 4, _ilog(0.4))),
+        gauge_vine(VineSpec.trivariate(_ilog(0.5), _ilog(0.25), _log(0.5))),
+        gauge_vine(VineSpec.uniform("dvine", 4, _ilog(0.4))),
     ]
     worst = 0.0
     for g in specs:
@@ -248,7 +246,7 @@ def check_structural(full):
         worst = max(worst, abs(m.V12(t * x, t * y) - m.V12(x, y) / t**3) / abs(m.V12(x, y) / t**3))
     ok_hom = worst < 1e-10
     # order-1 homogeneity of the gauges
-    g = gauge_trivariate(VineSpec.trivariate(_ilog(0.5), _ilog(0.25), _log(0.5)))
+    g = gauge_vine(VineSpec.trivariate(_ilog(0.5), _ilog(0.25), _log(0.5)))
     worst_g = 0.0
     for _ in range(100):
         x = rng.uniform(0.05, 3.0, 3)
@@ -280,7 +278,7 @@ def check_structural(full):
         VineSpec.trivariate(_ilog(0.5), _log(0.25), _ilog(0.5)),
         VineSpec.trivariate(_ilog(0.5), _log(0.25), _log(0.5)),
     ]:
-        gg = gauge_trivariate(spec)
+        gg = gauge_vine(spec)
         for _ in range(50):
             x2, x3 = rng.uniform(0.1, 2.0, 2)
             for point in ([x2, x2, x3], [x3, x2, x2]):
@@ -317,7 +315,7 @@ def check_coverage(full):
         (independence_gauge(), VineSpec(2, "dvine", {"12": _ilog(1.0)})),
         (inverted_ev_gauge(Logistic(0.5)), VineSpec(2, "dvine", {"12": _ilog(0.5)})),
         (
-            gauge_trivariate(VineSpec.trivariate(_ilog(0.5), _ilog(0.5), _ilog(0.5))),
+            gauge_vine(VineSpec.trivariate(_ilog(0.5), _ilog(0.5), _ilog(0.5))),
             VineSpec.trivariate(_ilog(0.5), _ilog(0.5), _ilog(0.5)),
         ),
     ]

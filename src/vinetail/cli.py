@@ -4,7 +4,8 @@ Subcommands: `eta` (coefficients of tail dependence), `contour` (unit
 level-set meshes), `simulate` (seeded sample clouds), `table` (eta values
 across dimensions), `verify` (the self-check suite).  Stdout is always
 machine parseable, JSON or CSV; exit codes are 0 (ok), 2 (input error),
-3 (numeric failure), 4 (verification failure).
+3 (numeric failure), 4 (verification failure).  A spec's gauge comes
+from ``gauges.gauge_vine`` and its eta from ``eta.eta_vine``.
 """
 
 from __future__ import annotations
@@ -17,28 +18,12 @@ import sys
 import numpy as np
 
 from . import checks
-from .errors import ConvergenceError, VinetailError
-from .eta import (
-    CLOSED,
-    NUMERIC,
-    EtaResult,
-    eta_dvine_ilog_closed,
-    eta_mixed_trivariate,
-    eta_numeric,
-    eta_subvine,
-)
-from .gauges import (
-    Gauge,
-    boundary_point,
-    gauge_bivariate,
-    gauge_cvine,
-    gauge_dvine,
-    gauge_trivariate,
-    simplex_directions,
-)
+from .errors import ConvergenceError, ParameterError, VinetailError
+from .eta import CLOSED, METHODS, EtaResult, eta_dvine_ilog_closed, eta_numeric, eta_vine
+from .gauges import boundary_point, gauge_bivariate, gauge_vine, simplex_directions
 from .measures import Logistic
 from .simulate import sample_vine, scale_cloud
-from .vines import DVINE, TRIVARIATE, VineSpec
+from .vines import VineSpec
 
 OK, INPUT_ERROR, NUMERIC_FAILURE, VERIFY_FAILURE = 0, 2, 3, 4
 
@@ -75,14 +60,6 @@ def _parse_builtin(text: str):
 def _load_spec(path: str) -> VineSpec:
     with open(path) as fh:
         return VineSpec.from_json(fh.read())
-
-
-def _gauge_for_spec(spec: VineSpec) -> Gauge:
-    if spec.d == 3 and spec.structure in (TRIVARIATE, DVINE):
-        return gauge_trivariate(spec)
-    if spec.structure == DVINE:
-        return gauge_dvine(spec)
-    return gauge_cvine(spec)
 
 
 def _parse_set(text: str, d: int):
@@ -129,15 +106,7 @@ def cmd_eta(args) -> int:
         print(_result_json(res))
         return OK
     spec = _load_spec(args.spec)
-    C = _parse_set(args.set, spec.d) if args.set else tuple(range(1, spec.d + 1))
-    if args.method == "numeric":
-        res = eta_numeric(_gauge_for_spec(spec), C)
-    elif spec.d == 3 and spec.structure in (TRIVARIATE, DVINE):
-        res = eta_mixed_trivariate(spec, C)
-    else:
-        res = eta_subvine(spec, C)
-    if args.method == "closed" and res.method == NUMERIC:
-        raise ConvergenceError("no closed form available for this spec/set combination")
+    res = eta_vine(spec, _parse_set(args.set, spec.d) if args.set else None, args.method)
     print(_result_json(res))
     return OK
 
@@ -146,7 +115,7 @@ def cmd_contour(args) -> int:
     if args.builtin:
         gauge, _ = _parse_builtin(args.builtin)
     else:
-        gauge = _gauge_for_spec(_load_spec(args.spec))
+        gauge = gauge_vine(_load_spec(args.spec))
     dims = gauge.dim if args.dims is None else int(args.dims)
     if dims != gauge.dim:
         return _emit_error(f"--dims {dims} does not match the gauge dimension {gauge.dim}")
@@ -186,6 +155,8 @@ def cmd_simulate(args) -> int:
 def cmd_table(args) -> int:
     if args.figure != "fig6":
         return _emit_error(f"unknown table {args.figure!r}; available: fig6")
+    if args.dmax < 2:
+        raise ParameterError(f"--dmax must be at least 2, got {args.dmax}")
     alphas = [float(a) for a in args.alphas.split(",")]
     # every cell first, so that a bad alpha prints its error and no header
     rows = [f"{d}," + ",".join(f"{eta_dvine_ilog_closed(a, d):.17g}" for a in alphas)
@@ -231,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--spec", help="vine spec JSON file")
     src.add_argument("--builtin", help="independence | gaussian:R | ilog:A | logistic:A | alog:A")
     p.add_argument("--set", help="variable subset, e.g. 123 or 1,3 (default: all)")
-    p.add_argument("--method", choices=["auto", "closed", "numeric"], default="auto")
+    p.add_argument("--method", choices=METHODS, default="auto")
     p.set_defaults(fn=cmd_eta)
 
     p = sub.add_parser("contour", help="emit unit-level-set boundary points as CSV")

@@ -21,6 +21,9 @@ the minimiser sits at the all-ones point.  For the D-/C-vine recursions,
 which return that value, the gradient at the all-ones point tells the two
 apart where a partial is negative (``eta_subvine`` over every variable).
 
+``eta_vine`` is the entry point for a vine spec: it routes each spec to
+the solvers below, or a forced numeric query to ``eta_numeric``.
+
 For an all-IEV D- or C-vine, ``eta_subvine`` first shrinks the problem to
 the smallest sub-vine S that holds C: the margin of a vine on a sub-vine's
 nodes is that sub-vine, and the limit set of a margin is the projection of
@@ -38,21 +41,13 @@ import numpy as np
 
 from .copulas import EV, IEV
 from .errors import ConvergenceError, DomainError, ParameterError, UnsupportedCombinationError
-from .gauges import (
-    Gauge,
-    _compile_vine,
-    _iev_vine_gauge,
-    _minimise_gauge,
-    _projected_gradient,
-    gauge_cvine,
-    gauge_dvine,
-    gauge_trivariate,
-)
+from .gauges import Gauge, _compile_vine, _is_trivariate, _minimise_gauge, _projected_gradient, gauge_vine
 from .measures import Logistic
 from .vines import CVINE, DVINE, TRIVARIATE, VineSpec
 
 __all__ = [
     "EtaResult",
+    "eta_vine",
     "eta_numeric",
     "eta_trivariate_ilog_closed",
     "eta13_trivariate_ilog",
@@ -383,13 +378,13 @@ def eta_mixed_trivariate(spec: VineSpec, C) -> EtaResult:
     (``gauges._compile_vine``), so a pattern whose gauge cannot be built
     raises UnsupportedCombinationError on every route.
     """
-    if not (spec.d == 3 and spec.structure in (TRIVARIATE, DVINE)):
+    if not _is_trivariate(spec):
         raise UnsupportedCombinationError("eta_mixed_trivariate needs a trivariate vine with edges 12, 23, 13|2")
     C = _normalise_labels(C, 3)
 
     if C in ((1, 2), (2, 3)):
         i, j = C
-        return _pair_margin_eta(spec, gauge_trivariate(spec), i, j, other=({1, 2, 3} - set(C)).pop())
+        return _pair_margin_eta(spec, gauge_vine(spec), i, j, other=({1, 2, 3} - set(C)).pop())
 
     c12, c23, c13 = spec.copula(1, 2), spec.copula(2, 3), spec.copula(1, 3)
     fams = (c12.family, c23.family, c13.family)
@@ -405,7 +400,7 @@ def eta_mixed_trivariate(spec: VineSpec, C) -> EtaResult:
     v23_11 = c23.measure.V(1.0, 1.0)
 
     def numeric():
-        return eta_numeric(gauge_trivariate(spec), C)
+        return eta_numeric(gauge_vine(spec), C)
 
     if fams == (IEV, IEV, IEV):
         if not all_logistic:
@@ -471,13 +466,13 @@ def eta_mixed_trivariate(spec: VineSpec, C) -> EtaResult:
 # D-vine and C-vine recursions
 # ---------------------------------------------------------------------------
 
-def _eta_vine(spec: VineSpec, build_gauge, name: str) -> float:
+def _eta_vine(spec: VineSpec, name: str) -> float:
     if not spec.all_iev():
         raise UnsupportedCombinationError(f"{name} requires all-IEV edges")
     if not all(_is_logistic(pc) for pc in spec.edges.values()):
         warnings.warn(f"non-logistic IEV edges: {name} falls back to numeric minimisation")
-        return eta_numeric(build_gauge(spec)).eta
-    return 1.0 / build_gauge(spec)(np.ones(spec.d))
+        return eta_numeric(gauge_vine(spec)).eta
+    return 1.0 / gauge_vine(spec)(np.ones(spec.d))
 
 
 def eta_dvine(spec: VineSpec) -> float:
@@ -493,7 +488,7 @@ def eta_dvine(spec: VineSpec) -> float:
     """
     if spec.structure not in (DVINE, TRIVARIATE):
         raise UnsupportedCombinationError("eta_dvine requires a dvine structure")
-    return _eta_vine(spec, gauge_dvine, "eta_dvine")
+    return _eta_vine(spec, "eta_dvine")
 
 
 def eta_cvine(spec: VineSpec) -> float:
@@ -501,7 +496,7 @@ def eta_cvine(spec: VineSpec) -> float:
     recursion, over the sub-vines {1..k} and {1..k-1, m}."""
     if spec.structure != CVINE:
         raise UnsupportedCombinationError("eta_cvine requires a cvine structure")
-    return _eta_vine(spec, gauge_cvine, "eta_cvine")
+    return _eta_vine(spec, "eta_cvine")
 
 
 def eta_dvine_ilog_closed(alpha: float, d: int) -> float:
@@ -580,7 +575,9 @@ def eta_subvine(spec: VineSpec, C) -> EtaResult:
     with ``fallback_reason`` in the diagnostics.  The diagnostics name S,
     in the vine's labels, as ``marginal``.
     """
-    g = _iev_vine_gauge(spec)
+    if not spec.all_iev():  # gauge_vine also builds the trivariate vine with EV edges
+        raise UnsupportedCombinationError("eta_subvine requires every edge to be an inverted extreme value copula")
+    g = gauge_vine(spec)
     C = _normalise_labels(C, spec.d)
     S = spec.hull(C)
     if len(S) == spec.d:
@@ -593,7 +590,7 @@ def eta_subvine(spec: VineSpec, C) -> EtaResult:
     elif len(S) == 3 and spec.structure != CVINE:
         res = eta_mixed_trivariate(margin, C_S)
     else:
-        res = eta_numeric(_iev_vine_gauge(margin), C_S)
+        res = eta_numeric(gauge_vine(margin), C_S)
     argmin = np.zeros(spec.d)
     argmin[[s - 1 for s in S]] = res.argmin
     gap = abs(g(argmin) * res.eta - 1.0)
@@ -604,3 +601,31 @@ def eta_subvine(spec: VineSpec, C) -> EtaResult:
     reason = f"|g(argmin) eta - 1| = {gap:.3g} on the full gauge for the marginal's argmin"
     return EtaResult(eta=full.eta, argmin=full.argmin, method=full.method,
                      diagnostics=full.diagnostics | {"marginal": S, "fallback_reason": reason})
+
+
+# ---------------------------------------------------------------------------
+# the entry point
+# ---------------------------------------------------------------------------
+
+METHODS = ("auto", CLOSED, NUMERIC)  # of eta_vine, and of `vinetail eta --method`
+
+
+def eta_vine(spec: VineSpec, C=None, method: str = "auto") -> EtaResult:
+    """eta_C of a vine spec, over every variable when C is None.
+
+    method "numeric" runs ``eta_numeric`` on ``gauge_vine(spec)``; else the
+    trivariate vine takes ``eta_mixed_trivariate`` and any other spec
+    ``eta_subvine``, each with its own numeric fallback.  method "closed"
+    raises ConvergenceError where that route returns a numeric result."""
+    if method not in METHODS:
+        raise ParameterError(f"unknown eta method {method!r}; expected one of {list(METHODS)}")
+    C = tuple(range(1, spec.d + 1)) if C is None else C
+    if method == NUMERIC:
+        res = eta_numeric(gauge_vine(spec), C)
+    elif _is_trivariate(spec):
+        res = eta_mixed_trivariate(spec, C)
+    else:
+        res = eta_subvine(spec, C)
+    if method == CLOSED and res.method == NUMERIC:
+        raise ConvergenceError("no closed form available for this spec/set combination")
+    return res

@@ -7,17 +7,19 @@ module builds gauges analytically:
 
 * six bivariate families (independence, Gaussian, inverted EV, EV with
   regularly varying spectral tails, asymmetric logistic),
-* the vines, via the nested sub-vine recursion compiled into one
-  evaluation plan per vine: d-dimensional D-vines and C-vines with
-  inverted-EV components, and the trivariate vines in all eight EV /
-  inverted-EV family patterns.  Each plan step applies its edge's own
-  bivariate gauge to two margins; a margin's side (upper, or lower below
-  an EV tree-1 edge) selects the form.  One emitter turns each plan shape
-  into straight-line Python in three dialects, each bound to the plan's
-  parameters: one for single points, which inlines the logistic V and the
-  EV edge rules, one for arrays, and, for the all-IEV logistic vines, one
-  that returns the value of a single point with its gradient from a
-  reverse (adjoint) sweep,
+* the vines, from one entry point, ``gauge_vine``, the only place that
+  decides which specs have a gauge: the trivariate vine in all eight EV /
+  inverted-EV family patterns, and D- and C-vines with inverted-EV
+  components in any dimension.  The nested sub-vine recursion is compiled
+  into one evaluation plan per vine; each step applies its edge's own
+  bivariate gauge to two margins, and a margin's side (upper, or lower
+  below an EV tree-1 edge) selects the form.  One emitter turns each plan
+  shape into straight-line Python in three dialects, each bound to the
+  plan's parameters: one for single points, which inlines the logistic V,
+  one for arrays, and, for the all-IEV logistic vines, one that returns
+  the value of a single point with its gradient from a reverse (adjoint)
+  sweep.  One table of EV edge rules (``_EV_FORMS``) feeds the first two
+  dialects alike,
 
 and numerically: projections onto coordinate subsets by minimising over the
 dropped coordinates, except that an all-IEV vine projected onto the nodes
@@ -60,6 +62,7 @@ __all__ = [
     "gauge_trivariate",
     "gauge_dvine",
     "gauge_cvine",
+    "gauge_vine",
     "gauge_project",
     "boundary_point",
     "simplex_directions",
@@ -256,21 +259,6 @@ def gauge_bivariate(case: str, **params) -> Gauge:
 # vine gauges: the nested sub-vine recursion as one plan per vine
 # ---------------------------------------------------------------------------
 
-def _edge_rules(t):
-    """The edge gauge g_e(p, q) over margins with a lower side, on arrays,
-    keyed by (lower_p, lower_q): upper + (2 + s) lower with one lower
-    margin, s1 when it is p and s2 when it is q, and bev with the tail
-    orders t when both are lower.  Over two upper margins g_e is
-    V(1/p, 1/q).  The scalar dialect of ``_step_source`` emits the same
-    rules inline (``_EV_FORMS``)."""
-    s1, s2 = t.s1, t.s2
-    return {
-        (False, True): lambda p, q: p + (2.0 + s2) * q,
-        (True, False): lambda p, q: q + (2.0 + s1) * p,
-        (True, True): lambda p, q: _bev_eval(p, q, s1, s2),
-    }
-
-
 def _compile_vine(spec: VineSpec):
     """The nested sub-vine recursion as a flat plan, one step per edge.
 
@@ -279,13 +267,13 @@ def _compile_vine(spec: VineSpec):
     g_D + g_e(p, q) with margins p = g_aD - g_D and q = g_bD - g_D; tree-1
     steps have no g_D and take the coordinates as margins.  g_e is the
     edge's own bivariate gauge, chosen by the sides of the margins
-    (``_edge_rules``).  A margin is upper, except one from an EV tree-1 edge
+    (``_EV_FORMS``).  A margin is upper, except one from an EV tree-1 edge
     whose outer coordinate lies below the shared one (x1 < x2 for edge 12
     of the trivariate vine, x3 < x2 for edge 23), which is lower; an EV
     edge flips both sides of its own step.  So an inverted EV edge over
     upper margins gives V(1/p, 1/q), and an EV edge over them the bev
     gauge.  The recursion needs inverted EV edges below the top tree except
-    in tree 1 of the trivariate vine; the callers check that.
+    in tree 1 of the trivariate vine; ``gauge_vine`` checks that.
 
     Slots 0..d-1 hold the coordinates and slot d + n the sub-vine gauge of
     the n-th edge in tree order, so the last slot is the whole vine.  A step
@@ -357,18 +345,17 @@ if {r} > 0.0:
 else:
     d{n}p = d{n}q = 1.0"""
 
-# the rules of ``_edge_rules`` on floats in step n, keyed by (lower_p,
-# lower_q), with the operations of the array rules and of ``_bev_eval_s``:
-# the tail-order sums are bound as h{n}p = 2 + s1, h{n}q = 2 + s2,
-# l{n}p = 1 + s1 and l{n}q = 1 + s2
+# The EV edge rules g_e(p, q) in step n over margins with a lower side, keyed
+# by (lower_p, lower_q), as the expressions both dialects emit: upper +
+# (2 + s) lower with one lower margin, s1 when it is p and s2 when it is q,
+# and with both lower the bev gauge, whose slope switch at p >= q
+# (``_bev_eval_s``) picks the first of its two expressions.  Over two upper
+# margins g_e is V(1/p, 1/q).  The tail-order sums are bound as
+# h{n}p = 2 + s1, h{n}q = 2 + s2, l{n}p = 1 + s1 and l{n}q = 1 + s2
 _EV_FORMS = {
-    (False, True): "{r} = {p} + h{n}q * {q}",
-    (True, False): "{r} = {q} + h{n}p * {p}",
-    (True, True): """\
-if {p} >= {q}:
-    {r} = h{n}p * {p} - l{n}p * {q}
-else:
-    {r} = h{n}q * {q} - l{n}q * {p}""",
+    (False, True): "{p} + h{n}q * {q}",
+    (True, False): "{q} + h{n}p * {p}",
+    (True, True): ("h{n}p * {p} - l{n}p * {q}", "h{n}q * {q} - l{n}q * {p}"),
 }
 
 SCALAR, ARRAY, GRADIENT = "scalar", "array", "gradient"
@@ -378,10 +365,10 @@ def _step_source(out, left, right, inner, inline, sides, dialect):
     """The statements of one plan step, leaving its gauge in s{out}.  The
     scalar dialect runs on floats and picks the form a point's sides select
     with if/else; the array dialect runs on arrays and blends the reachable
-    forms with where, evaluating each once.  The gradient dialect runs the
-    scalar statements of an inline logistic step over upper margins and
-    keeps the step's partials in d{out}p and d{out}q for the reverse sweep
-    (``_adjoint_source``)."""
+    forms with where, evaluating each once.  Both emit the EV edge rules of
+    ``_EV_FORMS``.  The gradient dialect runs the scalar statements of an
+    inline logistic step over upper margins and keeps the step's partials in
+    d{out}p and d{out}q for the reverse sweep (``_adjoint_source``)."""
     array = dialect == ARRAY
     if inner is None:  # tree 1: the coordinates are the margins
         p, q, r, lines = f"s{left}", f"s{right}", f"s{out}", []
@@ -389,27 +376,31 @@ def _step_source(out, left, right, inner, inline, sides, dialect):
         p, q, r = "p", "q", "r"
         lines = [f"g = s{inner}", f"p = s{left} - g", f"q = s{right} - g"]
 
+    def branch(test, yes, no):
+        # yes where test holds, else no: an expression or statements
+        if array:
+            return f"where({test}, {yes}, {no})"
+        return [f"if {test}:", *("    " + line for line in yes), "else:", *("    " + line for line in no)]
+
+    def assign(expr):
+        return expr if array else [f"{r} = {expr}"]
+
     def form(lp, lq):
         # an expression in the array dialect, statements in the others
-        if array:
-            return f"rule{out}_{lp:d}{lq:d}({p}, {q})" if lp or lq else f"v{out}(recip({p}), recip({q}))"
+        if lp and lq:  # bev: the slope switches at p >= q
+            return branch(f"{p} >= {q}", *(assign(e.format(p=p, q=q, n=out)) for e in _EV_FORMS[lp, lq]))
         if lp or lq:
-            template = _EV_FORMS[lp, lq]
-        elif inline:
-            template = _LOGISTIC_FORM
-        else:
-            return [f"{r} = v{out}(1.0 / {p} if {p} > 0.0 else inf, 1.0 / {q} if {q} > 0.0 else inf)"]
-        return template.format(p=p, q=q, r=r, n=out).splitlines()
+            return assign(_EV_FORMS[lp, lq].format(p=p, q=q, n=out))
+        if inline:  # never in the array dialect
+            return _LOGISTIC_FORM.format(p=p, q=q, r=r, n=out).splitlines()
+        if array:
+            return f"v{out}(recip({p}), recip({q}))"
+        return assign(f"v{out}(1.0 / {p} if {p} > 0.0 else inf, 1.0 / {q} if {q} > 0.0 else inf)")
 
     def side(s, arm):
         # arm(lower) for the side s = (i, j, flip), lower where (x_i < x_j) != flip
         i, j, f = s
-        if i == j:
-            return arm(f)
-        yes, no = arm(not f), arm(f)
-        if array:
-            return f"where(s{i} < s{j}, {yes}, {no})"
-        return [f"if s{i} < s{j}:", *("    " + line for line in yes), "else:", *("    " + line for line in no)]
+        return arm(f) if i == j else branch(f"s{i} < s{j}", arm(not f), arm(f))
 
     if sides is None:
         code = form(False, False)
@@ -476,11 +467,11 @@ def _plan_code(d, shape, dialect):
 def _bind_plan(d, plan, dialect):
     """The evaluator of a compiled plan in one dialect: its shape's
     generated code (``_plan_code``) bound to the plan's measures and rules.
-    The scalar and gradient dialects inline the direct form of a logistic V,
-    and the scalar dialect the EV edge rules (``_EV_FORMS``), whose tail-order
-    sums it binds; the array dialect binds the rules of ``_edge_rules``.
-    The gradient dialect takes plans whose steps are all inline logistic
-    steps over upper margins (``_has_gradient``)."""
+    The scalar and gradient dialects inline the direct form of a logistic V;
+    the scalar and array dialects emit the EV edge rules (``_EV_FORMS``),
+    whose tail-order sums each binds.  The gradient dialect takes plans
+    whose steps are all inline logistic steps over upper margins
+    (``_has_gradient``)."""
     env = {"inf": math.inf, "recip": _recip, "where": np.where}
     shape = []
     for out, left, right, inner, m, sides, t in plan:
@@ -490,9 +481,7 @@ def _bind_plan(d, plan, dialect):
             env.update({f"e{out}": -m._q, f"a{out}": m.alpha})
         if dialect == GRADIENT:
             env.update({f"c{out}": m._q - 1.0, f"z{out}": 0.0 ** (m._q - 1.0)})
-        if sides is not None and dialect == ARRAY:
-            env.update({f"rule{out}_{lp:d}{lq:d}": rule for (lp, lq), rule in _edge_rules(t).items()})
-        elif sides is not None:
+        if sides is not None:
             env.update({f"h{out}p": 2.0 + t.s1, f"h{out}q": 2.0 + t.s2,
                         f"l{out}p": 1.0 + t.s1, f"l{out}q": 1.0 + t.s2})
         shape.append((out, left, right, inner, inline, sides))
@@ -518,27 +507,46 @@ def _vine_gauge(spec: VineSpec, tag: str) -> Gauge:
     return g
 
 
+def _is_trivariate(spec: VineSpec) -> bool:
+    """Whether spec is the trivariate vine, with edges 12, 23 and 13|2: the
+    trivariate structure or a 3-d D-vine."""
+    return spec.d == 3 and spec.structure in (TRIVARIATE, DVINE)
+
+
+def gauge_vine(spec: VineSpec) -> Gauge:
+    """The gauge of a vine spec, and the one place that decides which specs
+    have one: the trivariate vine in all eight EV / inverted-EV family
+    patterns, and any D- or C-vine whose every edge is inverted EV.  Every
+    other spec raises UnsupportedCombinationError, as does an edge whose
+    measure lacks the regularly varying spectral tails its family pattern
+    needs (``_compile_vine``).  The named builders call it."""
+    if _is_trivariate(spec):
+        tag = "trivariate-vine(" + ",".join(spec.families()) + ")"
+    elif spec.all_iev():
+        tag = f"{spec.structure}(d={spec.d})"
+    else:
+        raise UnsupportedCombinationError(
+            "no gauge for this vine: a gauge needs the trivariate vine (edges 12, 23, 13|2) "
+            "or a D- or C-vine whose every edge is an inverted extreme value copula")
+    return _vine_gauge(spec, tag)
+
+
 def gauge_trivariate(spec: VineSpec) -> Gauge:
     """Gauge of a trivariate vine with edges {12}, {23}, {13|2}.
 
     Every family pattern of (c12, c23, c13|2) is the d = 3 case of the
-    nested sub-vine recursion and runs through its evaluation plan
-    (``_compile_vine``).  Below an EV tree-1 edge the margin of the top edge
-    switches side where the outer coordinate passes x2, which turns the
-    gauge piecewise.
+    nested sub-vine recursion (``gauge_vine``).  Below an EV tree-1 edge the
+    margin of the top edge switches side where the outer coordinate passes
+    x2, which turns the gauge piecewise.
     """
-    if not (spec.d == 3 and spec.structure in (TRIVARIATE, DVINE)):
+    if not _is_trivariate(spec):
         raise UnsupportedCombinationError("gauge_trivariate needs a trivariate vine with edges 12, 23, 13|2")
-    return _vine_gauge(spec, "trivariate-vine(" + ",".join(spec.families()) + ")")
-
-
-def _require_all_iev(spec: VineSpec, op: str):
-    if not spec.all_iev():
-        raise UnsupportedCombinationError(f"{op} requires every edge to be an inverted extreme value copula")
+    return gauge_vine(spec)
 
 
 def gauge_dvine(spec: VineSpec) -> Gauge:
-    """Gauge of an all-IEV D-vine via the nested sub-vine recursion.
+    """Gauge of an all-IEV D-vine via the nested sub-vine recursion
+    (``gauge_vine``).
 
     Sub-vines of a D-vine live on consecutive index blocks [i, j]; the block
     gauge combines the two (size-1 smaller) overlapping blocks and the
@@ -547,12 +555,13 @@ def gauge_dvine(spec: VineSpec) -> Gauge:
     """
     if spec.structure not in (DVINE, TRIVARIATE):
         raise UnsupportedCombinationError("gauge_dvine requires a dvine structure")
-    _require_all_iev(spec, "gauge_dvine")
-    return _vine_gauge(spec, f"dvine(d={spec.d})")
+    if not spec.all_iev():  # gauge_vine also builds the 3-d D-vine with EV edges
+        raise UnsupportedCombinationError("gauge_dvine requires every edge to be an inverted extreme value copula")
+    return gauge_vine(spec)
 
 
 def gauge_cvine(spec: VineSpec) -> Gauge:
-    """Gauge of an all-IEV C-vine.
+    """Gauge of an all-IEV C-vine (``gauge_vine``).
 
     Sub-vines are the sets {1..k, m} with m > k; removing the last-attached
     node m or the deepest root k yields the two overlapping sub-vines of the
@@ -560,16 +569,7 @@ def gauge_cvine(spec: VineSpec) -> Gauge:
     """
     if spec.structure != CVINE:
         raise UnsupportedCombinationError("gauge_cvine requires a cvine structure")
-    _require_all_iev(spec, "gauge_cvine")
-    return _vine_gauge(spec, f"cvine(d={spec.d})")
-
-
-def _iev_vine_gauge(spec: VineSpec) -> Gauge:
-    """The gauge of an all-IEV vine by its structure: ``gauge_cvine`` for a
-    C-vine, ``gauge_dvine`` for a D-vine or the trivariate vine.  It builds
-    a vine's margins too, as ``_iev_vine_gauge(spec.marginal(nodes))``, for
-    ``gauge_project`` and ``eta.eta_subvine`` alike."""
-    return (gauge_cvine if spec.structure == CVINE else gauge_dvine)(spec)
+    return gauge_vine(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -974,7 +974,7 @@ def gauge_project(g: Gauge, keep) -> Gauge:
     all-IEV vine's gauge onto the nodes of a proper sub-vine (two or more
     labels with ``spec.hull(keep) == keep``) is that sub-vine's gauge, and
     it is returned, built as ``eta.eta_subvine`` builds its margins
-    (``_iev_vine_gauge``): a plan step that meets a zero margin takes
+    (``gauge_vine``): a plan step that meets a zero margin takes
     V(x, inf) = 1/x, so g(x_S, 0) = g_S(x_S), the corner where the search
     below stops.  It evaluates arrays in one call, with the vine's scalar,
     array and gradient dialects.
@@ -1008,7 +1008,7 @@ def gauge_project(g: Gauge, keep) -> Gauge:
     tag = f"project({g.tag}; keep={keep})"
     spec = g.spec
     if spec is not None and len(keep) > 1 and spec.all_iev() and spec.hull(keep) == keep:
-        margin = _iev_vine_gauge(spec.marginal(keep))
+        margin = gauge_vine(spec.marginal(keep))
         margin.tag = tag
         return margin
     kept_idx = [k - 1 for k in keep]

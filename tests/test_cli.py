@@ -316,6 +316,15 @@ def test_table_bad_alpha_prints_only_the_error(capsys, alphas):
     assert out.count("\n") == 1 and list(json.loads(out)) == ["error"]
 
 
+@pytest.mark.parametrize("dmax", ["1", "0", "-3"])
+def test_table_dmax_below_two_prints_only_the_error(capsys, dmax):
+    # the table starts at d = 2: a smaller dmax used to print the header alone
+    code, out = run(capsys, "table", "--dmax", dmax)
+    assert code == 2
+    assert out.count("\n") == 1 and list(json.loads(out)) == ["error"]
+    assert "--dmax" in json.loads(out)["error"]
+
+
 def test_verify_quick_passes_fast(capsys):
     import time
 

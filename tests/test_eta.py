@@ -7,9 +7,11 @@ from numpy.testing import assert_allclose
 
 from vinetail import (
     AsymmetricLogistic,
+    ConvergenceError,
     DomainError,
     Logistic,
     PairCopula,
+    ParameterError,
     UnsupportedCombinationError,
     VineSpec,
     asymmetric_logistic_gauge,
@@ -22,6 +24,7 @@ from vinetail import (
     eta_numeric,
     eta_subvine,
     eta_trivariate_ilog_closed,
+    eta_vine,
     gauge_cvine,
     gauge_dvine,
     gauge_trivariate,
@@ -342,8 +345,7 @@ def test_mixed_closed_and_root_routes_build_no_gauge(monkeypatch):
     def no_gauge(*args):
         raise AssertionError("a gauge was built")
 
-    for name in ("gauge_trivariate", "gauge_dvine", "gauge_cvine", "_iev_vine_gauge"):
-        monkeypatch.setattr(eta_module, name, no_gauge)
+    monkeypatch.setattr(eta_module, "gauge_vine", no_gauge)
     monkeypatch.setattr(gauges, "_vine_gauge", no_gauge)
     for fams in ("eee", "iii"):
         assert eta_mixed_trivariate(_trivariate(fams), (1, 2, 3)).method == "closed"
@@ -647,3 +649,69 @@ def test_kkt_residual_probes_a_negative_partial_at_a_bound(structure, alphas, C,
     assert res.diagnostics["kkt_residual"] == 0.0 and res.diagnostics["suspicious_landscape"] is False
     assert res.diagnostics["n_gauge_evals"] == 1  # the one probe
     assert res.eta == pytest.approx(eta_numeric(g, C, n_starts=16, maxfev=20000).eta, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# eta_vine: one entry point that routes every spec's eta
+# ---------------------------------------------------------------------------
+
+def _same_result(a, b):
+    assert (a.eta, a.method, a.diagnostics) == (b.eta, b.method, b.diagnostics)
+    assert np.asarray(a.argmin, dtype=float).tobytes() == np.asarray(b.argmin, dtype=float).tobytes()
+
+
+_UNEQUAL_DVINE4 = zero_denominator_spec("dvine", 4, [0.3, 0.5, 0.7, 0.4, 0.6, 0.2])
+
+# (spec, C, the route eta_vine must take, the method that route returns)
+ETA_VINE_ROUTES = {
+    "trivariate-closed": (_trivariate("iii"), (1, 2, 3), eta_mixed_trivariate, "closed"),
+    "trivariate-root": (_trivariate("iii"), (1, 3), eta_mixed_trivariate, "root"),
+    "trivariate-numeric-fallback": (
+        VineSpec.trivariate(ilog(0.4), ilog(0.5), PairCopula("iev", AsymmetricLogistic(0.5, 0.3, 0.6))), (1, 3),
+        eta_mixed_trivariate, "numeric"),
+    "dvine3-ev": (VineSpec(3, "dvine", {"12": lgst(0.4), "23": ilog(0.5), "13|2": ilog(0.6)}), (1, 2, 3),
+                  eta_mixed_trivariate, "closed"),
+    "subvine-2-nodes": (_UNEQUAL_DVINE4, (2, 3), eta_subvine, "closed"),
+    "subvine-3-nodes": (_UNEQUAL_DVINE4, (1, 3), eta_subvine, "root"),
+    "cvine3": (VineSpec.uniform("cvine", 3, ilog(0.4)), (2, 3), eta_subvine, "numeric"),
+    "whole-certified": (VineSpec.uniform("cvine", 4, ilog(0.4)), (1, 2, 3, 4), eta_subvine, "closed"),
+    "whole-uncertified": (zero_denominator_spec("dvine", 6, UNCERTIFIED_VINES[1][1]), tuple(range(1, 7)),
+                          eta_subvine, "numeric"),
+}
+
+
+@pytest.mark.parametrize("case", ETA_VINE_ROUTES)
+def test_eta_vine_takes_the_route_of_the_spec(case):
+    spec, C, route, method = ETA_VINE_ROUTES[case]
+    direct = route(spec, C)
+    assert direct.method == method
+    _same_result(eta_vine(spec, C), direct)
+    _same_result(eta_vine(spec, C, "auto"), direct)
+    # forced numeric is eta_numeric on the spec's gauge
+    _same_result(eta_vine(spec, C, "numeric"), eta_numeric(gauges.gauge_vine(spec), C))
+    # "closed" refuses exactly the numeric results of the route
+    if method == "numeric":
+        with pytest.raises(ConvergenceError, match="no closed form"):
+            eta_vine(spec, C, "closed")
+    else:
+        _same_result(eta_vine(spec, C, "closed"), direct)
+
+
+def test_eta_vine_defaults_to_every_variable_and_checks_its_method():
+    for spec in (_trivariate("eii"), _UNEQUAL_DVINE4, VineSpec.uniform("cvine", 5, ilog(0.3))):
+        _same_result(eta_vine(spec), eta_vine(spec, range(1, spec.d + 1)))
+    with pytest.raises(ParameterError, match="unknown eta method"):
+        eta_vine(_trivariate("iii"), method="root")
+    with pytest.raises(UnsupportedCombinationError, match="no gauge for this vine"):
+        eta_vine(VineSpec.uniform("dvine", 4, lgst(0.5)), method="numeric")
+    with pytest.raises(UnsupportedCombinationError):
+        eta_vine(VineSpec.uniform("dvine", 4, lgst(0.5)))
+
+
+def test_package_eta_is_still_the_module():
+    import types
+
+    from vinetail import eta
+
+    assert isinstance(eta, types.ModuleType)
+    assert eta.NUMERIC == "numeric" and eta.eta_vine is eta_vine

@@ -957,3 +957,65 @@ def test_gradient_at_zero_coordinates_takes_the_documented_limits():
     gradient = inverted_ev_gauge(Logistic(0.5)).gradient_evaluator()
     assert gradient(2.0, 0.0) == (2.0, [1.0, 0.0])
     assert gradient(0.0, 0.0) == (0.0, [1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# gauge_vine: the one place that decides which specs have a gauge
+# ---------------------------------------------------------------------------
+
+def _one_ev_edge(structure, d, tree):
+    """A logistic vine whose first edge in the given tree is EV and whose
+    other edges are inverted EV; tree 0 gives the all-IEV vine."""
+    labels = expected_edges(structure, d)
+    ev = next((e for e in labels if len(e.cond) == tree - 1), None) if tree else None
+    return VineSpec(d, structure, {e: (lgst if e == ev else ilog)(0.3 + 0.05 * k) for k, e in enumerate(labels)})
+
+
+# the trivariate structure exists only for d = 3
+SUPPORT_MATRIX = [(structure, d, tree) for structure in ("trivariate", "dvine", "cvine") for d in (2, 3, 4, 5)
+                  if structure != "trivariate" or d == 3 for tree in range(d)]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("structure, d, tree", SUPPORT_MATRIX,
+                         ids=[f"{s}{d}-" + (f"ev-in-tree{t}" if t else "iev") for s, d, t in SUPPORT_MATRIX])
+def test_gauge_vine_support_matrix(structure, d, tree):
+    # it builds the trivariate vine in every pattern and any all-IEV D- or
+    # C-vine, and there it is the named builder's gauge bit for bit
+    spec = _one_ev_edge(structure, d, tree)
+    trivariate = d == 3 and structure != "cvine"
+    named = gauge_trivariate if trivariate else {"dvine": gauge_dvine, "cvine": gauge_cvine}[structure]
+    if not (trivariate or tree == 0):
+        with pytest.raises(UnsupportedCombinationError, match="no gauge for this vine"):
+            gauges.gauge_vine(spec)
+        with pytest.raises(UnsupportedCombinationError):
+            named(spec)
+        return
+    g, ref = gauges.gauge_vine(spec), named(spec)
+    assert g.dim == d and g.spec is spec
+    pts = _plan_points(d)
+    assert _bits([g._sfn(*x) for x in pts]) == _bits([ref._sfn(*x) for x in pts])
+    assert _bits(g(np.array(pts))) == _bits(ref(np.array(pts)))
+    grad, ref_grad = g.gradient_evaluator(), ref.gradient_evaluator()
+    assert (grad is None) == (ref_grad is None) == (tree != 0)
+    if grad is not None:
+        for x in pts:
+            value, partials = grad(*x)
+            ref_value, ref_partials = ref_grad(*x)
+            assert _bits([value, *partials]) == _bits([ref_value, *ref_partials])
+
+
+def test_named_builders_keep_their_refusals():
+    ev_dvine3 = _one_ev_edge("dvine", 3, 1)
+    gauges.gauge_vine(ev_dvine3)  # the trivariate vine has a gauge in every pattern
+    with pytest.raises(UnsupportedCombinationError, match="inverted extreme value"):
+        gauge_dvine(ev_dvine3)
+    with pytest.raises(UnsupportedCombinationError, match="cvine structure"):
+        gauge_cvine(_one_ev_edge("dvine", 4, 0))
+    with pytest.raises(UnsupportedCombinationError, match="dvine structure"):
+        gauge_dvine(_one_ev_edge("cvine", 4, 0))
+    with pytest.raises(UnsupportedCombinationError, match="trivariate vine"):
+        gauge_trivariate(_one_ev_edge("cvine", 3, 0))
