@@ -198,26 +198,26 @@ def check_subvine_route(full):
 
 
 def check_mixed_cases(full):
+    """The mixed trivariate closed forms of eta_123 within 1e-6, eta_13 of
+    eie above its eta_123, and both routes on every pattern with an EV edge:
+    at C = 123 and 13, eta_numeric against eta_mixed_trivariate within 1e-8."""
     grid = np.arange(0.1, 0.95, 0.2) if full else np.array([0.3, 0.7])
-    worst = 0.0
+    worst = worst_routes = 0.0
     for a in grid:
         for b in grid:
-            g_ = 0.5
-            s_iie = VineSpec.trivariate(_ilog(a), _ilog(b), _log(g_))
-            s_eii = VineSpec.trivariate(_log(a), _ilog(b), _ilog(g_))
-            s_eie = VineSpec.trivariate(_log(a), _ilog(b), _log(g_))
-            s_eei = VineSpec.trivariate(_log(a), _log(b), _ilog(g_))
-            s_eee = VineSpec.trivariate(_log(a), _log(b), _log(g_))
-            worst = max(worst, abs(eta_mixed_trivariate(s_iie, (1, 2, 3)).eta - min(2.0**-a, 2.0**-b)))
-            worst = max(worst, abs(eta_mixed_trivariate(s_eii, (1, 2, 3)).eta - 2.0**-b))
-            worst = max(worst, abs(eta_mixed_trivariate(s_eie, (1, 2, 3)).eta - 2.0**-b))
-            worst = max(worst, abs(eta_mixed_trivariate(s_eei, (1, 2, 3)).eta - 1.0))
-            worst = max(worst, abs(eta_mixed_trivariate(s_eee, (1, 2, 3)).eta - 1.0))
-            r13 = eta_mixed_trivariate(s_eie, (1, 3))
-            if not r13.eta > 2.0**-b:
-                return False, f"eie-pattern eta13 not above eta123 at ({a},{b})"
-            worst = max(worst, abs(eta_numeric(gauge_vine(s_iie)).eta - min(2.0**-a, 2.0**-b)))
-    return worst < 1e-6, f"max closed-form gap {worst:.2e}"
+            closed = {"iie": min(2.0**-a, 2.0**-b), "eii": 2.0**-b, "eie": 2.0**-b, "eei": 1.0, "eee": 1.0}
+            for fams in ("iie", "iei", "iee", "eii", "eie", "eei", "eee"):
+                spec = VineSpec.trivariate(*((_log if f == "e" else _ilog)(x) for f, x in zip(fams, (a, b, 0.5))))
+                g = gauge_vine(spec)
+                (r123, n123), (r13, n13) = ((eta_mixed_trivariate(spec, C).eta, eta_numeric(g, C).eta)
+                                            for C in ((1, 2, 3), (1, 3)))
+                worst_routes = max(worst_routes, abs(n123 - r123), abs(n13 - r13))
+                if fams in closed:
+                    worst = max(worst, abs(r123 - closed[fams]), abs(n123 - closed[fams]) if fams == "iie" else 0.0)
+                if fams == "eie" and not r13 > 2.0**-b:
+                    return False, f"eie-pattern eta13 not above eta123 at ({a},{b})"
+    ok = worst < 1e-6 and worst_routes < 1e-8
+    return ok, f"max closed-form gap {worst:.2e}, max numeric/closed-or-root gap {worst_routes:.2e}"
 
 
 def check_contours(full):

@@ -10,12 +10,10 @@ the D-/C-vine recursions, the mixed trivariate cases), one-dimensional
 root solves for the stationary points with proved unique roots (``_bisect``,
 scipy's bisection on Python floats, raising ``ConvergenceError``), and, as
 the general fallback, numerical minimisation over that box with the
-gauge box minimiser ``gauges._minimise_gauge``: one bound-constrained
-local solve in x per start, within a budget set by the number of starts
-and not by the number of box faces.  On the gauges with a gradient these
-are projected quasi-Newton solves, and their gradient gives the KKT
-residual of the result; on the others they are Nelder-Mead solves, with a
-Nelder-Mead polish of the best point.
+gauge box minimiser ``gauges._minimise_gauge``: projected quasi-Newton
+solves on the gauges with a gradient (every all-IEV vine), whose gradient
+gives the KKT residual of the result, and bounded Brent searches on the
+others, in x2 alone on a trivariate vine or on the faces of a 2-d gauge.
 1/g(1, ..., 1) is always a lower bound for eta, with equality exactly when
 the minimiser sits at the all-ones point.  For the D-/C-vine recursions,
 which return that value, the gradient at the all-ones point tells the two
@@ -34,7 +32,6 @@ three nodes, where the closed forms and root solves above apply.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,32 +143,29 @@ def _kkt_residual(scalar, x, fx, grad, lower):
 
 
 def eta_numeric(g: Gauge, C=None, n_starts: int = 8, maxfev: int = 400) -> EtaResult:
-    """eta_C by bound-constrained multi-start minimisation of the gauge.
+    """eta_C by bound-constrained minimisation of the gauge.
 
     The box x_i >= 1 (i in C), x_i >= 0 (i not in C) has every coordinate
-    free, so ``gauges._minimise_gauge`` runs one local solve directly in x
-    per start, projected onto the box so that minima on its faces
-    (x_c = 1, x_k = 0) are reached exactly.  The gauge alone picks the
-    solver: the projected quasi-Newton solve when it has a gradient
-    evaluator (``Gauge.gradient_evaluator``, the all-IEV logistic vines),
-    whose best start is the result, and bounded Nelder-Mead otherwise, whose
-    best start Nelder-Mead restarts then polish.  The starts are corner + s
-    for n_starts log-spaced s in [0.05, 20] and a near-corner s = 1e-8,
-    where the corner (ones on C, zeros elsewhere) is the lower bound and one
-    more candidate.  The corner is taken when it matches the optimum to
-    rounding, and the best point is otherwise rescaled by homogeneity so
-    that its smallest C coordinate is one.  At most
-    (n_starts + 1) * maxfev + 2 evaluations are made in all, value-only and
-    value-and-gradient together, and with a gradient up to d more probes
-    of the KKT residual.
+    free, and ``gauges._minimise_gauge`` picks the solver by the gauge:
+    quasi-Newton solves directly in x with a gradient (every all-IEV vine),
+    the search in x2 alone on a trivariate vine with an EV edge, the face
+    searches x_c = 1 on a 2-d gauge, and UnsupportedCombinationError on any
+    other (a ``gauge_project`` result of three or more dimensions).  The
+    corner (ones on C, zeros elsewhere) is one more candidate, taken when it
+    matches the optimum to rounding; else the best point is rescaled by
+    homogeneity so that its smallest C coordinate is one.  The quasi-Newton
+    solves make at most (n_starts + 1) * maxfev + 2 evaluations, value-only
+    and value-and-gradient together, and up to d probes of the KKT
+    residual; a Brent search at most 500 per panel and 3 more, the x2
+    search up to 205 more again, and the face search two Brent searches.
 
-    The diagnostics give the solver as ``local_solver`` ("quasi-newton" or
-    "nelder-mead"), the evaluation counts as ``n_gauge_evals`` (value only)
-    and ``n_gradient_evals`` (value and gradient), and the spread of the
-    starts' values.  With a gradient, ``kkt_residual`` is the largest
-    projected partial at the argmin (``_kkt_residual``), which vanishes at
-    a KKT point of the box, and ``suspicious_landscape`` flags a residual
-    above 1e-6; without one it flags a spread above 1e-4.
+    The diagnostics give ``local_solver`` ("quasi-newton", "middle-search"
+    or "face-search"), the starts or panels run as ``n_starts`` and the
+    ``spread`` of their values, and the counts ``n_gauge_evals`` (value
+    only; a value of the x2 search counts as one) and ``n_gradient_evals``.
+    With a gradient, ``kkt_residual`` is the largest projected partial at
+    the argmin (``_kkt_residual``), zero at a KKT point of the box, and
+    ``suspicious_landscape`` flags one above 1e-6.
     """
     d = g.dim
     C = _normalise_labels(C if C is not None else range(1, d + 1), d)
@@ -202,18 +196,15 @@ def eta_numeric(g: Gauge, C=None, n_starts: int = 8, maxfev: int = 400) -> EtaRe
             best_val = float(scalar(*best_x.tolist()))  # the evaluator n_gauge_evals counts
             n_evals += 1
 
-    spread = float(np.max(runs) - np.min(runs))
     diagnostics = {
         "n_starts": len(runs),
-        "spread": spread,
-        "local_solver": "nelder-mead" if gradient is None else "quasi-newton",
+        "spread": float(np.max(runs) - np.min(runs)) if runs else 0.0,
+        "local_solver": found.solver,
         "n_gauge_evals": n_evals,
         "n_gradient_evals": n_grad,
         "best_value": best_val,
     }
-    if gradient is None:
-        diagnostics["suspicious_landscape"] = bool(spread > 1e-4)
-    else:
+    if gradient is not None:
         kkt, n_probes = _kkt_residual(scalar, best_x.tolist(), best_val, grad, corner.tolist())
         diagnostics["n_gauge_evals"] += n_probes
         diagnostics |= {"kkt_residual": kkt, "suspicious_landscape": bool(kkt > 1e-6)}
@@ -310,10 +301,6 @@ def eta13_trivariate_ilog(alpha: float, beta: float, gamma: float, force_root: b
 # mixed EV / inverted-EV trivariate cases
 # ---------------------------------------------------------------------------
 
-def _is_logistic(pc):
-    return isinstance(pc.measure, Logistic)
-
-
 def _pair_margin_eta(spec, gauge, i, j, other):
     """eta for a pair directly linked in tree 1 (its copula is the margin).
 
@@ -395,7 +382,7 @@ def eta_mixed_trivariate(spec: VineSpec, C) -> EtaResult:
                          method=res.method, diagnostics=res.diagnostics | {"relabelled": "x1<->x3"})
 
     _compile_vine(spec)  # raises where the gauge cannot be built
-    all_logistic = all(_is_logistic(pc) for pc in (c12, c23, c13))
+    all_logistic = all(isinstance(pc.measure, Logistic) for pc in (c12, c23, c13))
     v12_11 = c12.measure.V(1.0, 1.0)
     v23_11 = c23.measure.V(1.0, 1.0)
 
@@ -466,37 +453,22 @@ def eta_mixed_trivariate(spec: VineSpec, C) -> EtaResult:
 # D-vine and C-vine recursions
 # ---------------------------------------------------------------------------
 
-def _eta_vine(spec: VineSpec, name: str) -> float:
-    if not spec.all_iev():
-        raise UnsupportedCombinationError(f"{name} requires all-IEV edges")
-    if not all(_is_logistic(pc) for pc in spec.edges.values()):
-        warnings.warn(f"non-logistic IEV edges: {name} falls back to numeric minimisation")
-        return eta_numeric(gauge_vine(spec)).eta
-    return 1.0 / gauge_vine(spec)(np.ones(spec.d))
-
-
 def eta_dvine(spec: VineSpec) -> float:
-    """eta_D for an all-IEV D-vine via the nested sub-vine recursion.
-
-    Reciprocals of eta combine exactly like the block gauges evaluated at
-    the all-ones point, so this is 1/g(1, ..., 1) through the gauge's own
-    evaluation plan.  That is eta only where the minimum over x >= 1 sits
-    at the all-ones point, which can fail for unequal parameters;
-    ``eta_subvine`` over every variable checks it with the gradient there.
-    Derived for inverted-logistic components; other all-IEV measures fall
-    back to numeric minimisation of the recursive gauge (with a warning).
-    """
-    if spec.structure not in (DVINE, TRIVARIATE):
-        raise UnsupportedCombinationError("eta_dvine requires a dvine structure")
-    return _eta_vine(spec, "eta_dvine")
+    """eta_D for an all-IEV D-vine: the recursion 1/g(1, ..., 1) through
+    the gauge's own plan, where reciprocals of eta combine like the block
+    gauges, if the gradient there certifies it, else the numeric minimum
+    (``_eta_whole_vine``); unequal parameters can move the minimum."""
+    if spec.structure not in (DVINE, TRIVARIATE) or not spec.all_iev():
+        raise UnsupportedCombinationError("eta_dvine requires a dvine structure with all-IEV edges")
+    return _eta_whole_vine(gauge_vine(spec)).eta
 
 
 def eta_cvine(spec: VineSpec) -> float:
-    """eta_D for an all-IEV C-vine; the C-vine analogue of the D-vine
-    recursion, over the sub-vines {1..k} and {1..k-1, m}."""
+    """eta_D for an all-IEV C-vine; the C-vine analogue of ``eta_dvine``,
+    whose recursion runs over the sub-vines {1..k} and {1..k-1, m}."""
     if spec.structure != CVINE:
         raise UnsupportedCombinationError("eta_cvine requires a cvine structure")
-    return _eta_vine(spec, "eta_cvine")
+    return _eta_whole_vine(gauge_vine(spec)).eta
 
 
 def eta_dvine_ilog_closed(alpha: float, d: int) -> float:
@@ -525,7 +497,7 @@ def eta_dvine_ilog_closed(alpha: float, d: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _eta_whole_vine(g: Gauge) -> EtaResult:
-    """eta over every variable of a vine: the closed recursion
+    """eta over every variable of an all-IEV vine: the closed recursion
     1/g(1, ..., 1) when the gradient there certifies it, else
     ``eta_numeric`` with ``fallback_reason`` in the diagnostics.
 
@@ -534,20 +506,15 @@ def _eta_whole_vine(g: Gauge) -> EtaResult:
     direction into the box, so the minimum lies elsewhere; with none, the
     all-ones point is a KKT point of the box, and ``kkt_residual`` is the
     largest projected partial.  The gradient dialect's value is the scalar
-    one bit for bit, so a certified eta is the recursion's.  A gauge with
-    no gradient dialect (an edge other than logistic) is not certified."""
-    gradient = g.gradient_evaluator()
-    if gradient is None:
-        reason = "the edges have no gradient to certify 1/g(1, ..., 1)"
-    else:
-        ones = [1.0] * g.dim
-        value, grad = gradient(*ones)
-        below = [f"x{k + 1}" for k, gk in enumerate(grad) if gk < -1e-12]
-        if not below:
-            kkt = max(map(abs, _projected_gradient(ones, grad, ones)))
-            return EtaResult(eta=1.0 / value, argmin=np.ones(g.dim), method=CLOSED,
-                             diagnostics={"kkt_residual": kkt})
-        reason = f"g decreases from (1, ..., 1) along {', '.join(below)}: 1/g(1, ..., 1) understates eta"
+    one bit for bit, so a certified eta is the recursion's."""
+    ones = [1.0] * g.dim
+    value, grad = g.gradient_evaluator()(*ones)
+    below = [f"x{k + 1}" for k, gk in enumerate(grad) if gk < -1e-12]
+    if not below:
+        kkt = max(map(abs, _projected_gradient(ones, grad, ones)))
+        return EtaResult(eta=1.0 / value, argmin=np.ones(g.dim), method=CLOSED,
+                         diagnostics={"kkt_residual": kkt})
+    reason = f"g decreases from (1, ..., 1) along {', '.join(below)}: 1/g(1, ..., 1) understates eta"
     res = eta_numeric(g)
     return EtaResult(eta=res.eta, argmin=res.argmin, method=res.method,
                      diagnostics=res.diagnostics | {"fallback_reason": reason})

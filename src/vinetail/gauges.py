@@ -16,31 +16,31 @@ module builds gauges analytically:
   below an EV tree-1 edge) selects the form.  One emitter turns each plan
   shape into straight-line Python in three dialects, each bound to the
   plan's parameters: one for single points, which inlines the logistic V,
-  one for arrays, and, for the all-IEV logistic vines, one that returns
-  the value of a single point with its gradient from a reverse (adjoint)
-  sweep.  One table of EV edge rules (``_EV_FORMS``) feeds the first two
-  dialects alike,
+  one for arrays, and, for every all-IEV vine, one that returns the value
+  of a single point with its gradient from a reverse (adjoint) sweep.  One
+  table of EV edge rules (``_EV_FORMS``) feeds the first two dialects
+  alike,
 
 and numerically: projections onto coordinate subsets by minimising over the
 dropped coordinates, except that an all-IEV vine projected onto the nodes
 of a sub-vine gives that sub-vine's gauge.  One box-constrained minimiser,
-``_minimise_gauge``, serves the projections and ``eta.eta_numeric`` alike,
-with one local solver per gauge.  ``_fminbound`` repeats scipy's bounded
-Brent step for step and serves one free coordinate.  For more,
-``_quasi_newton`` is a projected BFGS solve for the gauges with a gradient,
-whose starts are the whole solve, and ``_nelder_mead`` repeats scipy's
-bounded Nelder-Mead step for step for the others, polishing the best
-start.  All three run on Python floats, so the scalar evaluators get floats
-with no array round trip, and importing the package does not load scipy.
+``_minimise_gauge``, serves the projections and ``eta.eta_numeric`` alike.
+``_fminbound`` repeats scipy's bounded Brent step for step, in panels
+(``_panels``), and serves one free coordinate.  For more, ``_quasi_newton``
+is a projected BFGS solve for the gauges with a gradient, whose starts are
+the whole solve; a trivariate vine with an EV edge runs the Brent panels
+in x2 alone (``_middle_search``), minimising over x1 and x3 in closed form
+at each x2, and a 2-d gauge without a gradient runs them on its faces.
+All run on Python floats, so the scalar evaluators get floats with no
+array round trip, and importing the package does not load scipy.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import types
-from functools import cache, partial, reduce
-from operator import add, mul, sub
+from functools import cache
+from operator import mul, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -84,23 +84,20 @@ class Gauge:
     resolved analytically inside the evaluators.  Single points use a plain
     scalar code path when available (optimisers hammer that case), arrays
     the vectorised one; the two are checked against each other in the test
-    suite.  Vine gauges compile one evaluation plan per vine, and one
-    emitter generates both paths from it as straight-line functions per
-    plan shape, with the vine's parameters bound as their globals: the
-    scalar path evaluates only the form each point's sides select, the
-    array path blends the forms a point's sides can reach.  The scalar
-    dialect is bound when the gauge is built; the array dialect is bound on
-    the first array call, and the gradient dialect, which only an all-IEV
-    logistic vine has, on first use, so a gauge that only ever sees single
-    points binds neither.
+    suite.  Vine gauges compile one evaluation plan per vine, from which one
+    emitter generates both paths (``_bind_plan``).  The scalar dialect is
+    bound when the gauge is built; the array dialect on the first array
+    call, and the gradient dialect, which every all-IEV vine has, on first
+    use, so a gauge that only ever sees single points binds neither.
     """
 
-    def __init__(self, dim: int, fn, tag: str, sfn=None, gradient=None):
+    def __init__(self, dim: int, fn, tag: str, sfn=None, gradient=None, middle=None):
         self.dim = int(dim)
         self.spec = None  # the VineSpec of a vine gauge (``_vine_gauge``)
         self._fn = fn
         self._sfn = sfn
         self._gradient = gradient  # returns the gradient evaluator, or None
+        self._middle = middle  # returns the trivariate middle search (``_middle_search``), or None
         self.tag = str(tag)
 
     def __repr__(self):
@@ -144,7 +141,9 @@ class Gauge:
         """g and its gradient at one point: a function of d separate floats
         that returns the value, bit for bit the scalar evaluator's, and the
         list of the d partials.  Only vine gauges whose every plan step is a
-        logistic V over upper margins have one; the others return None.  It
+        V over upper margins have one, which is every all-IEV vine whatever
+        its measures; the others (the builtins other than inverted EV, the
+        trivariate patterns with an EV edge, projections) return None.  It
         is bound on first use, to code compiled once per plan shape."""
         return None if self._gradient is None else self._gradient()
 
@@ -345,6 +344,22 @@ if {r} > 0.0:
 else:
     d{n}p = d{n}q = 1.0"""
 
+# the partials of r = V(1/p, 1/q) in step n for a V not inlined, by the
+# homogeneity of V1 and V2: dr/dp = -V1(1, p/q), dr/dq = -V2(q/p, 1), which
+# is -V1 of the transposed measure at (1, q/p); w{n} and u{n} are the V1.  A
+# zero margin, or an underflowing ratio, takes the limit zp{n} = -V1(1, 0+)
+# or zq{n} = -V2(0+, 1) (theta1, theta2 for the asymmetric logistic with
+# alpha < 1), and the other partial is 1; with both zero, each is 1
+_MEASURE_PARTIALS = """\
+if {p} > 0.0 < {q}:
+    y = {p} / {q}
+    d{n}p = -float(w{n}(1.0, y)) if y > 0.0 else zp{n}
+    y = {q} / {p}
+    d{n}q = -float(u{n}(1.0, y)) if y > 0.0 else zq{n}
+else:
+    d{n}p = zp{n} if {q} > 0.0 else 1.0
+    d{n}q = zq{n} if {p} > 0.0 else 1.0"""
+
 # The EV edge rules g_e(p, q) in step n over margins with a lower side, keyed
 # by (lower_p, lower_q), as the expressions both dialects emit: upper +
 # (2 + s) lower with one lower margin, s1 when it is p and s2 when it is q,
@@ -366,9 +381,10 @@ def _step_source(out, left, right, inner, inline, sides, dialect):
     scalar dialect runs on floats and picks the form a point's sides select
     with if/else; the array dialect runs on arrays and blends the reachable
     forms with where, evaluating each once.  Both emit the EV edge rules of
-    ``_EV_FORMS``.  The gradient dialect runs the scalar statements of an
-    inline logistic step over upper margins and keeps the step's partials in
-    d{out}p and d{out}q for the reverse sweep (``_adjoint_source``)."""
+    ``_EV_FORMS``.  The gradient dialect runs the scalar statements of a
+    step over upper margins and keeps the step's partials in d{out}p and
+    d{out}q for the reverse sweep (``_adjoint_source``): the inline logistic
+    ones, or those of the measure's V1 and V2."""
     array = dialect == ARRAY
     if inner is None:  # tree 1: the coordinates are the margins
         p, q, r, lines = f"s{left}", f"s{right}", f"s{out}", []
@@ -409,7 +425,7 @@ def _step_source(out, left, right, inner, inline, sides, dialect):
         code = side(sp, lambda lp: side(sq, lambda lq: form(lp, lq)))
     lines += [f"{r} = {code}"] if array else code
     if dialect == GRADIENT:
-        lines += _LOGISTIC_PARTIALS.format(p=p, q=q, r=r, n=out).splitlines()
+        lines += (_LOGISTIC_PARTIALS if inline else _MEASURE_PARTIALS).format(p=p, q=q, r=r, n=out).splitlines()
     if inner is not None:
         lines.append(f"s{out} = g + r")
     return lines
@@ -470,8 +486,9 @@ def _bind_plan(d, plan, dialect):
     The scalar and gradient dialects inline the direct form of a logistic V;
     the scalar and array dialects emit the EV edge rules (``_EV_FORMS``),
     whose tail-order sums each binds.  The gradient dialect takes plans
-    whose steps are all inline logistic steps over upper margins
-    (``_has_gradient``)."""
+    whose steps are all over upper margins (``_has_gradient``), and binds
+    the logistic exponents of the inline steps and the measures' V1, with
+    their zero-margin limits, for the others."""
     env = {"inf": math.inf, "recip": _recip, "where": np.where}
     shape = []
     for out, left, right, inner, m, sides, t in plan:
@@ -479,8 +496,13 @@ def _bind_plan(d, plan, dialect):
         env[f"v{out}"] = m._v
         if inline:
             env.update({f"e{out}": -m._q, f"a{out}": m.alpha})
-        if dialect == GRADIENT:
+        if dialect == GRADIENT and inline:
             env.update({f"c{out}": m._q - 1.0, f"z{out}": 0.0 ** (m._q - 1.0)})
+        elif dialect == GRADIENT:
+            mt = m.transposed()
+            with np.errstate(divide="ignore", invalid="ignore"):  # the limits at a zero argument
+                zp, zq = (float(-v1(np.float64(1.0), np.float64(0.0))) for v1 in (m._v1, mt._v1))
+            env.update({f"w{out}": m._v1, f"u{out}": mt._v1, f"zp{out}": zp, f"zq{out}": zq})
         if sides is not None:
             env.update({f"h{out}p": 2.0 + t.s1, f"h{out}q": 2.0 + t.s2,
                         f"l{out}p": 1.0 + t.s1, f"l{out}q": 1.0 + t.s2})
@@ -489,20 +511,25 @@ def _bind_plan(d, plan, dialect):
 
 
 def _has_gradient(plan):
-    """Whether every step is a logistic V over two upper margins, the steps
-    the gradient dialect differentiates; the EV patterns' piecewise linear
-    rules and other measures have no emitted gradient."""
-    return all(sides is None and type(m)._v is Logistic._v for *_, m, sides, t in plan)
+    """Whether every step is a V over two upper margins, the steps the
+    gradient dialect differentiates, as in every all-IEV vine; the EV
+    patterns' piecewise linear rules have no emitted gradient."""
+    return all(sides is None for *_, sides, t in plan)
 
 
 def _vine_gauge(spec: VineSpec, tag: str) -> Gauge:
     d = spec.d
     plan = _compile_vine(spec)
-    # the array and gradient dialects are bound on first use, once
+    # the array and gradient dialects, and the middle search of the vines
+    # with no gradient (trivariate, with an EV edge), bind on first use, once
     array = cache(lambda: _bind_plan(d, plan, ARRAY))
-    gradient = cache(lambda: _bind_plan(d, plan, GRADIENT)) if _has_gradient(plan) else None
+    gradient = middle = None
+    if _has_gradient(plan):
+        gradient = cache(lambda: _bind_plan(d, plan, GRADIENT))
+    else:
+        middle = cache(lambda: _middle_search(plan))
     g = Gauge(d, lambda x: array()(*(x[..., k] for k in range(d))), tag, sfn=_bind_plan(d, plan, SCALAR),
-              gradient=gradient)
+              gradient=gradient, middle=middle)
     g.spec = spec
     return g
 
@@ -532,13 +559,8 @@ def gauge_vine(spec: VineSpec) -> Gauge:
 
 
 def gauge_trivariate(spec: VineSpec) -> Gauge:
-    """Gauge of a trivariate vine with edges {12}, {23}, {13|2}.
-
-    Every family pattern of (c12, c23, c13|2) is the d = 3 case of the
-    nested sub-vine recursion (``gauge_vine``).  Below an EV tree-1 edge the
-    margin of the top edge switches side where the outer coordinate passes
-    x2, which turns the gauge piecewise.
-    """
+    """Gauge of a trivariate vine with edges {12}, {23}, {13|2}, in any
+    family pattern: the d = 3 case of the recursion (``gauge_vine``)."""
     if not _is_trivariate(spec):
         raise UnsupportedCombinationError("gauge_trivariate needs a trivariate vine with edges 12, 23, 13|2")
     return gauge_vine(spec)
@@ -575,84 +597,6 @@ def gauge_cvine(spec: VineSpec) -> Gauge:
 # ---------------------------------------------------------------------------
 # projections and boundary geometry
 # ---------------------------------------------------------------------------
-
-_map_add = partial(map, add)  # the elementwise sum of two vectors, lazily
-
-
-def _nelder_mead(f, sim, lower, maxfev):
-    """Bounded Nelder-Mead on Python floats: scipy's
-    ``minimize(method="Nelder-Mead", bounds=Bounds(lower, inf))`` step for
-    step, with xatol 1e-6, fatol 1e-10 and maxiter = maxfev (which never
-    binds first: every iteration costs at least one evaluation).
-
-    f takes a list of floats.  sim holds the n + 1 starting vertices, lists
-    inside the box x >= lower.  Trial points are clipped to lower and use
-    scipy's coefficients: reflection 1, expansion 2, contraction and shrink
-    1/2.  The vertices are ordered by a stable sort, so tied values keep
-    their order on every CPU (numpy's argsort breaks ties by its SIMD
-    dispatch).  A step that would need more than maxfev evaluations is
-    dropped, as in scipy, except that a shrink keeps the vertices it has
-    moved.  Returns the best vertex, its value and the evaluation count.
-    """
-    n = len(lower)
-    nfev = min(n + 1, maxfev)
-    fsim = [f(x) for x in sim[:nfev]] + [math.inf] * (n + 1 - nfev)
-    order = sorted(range(n + 1), key=fsim.__getitem__)
-    sim, fsim = [sim[k] for k in order], [fsim[k] for k in order]
-    while nfev < maxfev:
-        best, f0 = sim[0], fsim[0]
-        # scipy's stop test alone decides; the spread of the sorted values,
-        # which it implies (NaN and inf fail both), skips it cheaply
-        if fsim[-1] - f0 <= 1e-10 and all(abs(f0 - fk) <= 1e-10 for fk in fsim[1:]) and all(
-                abs(v - b) <= 1e-6 for x in sim[1:] for v, b in zip(x, best)):
-            break
-        # the centroid of all but the worst vertex, summed in vertex order:
-        # each coordinate's maps add the vertices from the first on
-        xbar = [v / n for v in reduce(_map_add, sim[1:-1], sim[0])]
-        worst = sim[-1]
-        xr = [lo if (v := 2.0 * a - w) <= lo else v for a, w, lo in zip(xbar, worst, lower)]
-        fxr = f(xr)
-        nfev += 1
-        new = None
-        if fxr < f0:
-            if nfev >= maxfev:
-                break
-            xe = [lo if (v := 3.0 * a - 2.0 * w) <= lo else v for a, w, lo in zip(xbar, worst, lower)]
-            fxe = f(xe)
-            nfev += 1
-            new = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            new = (xr, fxr)
-        elif nfev >= maxfev:
-            break
-        elif fxr < fsim[-1]:
-            xc = [lo if (v := 1.5 * a - 0.5 * w) <= lo else v for a, w, lo in zip(xbar, worst, lower)]
-            fxc = f(xc)
-            nfev += 1
-            if fxc <= fxr:
-                new = (xc, fxc)
-        else:
-            xcc = [lo if (v := 0.5 * a + 0.5 * w) <= lo else v for a, w, lo in zip(xbar, worst, lower)]
-            fxcc = f(xcc)
-            nfev += 1
-            if fxcc < fsim[-1]:
-                new = (xcc, fxcc)
-        if new is None:  # shrink towards the best vertex
-            for j in range(1, n + 1):
-                sim[j] = [lo if (v := b + 0.5 * (x - b)) <= lo else v for x, b, lo in zip(sim[j], best, lower)]
-                if nfev >= maxfev:
-                    break
-                fsim[j] = f(sim[j])
-                nfev += 1
-            order = sorted(range(n + 1), key=fsim.__getitem__)
-            sim, fsim = [sim[k] for k in order], [fsim[k] for k in order]
-        else:  # only the worst vertex changed: insert it after its ties
-            del sim[-1], fsim[-1]
-            k = bisect.bisect_right(fsim, new[1])
-            sim.insert(k, new[0])
-            fsim.insert(k, new[1])
-    return sim[0], fsim[0], nfev
-
 
 def _fminbound(f, lo, hi, xatol):
     """Bounded Brent minimisation of f on [lo, hi] on Python floats: scipy's
@@ -754,19 +698,18 @@ def _quasi_newton(fg, x, lower, maxfev):
 
     Steepest descent, and H until its first update, use the metric
     diag(1.05^k); the first update scales it by s'y/y'y.  The tilt makes the
-    first step leave a symmetry axis of g, as the 5 % steps of Nelder-Mead's
-    starting simplex do.  Without it a start on the axis (the diagonal start
-    of a reversal-symmetric D-vine) keeps every iterate on the axis, where
-    the solve can stop at a saddle.  The solve ends at w = 0, when a
-    steepest-descent step finds no Armijo point, once the decrease
-    -grad'(x_t - x) a trial step predicts is at most 1e-15 |f(x)| (rounding
-    level), or after maxfev calls of fg.  Returns the last point, its value
-    and gradient, and the number of calls (inf, None and 0 if maxfev < 1).
-    """
+    first step leave a symmetry axis of g: without it a start on the axis
+    (the diagonal start of a reversal-symmetric D-vine) keeps every iterate
+    on the axis, where the solve can stop at a saddle.  The solve ends at
+    w = 0, when a steepest-descent step finds no Armijo point, once the
+    decrease -grad'(x_t - x) a trial step predicts is at most 1e-15 |f(x)|
+    (rounding level), or after maxfev calls of fg.  Returns the last point,
+    its value and gradient, and the number of calls (inf, None and 0 if
+    maxfev < 1)."""
     n = len(x)
     tilt = [1.05**k for k in range(n)]
     x = [lo if v <= lo else v for v, lo in zip(x, lower)]
-    if maxfev < 1:  # as Nelder-Mead, which then evaluates nothing either
+    if maxfev < 1:  # no evaluation at all
         return x, math.inf, None, 0
     f, grad = fg(x)
     nfev = 1
@@ -833,12 +776,136 @@ def _quasi_newton(fg, x, lower, maxfev):
     return x, f, grad, nfev
 
 
+def _panels(f, lo, hi, n_starts, best_t, best_val):
+    """Bounded Brent searches (``_fminbound``) of f over [lo, lo + hi]: the
+    far end, then one per panel between n_starts + 1 log-spaced seeds, from
+    the best point and value so far.  f(t) >= t to a few ulps (g(x) >=
+    max(x)), so the search stops at a panel whose lower end reaches the best
+    value.  Returns the best point, its value, each panel's value and the
+    evaluation count."""
+    seeds = [lo + s for s in [0.0, *np.geomspace(hi * 1e-6, hi, int(n_starts)).tolist()]]
+    v_hi = f(lo + hi)
+    n_evals, runs = 1, []
+    if v_hi < best_val:
+        best_t, best_val = lo + hi, v_hi
+    for a, b in zip(seeds[:-1], seeds[1:]):
+        if a >= best_val:
+            break
+        t, val, nfev = _fminbound(f, a, b, 1e-10)
+        n_evals += nfev
+        runs.append(val)
+        if val < best_val:
+            best_t, best_val = t, val
+    return best_t, best_val, runs, n_evals
+
+
+def _middle_search(plan):
+    """The box minimum of a trivariate vine gauge without a gradient (an EV
+    edge) over two or three free coordinates, as a search in x2 alone.
+
+    The plan is g = x2 + G(p, q), p = g12(x1, x2) - x2, q = g23(x2, x3) - x2.
+    At fixed x2 the top step's side rule splits each outer coordinate's
+    range at x2 into pieces where the form of G is fixed and the margin
+    monotone (an IEV margin rises with x1, an EV one is linear either side
+    of x1 = x2), so it spans the interval between its end values.  G is
+    nondecreasing in p and q, its minimum at the lower ends, or the bev
+    form, at least max(p, q) with equality on p = q: its minimum is
+    max(p_lo, q_lo) where the intervals meet, else at the corner nearest
+    the diagonal.  The tree-1 gauges and the forms of G are the plan's steps
+    bound as 2-d plans (``_EV_FORMS``).  An outer coordinate is capped at its
+    bound plus hi of ``_panels``, beyond which g exceeds g(lower).
+
+    search(xs, free, corner_val, n_starts) returns the argmin, the panel
+    values and the count of such minima taken.  A free x2 runs the Brent
+    panels after the candidates x2 = l2, l1, l3, as minima sit on kinks,
+    then bisects on the sign of a central difference in [x2 - w, x2 + w],
+    w = 1e-6 max(x2, lower), closing in on a kink the Brent stop leaves up
+    to 3e-9 above.  The outer argmin is a piece's end, or the margin's
+    inverse by bisection on the bev diagonal.
+    """
+    g12, g23 = (_bind_plan(2, [(2, 0, 1, None, m, sides, t)], SCALAR) for *_, m, sides, t in plan[:2])
+    *_, m, sides, t = plan[2]
+    forms = {(lp, lq): _bind_plan(2, [(2, 0, 1, None, m, ((0, 0, lp), (0, 0, lq)) if lp or lq else None, t)],
+                                  SCALAR)
+             for lp in (False, True) for lq in (False, True) if t is not None or not (lp or lq)}
+    sp, sq = sides or ((0, 0, False), (0, 0, False))
+
+    def pieces(margin, a, b, side, v):
+        # (lower, lo, x at lo, hi, x at hi) on each piece of [a, b] where the
+        # side (i, j, flip), lower where (x_i < x_j) != flip, is fixed
+        i, j, flip = side
+        spans = [(flip, a, b)] if i == j else \
+            [(not flip, a, min(b, v))] * (a < v) + [(flip, max(a, v), b)] * (b >= v)
+        out = []
+        for lower, x0, x1 in spans:
+            e0, e1 = margin(x0), margin(x1)
+            out.append((lower, e0, x0, e1, x1) if e0 <= e1 else (lower, e1, x1, e0, x0))
+        return out
+
+    def at(v, b1, b3):
+        # the least g at x2 = v, with the pieces and the margins that reach it
+        best = (math.inf,)
+        for P in pieces(lambda x: g12(x, v) - v, *b1, sp, v):
+            for Q in pieces(lambda x: g23(v, x) - v, *b3, sq, v):
+                (lp, p_lo, _, p_hi, _), (lq, q_lo, _, q_hi, _) = P, Q
+                if not (lp and lq):
+                    p, q = p_lo, q_lo
+                elif p_lo <= q_hi and q_lo <= p_hi:
+                    p = q = max(p_lo, q_lo)
+                else:
+                    p, q = (p_hi, q_lo) if p_hi < q_lo else (p_lo, q_hi)
+                val = v + forms[lp, lq](p, q)
+                if val < best[0]:
+                    best = (val, P, p, Q, q)
+        return best
+
+    def invert(margin, piece, target):
+        # the coordinate where the margin, monotone on the piece, reads target
+        _, lo, x_lo, hi, x_hi = piece
+        if not lo < target < hi:
+            return x_lo if target <= lo else x_hi
+        for _ in range(200):
+            if (mid := 0.5 * (x_lo + x_hi)) in (x_lo, x_hi):
+                break
+            x_lo, x_hi = (mid, x_hi) if margin(mid) < target else (x_lo, mid)
+        return x_hi
+
+    def search(xs, free, corner_val, n_starts):
+        (l1, l2, l3), m = xs, max(xs)
+        hi = max(10.0 * m, 1.05 * corner_val)
+        b1, b3 = (l1, l1 + hi if 0 in free else l1), (l3, l3 + hi if 2 in free else l3)
+        v, runs, n = l2, [], 1
+        if 1 in free:
+            def phi(u):
+                return at(u, b1, b3)[0]
+
+            candidates = sorted({u for u in (l1, l2, l3) if u >= l2})
+            best_val, v = min((phi(u), u) for u in candidates)
+            v, best_val, runs, nfev = _panels(phi, l2, hi, n_starts, v, best_val)
+            n += len(candidates) + nfev
+            w = 1e-6 * max(v, m)
+            a, b = max(l2, v - w), v + w
+            for _ in range(100):
+                if b - a <= 4e-16 * b:
+                    break
+                c, h = 0.5 * (a + b), (b - a) / 64.0
+                left, right = phi(c - h), phi(c + h)
+                n += 2
+                for u, val in ((c - h, left), (c + h, right)):
+                    if val < best_val:
+                        v, best_val = u, val
+                a, b = (c - h if right <= left else a), (c + h if left <= right else b)
+        _, P, p, Q, q = at(v, b1, b3)
+        return [invert(lambda x: g12(x, v) - v, P, p), v, invert(lambda x: g23(v, x) - v, Q, q)], runs, n
+
+    return search
+
+
 class _BoxMinimum(NamedTuple):
-    """What ``_minimise_gauge`` found: the best value, its argmin and, for a
-    gauge with a gradient and two or more free coordinates, the partials in
-    the free coordinates there (else None), the corner value g(lower), the
-    value each start reached, and the counts of value-only and of
-    value-and-gradient evaluations."""
+    """What ``_minimise_gauge`` found: the best value, its argmin, the
+    partials in the free coordinates there after a quasi-Newton solve (else
+    None), g(lower), the value each start or panel reached, the counts of
+    value-only and value-and-gradient evaluations, and the solver."""
 
     value: float
     x: np.ndarray
@@ -847,6 +914,7 @@ class _BoxMinimum(NamedTuple):
     runs: list
     n_evals: int
     n_gradient_evals: int
+    solver: str
 
 
 def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400) -> _BoxMinimum:
@@ -854,20 +922,20 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
 
     lower needs a positive coordinate.  The other coordinates stay at lower,
     and the corner x = lower is always a candidate.  One free coordinate
-    runs a bounded Brent search (``_fminbound``) on each panel between
-    log-spaced seeds in [0, hi] above its lower bound, where
+    runs the Brent panels of ``_panels`` on [lo, lo + hi], where
     hi = max(10 m, 1.05 g(lower)) and m = max(lower): the containment
-    g(x) >= max(x) puts every minimiser below g(lower), and it puts a panel
-    whose lower end reaches the best value so far at or above that value
-    (to rounding), so the search stops there.  Two or more free
-    run one local solve per start lower + s m, for n_starts log-spaced s in
-    [0.05, 20] and a near-corner s = 1e-8: the projected quasi-Newton solve
-    (``_quasi_newton``) when g has a gradient evaluator, whose best start,
-    with its gradient, is the result, and bounded Nelder-Mead
-    (``_nelder_mead``) otherwise, whose best start Nelder-Mead restarts
-    polish with the evaluations left of (n_starts + 1) * maxfev + 1.  The
-    solvers run on Python floats, so the evaluators get floats straight
-    from them.
+    g(x) >= max(x) puts every minimiser below g(lower).  Two or more free
+    coordinates take one route by the gauge: with a gradient evaluator, one
+    projected quasi-Newton solve (``_quasi_newton``) per start lower + s m,
+    for n_starts log-spaced s in [0.05, 20] and a near-corner s = 1e-8,
+    each within maxfev evaluations, the best of which, with its gradient,
+    is the result; on a trivariate vine without one, the search in x2 alone
+    (``_middle_search``); and on a 2-d gauge without one, the better of the
+    one-free searches on the faces x_c = lower_c > 0, since by homogeneity
+    g(x) = s g(x/s) > g(x/s) for s = min over those c of x_c/lower_c > 1.
+    Any other gauge, of three or more dimensions with neither a gradient nor
+    a trivariate plan, raises UnsupportedCombinationError.  The solvers run
+    on Python floats, so the evaluators get floats straight from them.
     """
     lower = np.asarray(lower, dtype=float)
     free = list(free)
@@ -875,29 +943,20 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
     gradient = g.gradient_evaluator() if len(free) > 1 else None
     xs = lower.tolist()
     m = max(xs)
-    if len(free) == len(xs):
-        def fun(t):
-            return float(scalar(*t))
+    if len(free) > 1 and gradient is None and g._middle is None:
+        if g.dim != 2:
+            raise UnsupportedCombinationError(f"no box minimum of {g.tag} over {len(free)} free coordinates: "
+                                              "it needs a gradient or a trivariate vine plan")
+        faces = [_minimise_gauge(g, lower, [1 - c], n_starts) for c in (0, 1) if xs[c] > 0.0]
+        best = min(faces, key=lambda face: face.value)  # the first on a tie
+        return best._replace(runs=[v for face in faces for v in face.runs],
+                             n_evals=sum(face.n_evals for face in faces), solver="face-search")
 
-        def fg(t):
-            return gradient(*t)
-    else:
-        def fun(t):
-            for k, v in zip(free, t):
-                xs[k] = v
-            return float(scalar(*xs))
-
-        def fg(t):
-            for k, v in zip(free, t):
-                xs[k] = v
-            val, grad = gradient(*xs)
-            return val, [grad[k] for k in free]
-
-    lo = [xs[k] for k in free]
     if gradient is None:
-        corner_val, corner_grad, n_evals, n_grad = fun(lo), None, 1, 0
+        corner_val, corner_grad, n_evals, n_grad = float(scalar(*xs)), None, 1, 0
     else:
-        (corner_val, corner_grad), n_evals, n_grad = fg(lo), 0, 1
+        corner_val, grad = gradient(*xs)
+        corner_grad, n_evals, n_grad = [grad[k] for k in free], 0, 1
 
     if len(free) == 1:
         j = free[0]
@@ -906,64 +965,39 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
             xs[j] = t
             return float(scalar(*xs))
 
-        lo_j = best_t = xs[j]
-        best_val, runs = corner_val, []
-        hi = max(10.0 * m, 1.05 * corner_val)
-        seeds = [lo_j + s for s in [0.0, *np.geomspace(hi * 1e-6, hi, int(n_starts)).tolist()]]
-        v_hi = f(lo_j + hi)
-        n_evals += 1
-        if v_hi < best_val:
-            best_t, best_val = lo_j + hi, v_hi
-        for lo, up in zip(seeds[:-1], seeds[1:]):
-            # g(x) >= x_j >= lo, to a few ulps: neither this panel nor a
-            # later one improves by more than rounding
-            if lo >= best_val:
-                break
-            t, val, nfev = _fminbound(f, lo, up, 1e-10)
-            n_evals += nfev
-            runs.append(val)
-            if val < best_val:
-                best_t, best_val = t, val
         best_x = lower.copy()
-        best_x[j] = best_t
-        return _BoxMinimum(best_val, best_x, None, corner_val, runs, n_evals, n_grad)
+        best_x[j], best_val, runs, nfev = _panels(f, xs[j], max(10.0 * m, 1.05 * corner_val), n_starts, xs[j],
+                                                  corner_val)
+        return _BoxMinimum(best_val, best_x, None, corner_val, runs, n_evals + nfev, n_grad, "brent")
 
+    if gradient is None:
+        x, runs, nfev = g._middle()(xs, free, corner_val, n_starts)
+        val = float(scalar(*x))
+        n_evals += nfev + 1
+        best_x = np.array(x) if val < corner_val else lower.copy()
+        return _BoxMinimum(min(val, corner_val), best_x, None, corner_val, runs, n_evals, n_grad, "middle-search")
+
+    if len(free) == len(xs):
+        def fg(t):
+            return gradient(*t)
+    else:
+        def fg(t):
+            for k, v in zip(free, t):
+                xs[k] = v
+            val, grad = gradient(*xs)
+            return val, [grad[k] for k in free]
+
+    lo = [xs[k] for k in free]
     best_val, best_t, best_grad, runs = corner_val, lo, corner_grad, []
     for s in [*np.geomspace(0.05, 20.0, int(n_starts)).tolist(), 1e-8]:
-        x0 = [a + s * m for a in lo]
-        if gradient is not None:
-            t, val, grad, nfev = _quasi_newton(fg, x0, lo, maxfev)
-            n_grad += nfev
-        else:
-            # scipy's default simplex for a start with no zero coordinate
-            sim = [x0] + [x0[:k] + [1.05 * x0[k]] + x0[k + 1:] for k in range(len(x0))]
-            t, val, nfev = _nelder_mead(fun, sim, lo, maxfev)
-            grad = None
-            n_evals += nfev
+        t, val, grad, nfev = _quasi_newton(fg, [a + s * m for a in lo], lo, maxfev)
+        n_grad += nfev
         runs.append(val)
         if val < best_val:
             best_val, best_t, best_grad = val, t, grad
-
-    # Nelder-Mead polish: clipping to the box can collapse a simplex onto a
-    # face or a corner next to the minimum, so restart from the best point on
-    # fresh simplices, ten times smaller after each restart that does not
-    # improve.  The step floor 0.005 m lets a simplex built at a coordinate
-    # the near-corner start left at about 1e-8 leave that face.
-    budget = len(runs) * maxfev + 1 - n_evals
-    scale = 0.05
-    while gradient is None and math.isfinite(best_val) and budget > len(free) and scale > 1e-6:
-        sim = [best_t] + [best_t[:k] + [t + max(t, 0.005 * m) * scale] + best_t[k + 1:]
-                          for k, t in enumerate(best_t)]
-        t, val, nfev = _nelder_mead(fun, sim, lo, budget)
-        n_evals += nfev
-        budget -= nfev
-        if val < best_val - 1e-10:
-            best_val, best_t = val, t
-        else:
-            scale *= 0.1
     best_x = lower.copy()
     best_x[free] = best_t
-    return _BoxMinimum(best_val, best_x, best_grad, corner_val, runs, n_evals, n_grad)
+    return _BoxMinimum(best_val, best_x, best_grad, corner_val, runs, n_evals, n_grad, "quasi-newton")
 
 
 def gauge_project(g: Gauge, keep) -> Gauge:
@@ -981,10 +1015,9 @@ def gauge_project(g: Gauge, keep) -> Gauge:
 
     Every other projection is searched point by point: each value is the
     box minimum of g with the kept coordinates fixed and the dropped ones
-    >= 0 (``_minimise_gauge``), by bounded Brent searches when one
-    coordinate is dropped and multi-start quasi-Newton or Nelder-Mead
-    solves when more are.  That covers the builtins, single labels and
-    two cases the sub-vine route leaves alone:
+    >= 0 (``_minimise_gauge``), raising UnsupportedCombinationError where
+    that has no route for two or more dropped coordinates.  That covers the
+    builtins, single labels and two cases the sub-vine route leaves alone:
     - a trivariate vine with an EV edge, whose projection onto a tree-1
       pair need not be that edge's own gauge: for the (EV, IEV, IEV)
       pattern with alpha 0.5 on every edge, the search reads

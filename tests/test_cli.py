@@ -402,10 +402,10 @@ def test_eta_json_carries_diagnostics(capsys, ilog_spec):
     assert 0.0 <= diag["kkt_residual"] <= 1e-6 and diag["suspicious_landscape"] is False
     code, out = run(capsys, "eta", "--spec", ilog_spec, "--set", "1,2")
     assert code == 0 and json.loads(out)["diagnostics"] == {"pair": [1, 2]}
-    # a gauge with no gradient dialect reports its Nelder-Mead solve
+    # a 2-d gauge with no gradient dialect reports its search on the faces
     code, out = run(capsys, "eta", "--builtin", "gaussian:0.5", "--method", "numeric")
     diag = json.loads(out)["diagnostics"]
-    assert code == 0 and diag["local_solver"] == "nelder-mead" and diag["n_gradient_evals"] == 0
+    assert code == 0 and diag["local_solver"] == "face-search" and diag["n_gradient_evals"] == 0
     assert diag["n_gauge_evals"] > 0 and "kkt_residual" not in diag
 
 
@@ -492,7 +492,7 @@ def test_eta_whole_vine_falls_back_where_ones_is_not_the_minimum(capsys, tmp_pat
     assert code == 3 and "error" in json.loads(out)
 
 
-def test_eta_whole_vine_without_a_gradient_is_not_closed(capsys, tmp_path):
+def test_eta_whole_asymmetric_logistic_vine_is_closed(capsys, tmp_path):
     from vinetail import AsymmetricLogistic
 
     spec = VineSpec.uniform("dvine", 4, PairCopula("iev", AsymmetricLogistic(0.5, 0.3, 0.6)))
@@ -500,6 +500,7 @@ def test_eta_whole_vine_without_a_gradient_is_not_closed(capsys, tmp_path):
     path.write_text(spec.to_json())
     code, out = run(capsys, "eta", "--spec", str(path))
     doc = json.loads(out)
-    assert code == 0 and doc["method"] == "numeric" and "no gradient" in doc["diagnostics"]["fallback_reason"]
+    assert code == 0 and doc["method"] == "closed" and "fallback_reason" not in doc["diagnostics"]
+    assert doc["eta"] == 1.0 / gauge_dvine(spec)(np.ones(4))
     code, out = run(capsys, "eta", "--spec", str(path), "--method", "closed")
-    assert code == 3 and "error" in json.loads(out)
+    assert code == 0 and json.loads(out)["eta"] == doc["eta"]

@@ -27,6 +27,7 @@ from vinetail import (
     eta_vine,
     gauge_cvine,
     gauge_dvine,
+    gauge_project,
     gauge_trivariate,
     gaussian_gauge,
     independence_gauge,
@@ -197,23 +198,28 @@ def test_numeric_optimiser_path_is_pinned(structure, a, C, evals, eta, argmin, e
     assert res.eta == pytest.approx(reference, abs=1e-9)
 
 
-@pytest.mark.parametrize("spec, C, evals, eta, argmin", [
-    (VineSpec.trivariate(lgst(0.5), ilog(0.25), ilog(0.5)), (1, 3), 1463, 0.8470979811111795,
-     [1.0, 0.9690570481639267, 1.0]),
-    (VineSpec.uniform("dvine", 4, PairCopula("iev", AsymmetricLogistic(0.5, 0.3, 0.6))), (1, 4), 1082,
-     0.5860889073134066, [1.0, 0.0, 0.0, 1.0]),
+@pytest.mark.parametrize("spec, C, solver, evals, eta, argmin", [
+    (VineSpec.trivariate(lgst(0.5), ilog(0.25), ilog(0.5)), (1, 3), "middle-search", (238, 0), 0.8470979811115801,
+     [1.0, 0.9690567857721193, 1.0]),
+    (VineSpec.uniform("dvine", 4, PairCopula("iev", AsymmetricLogistic(0.5, 0.3, 0.6))), (1, 4), "quasi-newton",
+     (0, 25), 0.5860889073134066, [1.0, 0.0, 0.0, 1.0]),
 ], ids=["eii", "asymmetric-logistic"])
-def test_nelder_mead_path_is_pinned_without_a_gradient(spec, C, evals, eta, argmin):
-    # an EV tree-1 edge and an asymmetric logistic edge leave the plan with no
-    # gradient dialect, so every start runs Nelder-Mead as before
+def test_numeric_path_is_pinned_off_the_inline_logistic_gradient(spec, C, solver, evals, eta, argmin):
+    # an EV tree-1 edge leaves the plan with no gradient dialect, so the
+    # search runs in x2 alone; an asymmetric logistic edge has the measure's
+    # partials, so it takes the quasi-Newton solve.  The eii value moved by
+    # 4e-13 from the former solver's 0.8470979811111795, the root solve's
+    # 0.847097981111580 being the closer
     g = gauge_trivariate(spec) if spec.d == 3 else gauge_dvine(spec)
-    assert g.gradient_evaluator() is None
+    assert (g.gradient_evaluator() is None) == (solver == "middle-search")
     res = eta_numeric(g, C)
     d = res.diagnostics
-    assert (d["local_solver"], d["n_gauge_evals"], d["n_gradient_evals"]) == ("nelder-mead", evals, 0)
-    assert "kkt_residual" not in d
+    assert (d["local_solver"], d["n_gauge_evals"], d["n_gradient_evals"]) == (solver, *evals)
+    assert ("kkt_residual" in d) == (solver == "quasi-newton")
     assert res.eta == pytest.approx(eta, abs=1e-13)
     assert_allclose(res.argmin, argmin, rtol=0, atol=1e-13)
+    if spec.d == 3:
+        assert res.eta == pytest.approx(eta_mixed_trivariate(spec, C).eta, abs=1e-15)
 
 
 @pytest.mark.parametrize("alphas", [[0.516893, 0.642191, 0.417231], [0.515846, 0.688727, 0.38182]])
@@ -227,14 +233,6 @@ def test_numeric_matches_root_solve_with_boundary_minimum():
     spec = VineSpec.trivariate(ilog(0.352981), lgst(0.623491), lgst(0.352631))
     res = eta_numeric(gauge_trivariate(spec), (1, 3))
     assert res.eta == pytest.approx(eta_mixed_trivariate(spec, (1, 3)).eta, abs=1e-8)
-
-
-def test_numeric_polish_leaves_collapsed_corner():
-    # the simplices of all eight log-spaced starts collapse onto the corner
-    # (1, 1, 1); the minimum sits at x1 = 1.0053 on the edge x2 = x3 = 1
-    spec = VineSpec.trivariate(ilog(0.366609), ilog(0.370434), lgst(0.334335))
-    res = eta_numeric(gauge_trivariate(spec))
-    assert res.eta == pytest.approx(eta_mixed_trivariate(spec, (1, 2, 3)).eta, abs=1e-8)
 
 
 def test_numeric_dvine_end_pair_at_default_budget():
@@ -415,9 +413,8 @@ def test_numeric_input_validation_and_diagnostics():
             with pytest.raises(DomainError):
                 eta_mixed_trivariate(spec, C)
     res = eta_numeric(g)
-    assert res.diagnostics["n_starts"] >= 9
-    assert res.diagnostics["spread"] < 1e-4
-    assert not res.diagnostics["suspicious_landscape"]
+    assert res.diagnostics["local_solver"] == "face-search" and res.diagnostics["n_starts"] >= 2
+    assert isinstance(res.diagnostics["spread"], float) and "suspicious_landscape" not in res.diagnostics
 
 
 def test_eta_result_validates_range():
@@ -552,7 +549,7 @@ def test_subvine_route_on_a_five_node_hull_reaches_the_reference():
 
 def test_kkt_residual_replaces_the_start_spread_for_gradient_gauges():
     # a well-posed problem: the minimum (1, v, 1) is interior in v, where g is
-    # smooth; the starts' spread, the Nelder-Mead flag, says nothing about it
+    # smooth, and the residual, not the spread of the starts' values, flags it
     g = gauge_trivariate(VineSpec.trivariate(ilog(0.5), ilog(0.5), ilog(0.5)))
     res = eta_numeric(g, (1, 3))
     d = res.diagnostics
@@ -565,18 +562,101 @@ def test_kkt_residual_replaces_the_start_spread_for_gradient_gauges():
     assert grad[0] > 0.0 and grad[2] > 0.0 and d["kkt_residual"] == abs(grad[1])
 
 
-@pytest.mark.parametrize("g", [
-    independence_gauge(), gaussian_gauge(0.5), bev_gauge(0.0, 0.0), asymmetric_logistic_gauge(0.5),
-    inverted_ev_gauge(AsymmetricLogistic(0.5, 0.3, 0.6)),
-    gauge_trivariate(VineSpec.trivariate(lgst(0.5), ilog(0.25), ilog(0.5))),
-    gauge_trivariate(VineSpec.trivariate(ilog(0.5), ilog(0.25), lgst(0.5))),
+@pytest.mark.parametrize("g, solver", [
+    (independence_gauge(), "face-search"), (gaussian_gauge(0.5), "face-search"), (bev_gauge(0.0, 0.0), "face-search"),
+    (asymmetric_logistic_gauge(0.5), "face-search"),
+    (inverted_ev_gauge(AsymmetricLogistic(0.5, 0.3, 0.6)), "quasi-newton"),
+    (gauge_trivariate(VineSpec.trivariate(lgst(0.5), ilog(0.25), ilog(0.5))), "middle-search"),
+    (gauge_trivariate(VineSpec.trivariate(ilog(0.5), ilog(0.25), lgst(0.5))), "middle-search"),
 ], ids=["independence", "gaussian", "bev", "asymmetric-logistic", "iev-asymmetric-logistic", "eii", "iie"])
-def test_gauges_without_a_gradient_keep_nelder_mead(g):
-    assert g.gradient_evaluator() is None
-    res = eta_numeric(g)
-    d = res.diagnostics
-    assert d["local_solver"] == "nelder-mead" and d["n_gradient_evals"] == 0
-    assert "kkt_residual" not in d and d["suspicious_landscape"] == (d["spread"] > 1e-4)
+def test_each_gauge_takes_the_solver_of_its_structure(g, solver):
+    # no gradient: Brent searches on the faces of a 2-d gauge and in x2 alone
+    # on a trivariate vine, whose panels' spread flags nothing; every all-IEV
+    # vine, the asymmetric logistic one too, has a gradient
+    assert (g.gradient_evaluator() is None) == (solver != "quasi-newton")
+    d = eta_numeric(g).diagnostics
+    assert d["local_solver"] == solver and (d["n_gradient_evals"] == 0) == (solver != "quasi-newton")
+    assert isinstance(d["spread"], float)
+    assert ("kkt_residual" in d) == ("suspicious_landscape" in d) == (solver == "quasi-newton")
+
+
+def test_numeric_refuses_a_gauge_with_neither_a_gradient_nor_a_trivariate_plan():
+    # a projection of a 4-d vine onto three labels is searched point by
+    # point, so it has no plan: its box minimum over three free coordinates
+    # has no route
+    g = gauge_project(gauge_dvine(VineSpec.uniform("dvine", 4, ilog(0.5))), (1, 2, 4))
+    assert g.dim == 3 and g.gradient_evaluator() is None
+    with pytest.raises(UnsupportedCombinationError, match="free coordinates"):
+        eta_numeric(g)
+
+
+# Every trivariate pattern with an EV edge, at four alpha triples drawn from
+# random.Random(2026) on [0.2, 0.9], at C = 123 and 13: 56 queries.  The
+# reference is eta_numeric at 16 starts and maxfev=20000 as it stood with the
+# bounded Nelder-Mead solver and its polish, which the search in x2 alone
+# replaced; per pattern, the two C of each triple in turn
+EV_PATTERNS = ("iie", "iei", "iee", "eii", "eie", "eei", "eee")
+FROZEN_REFERENCE = [
+    0.6821869070953007, 1.0, 0.5735533485677203, 1.0,  # iie
+    0.6503456243732565, 1.0, 0.610736809602136, 1.0,
+    0.8216615036364389, 0.8273627780349992, 0.573553348576248, 0.5913675043867328,  # iei
+    0.6503456243746064, 0.6528470786060275, 0.6673576219575658, 0.6728008432903759,
+    0.8216615036294274, 0.8848297344944592, 0.5735533485742832, 0.6398128092787522,  # iee
+    0.6503456243733252, 0.7902146674108599, 0.6673576219529141, 0.8416533366806808,
+    0.6821869070961205, 0.6849546620829556, 0.8282591863413412, 0.865043869091382,  # eii
+    0.6645311278449465, 0.6672951710526814, 0.6107368096024685, 0.6145543061204473,
+    0.6821869070945094, 0.733267521308457, 0.8282591863261531, 0.9336864614640189,  # eie
+    0.6645311278449454, 0.8083099959961692, 0.6107368096010858, 0.76571902207725,
+    1.0, 0.9999999999714684, 1.0, 0.9999999999996647,  # eei
+    1.0, 0.9999999999553091, 1.0, 0.9999999999656715,
+    1.0, 0.999999999985087, 1.0, 0.9999999999984011,  # eee
+    1.0, 0.999999999999504, 1.0, 0.999999999999301,
+]
+
+
+def test_middle_search_meets_the_frozen_reference_and_the_closed_routes():
+    rng = random.Random(2026)
+    triples = [[rng.uniform(0.2, 0.9) for _ in range(3)] for _ in range(4)]
+    reference = iter(FROZEN_REFERENCE)
+    for fams in EV_PATTERNS:
+        for k, alphas in enumerate(triples):
+            spec = VineSpec.trivariate(*((lgst if f == "e" else ilog)(a) for f, a in zip(fams, alphas)))
+            g = gauge_trivariate(spec)
+            for C in ((1, 2, 3), (1, 3)):
+                res, routed = eta_numeric(g, C), eta_mixed_trivariate(spec, C)
+                assert res.diagnostics["local_solver"] == "middle-search" and routed.method in ("closed", "root")
+                assert abs(res.eta - next(reference)) <= 1e-9 and abs(res.eta - routed.eta) <= 1e-9, (fams, C)
+                assert abs(g(res.argmin) * res.eta - 1.0) <= 1e-12
+            if k:
+                continue
+            # a projection onto one label drops two coordinates: with x2
+            # kept it is the closed minimum over x1 and x3, else the search.
+            # The margin of a unit exponential coordinate is x itself, and no
+            # point of a 401 x 401 grid over the dropped ones lies below
+            for keep, x in (((1,), 0.7), ((2,), 1.3)):
+                val = gauge_project(g, keep)(np.array([x]))
+                grid = np.linspace(0.0, x, 401)
+                pts = np.insert(np.stack([a.ravel() for a in np.meshgrid(grid, grid)], axis=1), keep[0] - 1, x, axis=1)
+                assert val == pytest.approx(x, rel=1e-12) and val <= float(np.min(g(pts))) + 1e-12
+
+
+@pytest.mark.parametrize("fams", EV_PATTERNS)
+def test_middle_search_with_an_outer_coordinate_held(fams):
+    # two free coordinates: holding the outer coordinate that sits at its
+    # bound in the argmin of eta_13 gives the same minimum, and no point of a
+    # grid over the two free ones lies below it
+    rng = random.Random(2026)
+    spec = VineSpec.trivariate(*((lgst if f == "e" else ilog)(rng.uniform(0.2, 0.9)) for f in fams))
+    g = gauge_trivariate(spec)
+    res = eta_numeric(g, (1, 3))
+    held = 0 if res.argmin[0] == 1.0 else 2
+    assert res.argmin[held] == 1.0
+    found = gauges._minimise_gauge(g, [1.0, 0.0, 1.0], [1, 2 - held])
+    assert found.solver == "middle-search" and found.x[held] == 1.0
+    assert found.value == pytest.approx(1.0 / res.eta, rel=1e-12)
+    grid = np.linspace(0.0, 3.0, 301)
+    pts = np.array([[1.0, v, 1.0 + w] if held == 0 else [1.0 + w, v, 1.0] for v in grid for w in grid])
+    assert found.value <= float(np.min(g(pts))) + 1e-12
 
 
 # 6-d vines, alphas in expected_edges order, whose gauge decreases from the
@@ -596,10 +676,11 @@ def test_whole_vine_recursion_is_certified_by_the_gradient(structure, alphas, re
     from vinetail.eta import _kkt_residual
 
     spec = zero_denominator_spec(structure, 6, alphas)
-    assert (eta_dvine if structure == "dvine" else eta_cvine)(spec) == at_ones  # still the bare recursion
     res = eta_subvine(spec, range(1, 7))
     assert res.method == "numeric" and "x4" in res.diagnostics["fallback_reason"]
     assert res.eta == pytest.approx(reference, abs=1e-8)
+    # eta_dvine and eta_cvine take the certified value too, not the bare recursion
+    assert (eta_dvine if structure == "dvine" else eta_cvine)(spec) == res.eta > at_ones + 1e-5
     assert res.diagnostics["suspicious_landscape"] is False
     # the negative partial at ones is genuine: the probe reads below g(1, ..., 1),
     # so the residual counts it
@@ -622,16 +703,20 @@ def test_whole_uniform_vines_stay_closed(structure):
             assert np.array_equal(res.argmin, np.ones(d))
 
 
-def test_whole_vine_without_a_gradient_is_not_certified():
+def test_whole_asymmetric_logistic_vine_is_certified_by_the_gradient():
+    # the measure's own partials give the gradient: the recursion is certified
+    # at the all-ones point, with no warning, and a minimum over the box agrees
     import warnings
 
     spec = VineSpec.uniform("dvine", 4, PairCopula("iev", AsymmetricLogistic(0.5, 0.3, 0.6)))
+    g = gauge_dvine(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = eta_subvine(spec, (1, 2, 3, 4))
-    assert res.method == "numeric" and "no gradient" in res.diagnostics["fallback_reason"]
-    with pytest.warns(UserWarning):
-        assert res.eta == eta_dvine(spec)
+        assert eta_dvine(spec) == res.eta
+    assert res.method == "closed" and res.diagnostics["kkt_residual"] <= 1e-12
+    assert res.eta == 1.0 / g(np.ones(4)) and np.array_equal(res.argmin, np.ones(4))
+    assert res.eta == pytest.approx(eta_numeric(g, n_starts=16, maxfev=20000).eta, abs=1e-12)
 
 
 # minima on a zero coordinate where g has a kink: the gradient dialect gives

@@ -475,7 +475,7 @@ def test_projection_matches_grid_minimum():
 
 
 def test_projection_two_dropped_coordinates():
-    """Bounded Nelder-Mead over two dropped coordinates, checked
+    """Multi-start quasi-Newton over two dropped coordinates, checked
     against a 401 x 401 brute-force grid (grid value 1.36576904...)."""
     edges = {"12": ilog(0.3), "23": ilog(0.5), "34": ilog(0.7),
              "13|2": ilog(0.4), "24|3": ilog(0.6), "14|23": ilog(0.55)}
@@ -542,8 +542,8 @@ def test_projection_tree1_pair_matches_margin():
 
 
 def test_projection_polish_leaves_collapsed_face():
-    # the near-corner start leaves x3 at about 1e-8; a polish simplex sized
-    # from that coordinate cannot leave the face x3 = 0
+    # a minimum next to the face x3 = 0, which the near-corner start meets
+    # at about x3 = 1e-8
     g = gauge_dvine(dvine4([0.488077, 0.579518, 0.416815, 0.633143, 0.343542, 0.653497]))
     assert gauge_project(g, (2, 4))((1.166474, 0.090259)) <= 1.1667034449 + 1e-9
 
@@ -957,6 +957,40 @@ def test_gradient_at_zero_coordinates_takes_the_documented_limits():
     gradient = inverted_ev_gauge(Logistic(0.5)).gradient_evaluator()
     assert gradient(2.0, 0.0) == (2.0, [1.0, 0.0])
     assert gradient(0.0, 0.0) == (0.0, [1.0, 1.0])
+    # a measure's own partials: a zero margin takes -V1(1, 0+) = theta1 or
+    # -V2(0+, 1) = theta2 for alpha < 1, and 1 at alpha = 1, where V(1/p, 1/q)
+    # is p + q; the other margin's partial is 1
+    for alpha, z1, z2 in ((0.5, 0.3, 0.6), (1.0, 1.0, 1.0)):
+        gradient = inverted_ev_gauge(AsymmetricLogistic(alpha, 0.3, 0.6)).gradient_evaluator()
+        assert gradient(2.0, 0.0) == (2.0, [1.0, z2])
+        assert gradient(0.0, 2.0) == (2.0, [z1, 1.0])
+        assert gradient(0.0, 0.0) == (0.0, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("spec", [
+    VineSpec.uniform("dvine", 4, PairCopula("iev", AsymmetricLogistic(0.5, 0.3, 0.6))),
+    VineSpec.trivariate(PairCopula("iev", AsymmetricLogistic(0.4, 0.2, 0.7)), ilog(0.5),
+                        PairCopula("iev", AsymmetricLogistic(0.6, 0.5, 0.1))),
+], ids=["dvine4", "trivariate"])
+def test_gradient_dialect_of_the_measures_partials(spec):
+    # steps whose V is not inlined take -V1(1, p/q) and -V2(q/p, 1): the value
+    # is the scalar evaluator's bit for bit, and the partials match central
+    # differences at positive points and one-sided ones at a zero coordinate
+    g = gauges.gauge_vine(spec)
+    scalar, gradient = g.scalar_evaluator(), g.gradient_evaluator()
+    rng = np.random.default_rng(2718)
+    for x in rng.uniform(0.05, 3.0, (40, spec.d)).tolist() + [[1.0] * spec.d]:
+        value, grad = gradient(*x)
+        assert value == scalar(*x) and all(type(t) is float for t in grad)
+        for k, v in enumerate(x):
+            up, down = x.copy(), x.copy()
+            h = 1e-6 * v
+            up[k], down[k] = v + h, v - h
+            assert abs(grad[k] - (scalar(*up) - scalar(*down)) / (2.0 * h)) <= 1e-6
+    x = [0.0, 0.7] + [1.2] * (spec.d - 2)
+    value, grad = gradient(*x)
+    up = [1e-9, *x[1:]]
+    assert value == scalar(*x) and abs(grad[0] - (scalar(*up) - value) / 1e-9) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
-"""The Nelder-Mead, bounded Brent, bisection and quasi-Newton solvers run on
-Python floats.
+"""The bounded Brent, bisection and quasi-Newton solvers run on Python floats.
 
-The first three repeat scipy's solver step for step, so on inputs without
-tied simplex values they return scipy's point, value and evaluation count bit
-for bit.  The projected quasi-Newton solve has no scipy twin step for step;
+The first two repeat scipy's solver step for step, so they return scipy's
+point, value and evaluation count bit for bit.  The projected quasi-Newton
+solve has no scipy twin step for step;
 it must reach the minimiser scipy's L-BFGS-B reaches.  scipy is a test
 dependency only: importing the package must not load it.
 """
@@ -17,14 +16,14 @@ from operator import sub
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy import optimize
 
 from vinetail import Logistic, PairCopula, VineSpec, gauge_cvine, gauge_dvine, gauges
 from vinetail.errors import ConvergenceError
 from vinetail.eta import _bisect, eta_numeric
-from vinetail.gauges import _dot, _fminbound, _nelder_mead, _projected_gradient, _quasi_newton
+from vinetail.gauges import _dot, _fminbound, _projected_gradient, _quasi_newton
 from vinetail.vines import expected_edges
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -104,95 +103,6 @@ def test_bisect_out_of_halvings_raises_typed_error():
 def test_bisect_nan_raises_typed_error():
     with pytest.raises(ConvergenceError):
         _bisect(lambda t: math.nan if 0.0 < t < 1.0 else t - 0.5, 0.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# bounded Nelder-Mead
-# ---------------------------------------------------------------------------
-
-@st.composite
-def simplex_problems(draw):
-    n = draw(st.integers(2, 6))
-    lower = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
-    # the minimum lies inside the box, so every coordinate can settle
-    centre = [lo + draw(st.floats(0.05, 4.0)) for lo in lower]
-    weights = [1.0 + k + draw(st.floats(0.0, 0.9)) for k in range(n)]
-    kinked = draw(st.booleans())
-    start = [lo + draw(st.floats(0.01, 6.0)) for lo in lower]
-    sim = [start] + [start[:k] + [1.05 * start[k]] + start[k + 1:] for k in range(n)]
-    maxfev = draw(st.integers(n + 1, 600))
-    return weights, centre, kinked, lower, sim, maxfev
-
-
-@given(simplex_problems())
-def test_nelder_mead_matches_scipy(problem):
-    weights, centre, kinked, lower, sim, maxfev = problem
-    seen = []
-
-    def f(x):
-        # separable, quadratic or kinked (which makes the simplex shrink);
-        # summed in a loop: sum() of floats is compensated from Python 3.12 on
-        val = 0.0
-        for w, v, c in zip(weights, x, centre):
-            val += w * abs(v - c) if kinked else w * (v - c) * (v - c)
-        seen.append(val)
-        return val
-
-    x, fx, nfev = _nelder_mead(f, sim, lower, maxfev)
-    # scipy orders tied vertices by numpy's argsort, which differs by CPU
-    assume(len(set(seen)) == len(seen))
-    ref = optimize.minimize(
-        f, sim[0], method="Nelder-Mead", bounds=optimize.Bounds(lower, np.inf),
-        options={"xatol": 1e-6, "fatol": 1e-10, "maxfev": maxfev, "maxiter": maxfev,
-                 "initial_simplex": np.array(sim)},
-    )
-    assert (x, fx, nfev) == (ref.x.tolist(), float(ref.fun), ref.nfev)
-
-
-def test_nelder_mead_keeps_tied_vertices_in_input_order():
-    def f(x):
-        return (x[0] - 1.0) ** 2 + (x[1] - 1.0) ** 2
-
-    tied = [[1.0, 2.0], [2.0, 1.0]]
-    for sim in (tied + [[3.0, 3.0]], tied[::-1] + [[3.0, 3.0]], [[3.0, 3.0]] + tied):
-        # a budget of n + 1 evaluations only orders the starting simplex
-        x, fx, nfev = _nelder_mead(f, sim, [0.0, 0.0], 3)
-        assert (x, fx, nfev) == ([v for v in sim if v != [3.0, 3.0]][0], 1.0, 3)
-
-
-def test_nelder_mead_ties_during_the_solve():
-    # scipy's results under a stable argsort, for every budget.  On the
-    # plateau the contraction to 0 ties with the best vertex 0.5 and goes
-    # after it, and from a budget of 6 on a shrink runs out of evaluations
-    # part-way.  On the steps a contraction that ties with its reflection
-    # is taken, so the solve stops after 4 evaluations.
-    def plateau(x):
-        return max(x[0], 1.0)
-
-    def steps(x):
-        return math.floor(4.0 * abs(x[0] - 0.5)) / 4.0
-
-    for maxfev in range(2, 12):
-        assert _nelder_mead(plateau, [[0.5], [3.0]], [0.0], maxfev) == ([0.5], 1.0, maxfev)
-        assert _nelder_mead(steps, [[0.0], [2.0]], [0.0], maxfev) == ([0.0], 0.5, min(maxfev, 4))
-
-
-def test_nelder_mead_with_a_nan_vertex_between_finite_ones():
-    # sorted() leaves NaN where it finds it, so the spread of the sorted
-    # values can pass while scipy's stop test, which NaN fails, does not:
-    # the solve must go on.  The results are the solver's before the spread
-    # check was put in front of scipy's test
-    def f(x):
-        return math.nan if x == [1.0 + 1e-7, 1.0] else 1.0 + (x[0] - 1.0) ** 2 + (x[1] - 1.0) ** 2
-
-    first = [[1.0, 1.0], [1.0 + 1e-7, 1.0], [1.0, 1.0 + 1e-7]]
-    last = [[1.0, 1.0 + 1e-7], [1.0 + 1e-7, 1.0], [1.0, 1.0]]
-    for maxfev in (3, 5, 10, 400):
-        assert _nelder_mead(f, first, [0.0, 0.0], maxfev) == ([1.0, 1.0], 1.0, min(maxfev, 11))
-    for maxfev in (3, 5):
-        assert _nelder_mead(f, last, [0.0, 0.0], maxfev) == ([1.0, 1.0000001], 1.00000000000001, maxfev)
-    for maxfev in (10, 400):
-        assert _nelder_mead(f, last, [0.0, 0.0], maxfev) == ([1.0, 1.0000000500000001], 1.0000000000000024, 7)
 
 
 # ---------------------------------------------------------------------------
