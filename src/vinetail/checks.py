@@ -31,6 +31,7 @@ from .eta import (
 )
 from .gauges import (
     _minimise_gauge,
+    _panels,
     asymmetric_logistic_gauge,
     bev_gauge,
     boundary_point,
@@ -220,6 +221,40 @@ def check_mixed_cases(full):
     return ok, f"max closed-form gap {worst:.2e}, max numeric/closed-or-root gap {worst_routes:.2e}"
 
 
+def check_outer_minimum(full):
+    """Both routes of a box minimum over x1 or x3 of the patterns with an EV
+    edge: the middle search's closed minimum at fixed x2 (``_minimise_gauge``)
+    against the Brent panels (``_panels``) on the same box, over seeded
+    lower bounds in [0.05, 2], some zero.  Never above the panels, to 4 eps
+    relative (where the minimum is flat the panels can read a few ulps low),
+    and within 1e-7 relative of them."""
+    rng = np.random.default_rng(20_270)
+    worst_above = worst_gap = 0.0
+    for fams in ("iie", "iei", "iee", "eii", "eie", "eei", "eee"):
+        for _ in range(8):
+            g = gauge_vine(VineSpec.trivariate(*((_log if f == "e" else _ilog)(a)
+                                                 for f, a in zip(fams, rng.uniform(0.3, 0.7, 3)))))
+            scalar = g.scalar_evaluator()
+            for j in (0, 2):
+                lower = rng.uniform(0.05, 2.0, 3)
+                lower[j] = 0.0
+                if rng.random() < 0.3:
+                    lower[2 - j] = 0.0
+                found = _minimise_gauge(g, lower, [j])
+                xs = lower.tolist()
+
+                def f(t, xs=xs, j=j):
+                    xs[j] = t
+                    return float(scalar(*xs))
+
+                hi = max(10.0 * max(lower), 1.05 * found.corner_value)
+                panels = _panels(f, 0.0, hi, 8, 0.0, found.corner_value)[1]
+                worst_above = max(worst_above, (found.value - panels) / panels)
+                worst_gap = max(worst_gap, abs(found.value - panels) / panels)
+    ok = worst_above <= 4.0 * np.finfo(float).eps and worst_gap <= 1e-7
+    return ok, f"closed outer minimum above the panels by {worst_above:.1e}, max relative gap {worst_gap:.2e}"
+
+
 def check_contours(full):
     specs = [
         independence_gauge(),
@@ -340,6 +375,7 @@ _QUICK = [
 _FULL_ONLY = [
     ("mc-eta-crosscheck", check_mc_eta),
     ("cloud-coverage", check_coverage),
+    ("outer-minimum-vs-panels", check_outer_minimum),
 ]
 
 

@@ -63,11 +63,20 @@ def _load_spec(path: str) -> VineSpec:
 
 
 def _parse_set(text: str, d: int):
+    """The labels of --set, sorted and distinct: digits ("123") or integers
+    separated by commas ("1,3")."""
     text = text.strip()
-    if "," in text:
-        labels = [int(p) for p in text.split(",")]
-    else:
-        labels = [int(ch) for ch in text]
+    if not text:
+        raise VinetailError("--set is empty: name its variables as digits (123) or integers separated by commas (1,3)")
+    items = text.split(",") if "," in text else list(text)
+    labels = []
+    for item in items:
+        if not item.strip():
+            raise VinetailError(f"--set {text!r} has an empty item")
+        try:
+            labels.append(int(item))
+        except ValueError:
+            raise VinetailError(f"--set {text!r}: {item!r} is not an integer") from None
     bad = [c for c in labels if c < 1 or c > d]
     if bad:
         raise VinetailError(f"--set indices {bad} outside 1..{d}")
@@ -97,7 +106,7 @@ def _result_json(res: EtaResult) -> str:
 def cmd_eta(args) -> int:
     if args.builtin:
         gauge, closed = _parse_builtin(args.builtin)
-        if args.set and len(_parse_set(args.set, 2)) < 2:
+        if args.set is not None and len(_parse_set(args.set, 2)) < 2:
             raise VinetailError("eta is defined for index sets with at least two variables")
         if args.method in ("auto", "closed"):
             res = EtaResult(eta=closed, argmin=np.ones(gauge.dim), method=CLOSED)
@@ -106,7 +115,7 @@ def cmd_eta(args) -> int:
         print(_result_json(res))
         return OK
     spec = _load_spec(args.spec)
-    res = eta_vine(spec, _parse_set(args.set, spec.d) if args.set else None, args.method)
+    res = eta_vine(spec, _parse_set(args.set, spec.d) if args.set is not None else None, args.method)
     print(_result_json(res))
     return OK
 

@@ -26,11 +26,13 @@ dropped coordinates, except that an all-IEV vine projected onto the nodes
 of a sub-vine gives that sub-vine's gauge.  One box-constrained minimiser,
 ``_minimise_gauge``, serves the projections and ``eta.eta_numeric`` alike.
 ``_fminbound`` repeats scipy's bounded Brent step for step, in panels
-(``_panels``), and serves one free coordinate.  For more, ``_quasi_newton``
-is a projected BFGS solve for the gauges with a gradient, whose starts are
-the whole solve; a trivariate vine with an EV edge runs the Brent panels
-in x2 alone (``_middle_search``), minimising over x1 and x3 in closed form
-at each x2, and a 2-d gauge without a gradient runs them on its faces.
+(``_panels``), and serves one free coordinate, save x1 or x3 of a
+trivariate vine with an EV edge: with x2 held, its middle search
+(``_middle_search``) takes that minimum in closed form.  For more,
+``_quasi_newton`` is a projected BFGS solve for the gauges with a gradient,
+whose starts are the whole solve; a trivariate vine with an EV edge runs
+the Brent panels in x2 alone, minimising over x1 and x3 in closed form at
+each x2, and a 2-d gauge without a gradient runs them on its faces.
 All run on Python floats, so the scalar evaluators get floats with no
 array round trip, and importing the package does not load scipy.
 """
@@ -801,7 +803,9 @@ def _panels(f, lo, hi, n_starts, best_t, best_val):
 
 def _middle_search(plan):
     """The box minimum of a trivariate vine gauge without a gradient (an EV
-    edge) over two or three free coordinates, as a search in x2 alone.
+    edge), as a search in x2 alone: over x1 or x3 with x2 held, the closed
+    minimum at x2 = l2; over two or three free coordinates, the least such
+    minimum over x2.
 
     The plan is g = x2 + G(p, q), p = g12(x1, x2) - x2, q = g23(x2, x3) - x2.
     At fixed x2 the top step's side rule splits each outer coordinate's
@@ -816,7 +820,8 @@ def _middle_search(plan):
     bound plus hi of ``_panels``, beyond which g exceeds g(lower).
 
     search(xs, free, corner_val, n_starts) returns the argmin, the panel
-    values and the count of such minima taken.  A free x2 runs the Brent
+    values and the count of such minima taken.  A held x2 takes one, with
+    no panels.  A free x2 runs the Brent
     panels after the candidates x2 = l2, l1, l3, as minima sit on kinks,
     then bisects on the sign of a central difference in [x2 - w, x2 + w],
     w = 1e-6 max(x2, lower), closing in on a kink the Brent stop leaves up
@@ -924,7 +929,12 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
     and the corner x = lower is always a candidate.  One free coordinate
     runs the Brent panels of ``_panels`` on [lo, lo + hi], where
     hi = max(10 m, 1.05 g(lower)) and m = max(lower): the containment
-    g(x) >= max(x) puts every minimiser below g(lower).  Two or more free
+    g(x) >= max(x) puts every minimiser below g(lower).  The exception is
+    x1 or x3 of a gauge with a middle search (a trivariate vine with an EV
+    edge): with x2 held, ``_middle_search`` takes the minimum over the outer
+    coordinate in closed form, at a piece end or by one bisection of a
+    monotone margin, where the panels' Brent stop can sit up to 5e-8 above
+    a kink.  x2 alone keeps the panels.  Two or more free
     coordinates take one route by the gauge: with a gradient evaluator, one
     projected quasi-Newton solve (``_quasi_newton``) per start lower + s m,
     for n_starts log-spaced s in [0.05, 20] and a near-corner s = 1e-8,
@@ -958,7 +968,7 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
         corner_val, grad = gradient(*xs)
         corner_grad, n_evals, n_grad = [grad[k] for k in free], 0, 1
 
-    if len(free) == 1:
+    if len(free) == 1 and (g._middle is None or free == [1]):
         j = free[0]
 
         def f(t):
@@ -1023,7 +1033,9 @@ def gauge_project(g: Gauge, keep) -> Gauge:
       pattern with alpha 0.5 on every edge, the search reads
       g(0.3, 0.9, 0) = 2.1 onto (1, 2), where the bivariate EV gauge of
       edge 12 reads 1.5, so the search keeps the value until the sampler
-      settles which is right;
+      settles which is right.  Onto (1, 2) or (2, 3) the one dropped
+      coordinate is x3 or x1, whose minimum at the kept x2 is closed
+      (``_middle_search``);
     - a keep whose hull is larger than itself: a minimisation over
       hull(keep) minus keep on the hull's marginal alone can stop above the
       full-gauge search where two or more coordinates are free.

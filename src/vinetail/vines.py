@@ -35,23 +35,33 @@ STRUCTURES = (TRIVARIATE, DVINE, CVINE)
 class EdgeLabel:
     """Conditioned pair plus conditioning set, hashable and order-normalised.
 
-    The hash is taken once, when the label is built: a spec looks its labels
-    up in dicts and sets some ten times per edge while it is parsed."""
+    Labels are interned: building one returns the single shared object for
+    its (pair, cond), and ``parse`` is memoised on the label text, so a
+    parsed spec's labels are those of ``expected_edges`` and every dict and
+    set lookup of a spec succeeds on identity.  Equality is identity, and
+    copies and unpickled labels are the shared object too.  The hash is
+    taken once, when the label is first built."""
 
     __slots__ = ("pair", "cond", "_hash")
+    _table: dict = {}  # (pair, cond) -> the label
 
-    def __init__(self, pair, cond=()):
+    def __new__(cls, pair, cond=()):
         i, j = int(pair[0]), int(pair[1])
         if i == j:
             raise SpecError(f"edge pair must name two distinct variables, got ({i}, {j})")
-        self.pair = (min(i, j), max(i, j))
-        self.cond = tuple(sorted(int(c) for c in cond))
-        if set(self.pair) & set(self.cond):
-            raise SpecError(f"conditioning set of {self} overlaps its conditioned pair")
-        self._hash = hash((self.pair, self.cond))
+        key = ((min(i, j), max(i, j)), tuple(sorted(int(c) for c in cond)))
+        label = cls._table.get(key)
+        if label is None:
+            label = super().__new__(cls)
+            label.pair, label.cond = key
+            if set(label.pair) & set(label.cond):
+                raise SpecError(f"conditioning set of {label} overlaps its conditioned pair")
+            label._hash = hash(key)
+            cls._table[key] = label
+        return label
 
-    def __eq__(self, other):
-        return isinstance(other, EdgeLabel) and (self.pair, self.cond) == (other.pair, other.cond)
+    def __reduce__(self):
+        return EdgeLabel, (self.pair, self.cond)
 
     def __hash__(self):
         return self._hash
@@ -69,25 +79,30 @@ class EdgeLabel:
 
     @classmethod
     def parse(cls, text: str) -> "EdgeLabel":
-        text = str(text).strip()
-        head, _, tail = text.partition("|")
+        return _parse_label(str(text))
 
-        def ints(part):
-            part = part.strip()
-            if not part:
-                return ()
-            try:
-                if "," in part:
-                    return tuple(int(p) for p in part.split(","))
-                return tuple(int(ch) for ch in part)
-            except ValueError:
-                raise SpecError(f"edge label {text!r} must be digits, or integers separated by commas, "
-                                f"on each side of '|'") from None
 
-        pair = ints(head)
-        if len(pair) != 2:
-            raise SpecError(f"edge label {text!r} must name exactly two conditioned variables")
-        return cls(pair, ints(tail))
+@functools.lru_cache(maxsize=1024)
+def _parse_label(text: str) -> EdgeLabel:
+    text = text.strip()
+    head, _, tail = text.partition("|")
+
+    def ints(part):
+        part = part.strip()
+        if not part:
+            return ()
+        try:
+            if "," in part:
+                return tuple(int(p) for p in part.split(","))
+            return tuple(int(ch) for ch in part)
+        except ValueError:
+            raise SpecError(f"edge label {text!r} must be digits, or integers separated by commas, "
+                            f"on each side of '|'") from None
+
+    pair = ints(head)
+    if len(pair) != 2:
+        raise SpecError(f"edge label {text!r} must name exactly two conditioned variables")
+    return EdgeLabel(pair, ints(tail))
 
 
 def expected_edges(structure: str, d: int) -> list[EdgeLabel]:

@@ -440,6 +440,23 @@ def test_eta_builtin_reads_its_set(capsys, subset, code):
     assert ("error" in json.loads(out)) == (code == 2)
 
 
+@pytest.mark.parametrize("subset, message", [
+    ("", "--set is empty"),
+    ("  ", "--set is empty"),
+    ("1,,3", "--set '1,,3' has an empty item"),
+    ("1,x", "--set '1,x': 'x' is not an integer"),
+    ("1x", "--set '1x': 'x' is not an integer"),
+])
+@pytest.mark.parametrize("source", ["spec", "builtin"])
+def test_eta_malformed_set_names_the_flag(capsys, ilog_spec, source, subset, message):
+    # an empty --set used to mean every variable, and a bad item exited 2
+    # with the bare message of int()
+    where = ["--spec", ilog_spec] if source == "spec" else ["--builtin", "gaussian:0.5"]
+    code, out = run(capsys, "eta", *where, "--set", subset)
+    assert code == 2
+    assert json.loads(out)["error"].startswith(message)
+
+
 @pytest.mark.parametrize("families, alphas", [
     ("iii", (0.03, 0.5, 0.5)),  # (1 + v^(-1/alpha))^(alpha - 1) overflowed at v = 1e-12
     ("eii", (0.5, 0.03, 0.5)),

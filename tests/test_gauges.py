@@ -29,6 +29,7 @@ from vinetail import (
     simplex_directions,
 )
 from vinetail import gauges
+from vinetail.eta import eta_mixed_trivariate
 from vinetail.vines import expected_edges
 
 RNG = np.random.default_rng(1618)
@@ -515,15 +516,66 @@ def _every_panel(g, lower, j, n_starts=8):
 @pytest.mark.parametrize("g", ALL_PATTERNS + [gauge_dvine(dvine4([0.3, 0.5, 0.7, 0.4, 0.6, 0.35]))], ids=repr)
 def test_one_coordinate_search_stops_early_with_the_same_bits(g):
     # the search stops at the first panel whose lower end reaches its best
-    # value, since g(x) >= max(x) puts the rest no lower
+    # value, since g(x) >= max(x) puts the rest no lower.  The Brent panels
+    # serve every coordinate of a gauge with a gradient, and x2 alone of a
+    # pattern with an EV edge, whose outer coordinates take the middle search
     rng = np.random.default_rng(8128)
-    for j in range(g.dim):
+    for j in range(g.dim) if g._middle is None else [1]:
         for _ in range(12):
             lower = rng.uniform(0.05, 2.0, g.dim)
             lower[j] = 0.0
             found = gauges._minimise_gauge(g, lower, [j])
             assert (found.value, found.x[j]) == _every_panel(g, lower.tolist(), j)
             assert np.array_equal(np.delete(found.x, j), np.delete(lower, j))
+
+
+EV_PATTERNS = ALL_PATTERNS[1:]
+
+
+def test_outer_coordinate_minimum_is_closed_and_never_above_the_panels():
+    # with x2 held, the middle search takes the minimum over x1 or x3 in
+    # closed form.  Where the minimum is flat (at g = max(x), say) the
+    # panels can read a few ulps below the exact value, even below max(x),
+    # so "never above" holds to 4 eps relative
+    rng = np.random.default_rng(2718)
+    eps = np.finfo(float).eps
+    below = 0
+    for fams in itertools.product((ilog, lgst), repeat=3):
+        if fams == (ilog, ilog, ilog):
+            continue
+        for _ in range(6):
+            g = tri(*(f(a) for f, a in zip(fams, rng.uniform(0.3, 0.7, 3))))
+            for j in (0, 2):
+                lower = rng.uniform(0.05, 2.0, 3)
+                lower[j] = 0.0
+                if rng.random() < 0.3:
+                    lower[2 - j] = 0.0
+                found = gauges._minimise_gauge(g, lower, [j])
+                panels, _ = _every_panel(g, lower.tolist(), j)
+                assert found.solver == "middle-search"
+                assert found.value <= panels * (1.0 + 4.0 * eps)
+                below += found.value < panels * (1.0 - 1e-12)
+                assert found.value == g._sfn(*found.x) or np.array_equal(found.x, lower)
+                assert np.array_equal(np.delete(found.x, j), np.delete(lower, j)) and found.x[j] >= 0.0
+                hi = max(10.0 * lower.max(), 1.05 * found.corner_value)
+                pts = np.tile(lower, (20_001, 1))
+                pts[:, j] = np.linspace(0.0, hi, 20_001)
+                assert found.value <= float(np.min(g(pts))) * (1.0 + 1e-12)
+    assert below > 0  # the panels stop above a kink the closed route reaches
+
+
+@pytest.mark.parametrize("g", EV_PATTERNS, ids=repr)
+def test_tree1_pair_argmin_reads_one_over_eta(g):
+    # the closed outer minimum lands on the kink that the panels' Brent stop
+    # left up to 4.8e-8 above
+    rng = np.random.default_rng(31)
+    families = [pc.family for pc in g.spec.edges.values()]
+    for _ in range(20):
+        spec = VineSpec.trivariate(*(PairCopula(f, Logistic(a)) for f, a in zip(families, rng.uniform(0.2, 0.9, 3))))
+        h = gauge_trivariate(spec)
+        for C in ((1, 2), (2, 3)):
+            res = eta_mixed_trivariate(spec, C)
+            assert abs(h(res.argmin) * res.eta - 1.0) <= 1e-12
 
 
 def test_projection_off_tree1_pair_lies_in_its_bounds():

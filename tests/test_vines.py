@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -25,6 +27,32 @@ def test_edge_label_parse_and_format():
         EdgeLabel.parse("11")
     with pytest.raises(SpecError):
         EdgeLabel((1, 2), (2,))
+
+
+def test_edge_labels_are_interned():
+    # one object per (pair, cond): a parsed spec's labels are those of
+    # expected_edges, so its dict lookups succeed on identity
+    label = EdgeLabel.parse("13|2")
+    assert label is expected_edges("trivariate", 3)[2]
+    assert EdgeLabel.parse("31|2") is label and EdgeLabel((3, 1), [2]) is label
+    assert copy.copy(label) is label and copy.deepcopy(label) is label
+    assert pickle.loads(pickle.dumps(label)) is label
+    for structure in ("dvine", "cvine"):
+        spec = VineSpec.uniform(structure, 6, ilog(0.4))
+        again = VineSpec.from_json(spec.to_json())
+        assert all(a is b for a, b in zip(again.edges, expected_edges(structure, 6), strict=True))
+        assert all(a is b for a, b in zip(again.marginal((1, 2, 3)).edges, expected_edges(structure, 3), strict=True))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("11", r"edge pair must name two distinct variables, got \(1, 1\)"),
+    ("12|1", r"conditioning set of 12\|1 overlaps its conditioned pair"),
+    ("1|2", r"edge label '1\|2' must name exactly two conditioned variables"),
+])
+def test_invalid_edge_labels_keep_their_messages(text, message):
+    for _ in range(2):  # a failed parse is not memoised
+        with pytest.raises(SpecError, match=message):
+            EdgeLabel.parse(text)
 
 
 def test_expected_edges_counts():
