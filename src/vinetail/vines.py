@@ -37,12 +37,12 @@ class EdgeLabel:
 
     Labels are interned: building one returns the single shared object for
     its (pair, cond), and ``parse`` is memoised on the label text, so a
-    parsed spec's labels are those of ``expected_edges`` and every dict and
-    set lookup of a spec succeeds on identity.  Equality is identity, and
-    copies and unpickled labels are the shared object too.  The hash is
-    taken once, when the label is first built."""
+    parsed spec's labels are those of ``expected_edges``.  Equality and
+    hash are the object's own, so a spec's dict and set lookups cost no
+    Python call, and copies and unpickled labels are the shared object
+    too."""
 
-    __slots__ = ("pair", "cond", "_hash")
+    __slots__ = ("pair", "cond")
     _table: dict = {}  # (pair, cond) -> the label
 
     def __new__(cls, pair, cond=()):
@@ -56,15 +56,11 @@ class EdgeLabel:
             label.pair, label.cond = key
             if set(label.pair) & set(label.cond):
                 raise SpecError(f"conditioning set of {label} overlaps its conditioned pair")
-            label._hash = hash(key)
-            cls._table[key] = label
+            label = cls._table.setdefault(key, label)  # one object per key, even when two threads race
         return label
 
     def __reduce__(self):
         return EdgeLabel, (self.pair, self.cond)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"EdgeLabel({self})"
