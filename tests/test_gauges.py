@@ -566,8 +566,8 @@ def test_outer_coordinate_minimum_is_closed_and_never_above_the_panels():
 
 @pytest.mark.parametrize("g", EV_PATTERNS, ids=repr)
 def test_tree1_pair_argmin_reads_one_over_eta(g):
-    # the closed outer minimum lands on the kink that the panels' Brent stop
-    # left up to 4.8e-8 above
+    # the closed outer minimum lands on the kink where the panels' Brent
+    # stop read g·eta up to about 1e-7 off one
     rng = np.random.default_rng(31)
     families = [pc.family for pc in g.spec.edges.values()]
     for _ in range(20):
