@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DomainError
 from .gauges import Gauge
 from .simulate import SampleCloud
+from .vines import index_set
 
 __all__ = ["TailEstimate", "chi_hat", "eta_hat", "cloud_coverage", "min_over_set"]
 
@@ -48,9 +49,7 @@ class TailEstimate:
 
 def min_over_set(cloud: SampleCloud, C) -> np.ndarray:
     """The structure variable T = min of the coordinates indexed by C."""
-    C = tuple(sorted(set(int(c) for c in C)))
-    if not C or C[0] < 1 or C[-1] > cloud.d:
-        raise DomainError(f"index set must be a subset of 1..{cloud.d}")
+    C = index_set(C, cloud.d)
     # a running minimum over column views: T is the only new array
     t = cloud.values[:, C[0] - 1].copy()
     for c in C[1:]:

@@ -38,9 +38,9 @@ import numpy as np
 
 from .copulas import EV, IEV
 from .errors import ConvergenceError, DomainError, ParameterError, UnsupportedCombinationError
-from .gauges import Gauge, _compile_vine, _is_trivariate, _minimise_gauge, _projected_gradient, gauge_vine
+from .gauges import Gauge, _compile_vine, _minimise_gauge, _projected_gradient, gauge_vine
 from .measures import Logistic
-from .vines import CVINE, DVINE, TRIVARIATE, VineSpec
+from .vines import CVINE, DVINE, TRIVARIATE, VineSpec, index_set
 
 __all__ = [
     "EtaResult",
@@ -112,9 +112,7 @@ class EtaResult:
 
 
 def _normalise_labels(C, dim):
-    C = tuple(sorted(set(int(c) for c in C)))
-    if not C or C[0] < 1 or C[-1] > dim:
-        raise DomainError(f"index set must be a subset of 1..{dim}")
+    C = index_set(C, dim)
     if len(C) < 2:
         raise DomainError("eta is defined for index sets with at least two variables")
     return C
@@ -160,9 +158,9 @@ def eta_numeric(g: Gauge, C=None, n_starts: int = 8, maxfev: int = 400) -> EtaRe
     search up to 205 more again, and the face search two Brent searches.
 
     The diagnostics give ``local_solver`` ("quasi-newton", "middle-search"
-    or "face-search"), the starts or panels run as ``n_starts`` and the
-    ``spread`` of their values, and the counts ``n_gauge_evals`` (value
-    only; a value of the x2 search counts as one) and ``n_gradient_evals``.
+    or "face-search"), the starts or panels run as ``n_starts``, and the
+    counts ``n_gauge_evals`` (value only; a value of the x2 search counts
+    as one) and ``n_gradient_evals``.
     With a gradient, ``kkt_residual`` is the largest projected partial at
     the argmin (``_kkt_residual``), zero at a KKT point of the box, and
     ``suspicious_landscape`` flags one above 1e-6.
@@ -174,11 +172,11 @@ def eta_numeric(g: Gauge, C=None, n_starts: int = 8, maxfev: int = 400) -> EtaRe
     corner[cons] = 1.0
 
     found = _minimise_gauge(g, corner, range(d), n_starts, maxfev)
-    best_val, best_x, grad, runs = found.value, found.x, found.gradient, found.runs
+    best_val, best_x, grad = found.value, found.x, found.gradient
     n_evals, n_grad = found.n_evals, found.n_gradient_evals
     if not np.isfinite(best_val):
         raise ConvergenceError("no minimisation start produced a finite gauge value",
-                               {"C": C, "candidates": len(runs) + 1})
+                               {"C": C, "candidates": found.n_runs + 1})
 
     # homogeneity clean-up: take the corner when the optimum matches it to
     # rounding (g(x/m) = g(x)/m), else scale so that min over C is one exactly
@@ -197,8 +195,7 @@ def eta_numeric(g: Gauge, C=None, n_starts: int = 8, maxfev: int = 400) -> EtaRe
             n_evals += 1
 
     diagnostics = {
-        "n_starts": len(runs),
-        "spread": float(np.max(runs) - np.min(runs)) if runs else 0.0,
+        "n_starts": found.n_runs,
         "local_solver": found.solver,
         "n_gauge_evals": n_evals,
         "n_gradient_evals": n_grad,
@@ -365,7 +362,7 @@ def eta_mixed_trivariate(spec: VineSpec, C) -> EtaResult:
     (``gauges._compile_vine``), so a pattern whose gauge cannot be built
     raises UnsupportedCombinationError on every route.
     """
-    if not _is_trivariate(spec):
+    if not spec.is_trivariate():
         raise UnsupportedCombinationError("eta_mixed_trivariate needs a trivariate vine with edges 12, 23, 13|2")
     C = _normalise_labels(C, 3)
 
@@ -554,7 +551,7 @@ def eta_subvine(spec: VineSpec, C) -> EtaResult:
     if len(S) == 2:
         eta = 1.0 / margin.copula(1, 2).measure.V(1.0, 1.0)
         res = EtaResult(eta=eta, argmin=np.ones(2), method=CLOSED)
-    elif len(S) == 3 and spec.structure != CVINE:
+    elif margin.is_trivariate():
         res = eta_mixed_trivariate(margin, C_S)
     else:
         res = eta_numeric(gauge_vine(margin), C_S)
@@ -589,7 +586,7 @@ def eta_vine(spec: VineSpec, C=None, method: str = "auto") -> EtaResult:
     C = tuple(range(1, spec.d + 1)) if C is None else C
     if method == NUMERIC:
         res = eta_numeric(gauge_vine(spec), C)
-    elif _is_trivariate(spec):
+    elif spec.is_trivariate():
         res = eta_mixed_trivariate(spec, C)
     else:
         res = eta_subvine(spec, C)

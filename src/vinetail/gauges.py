@@ -5,8 +5,9 @@ the limiting shape of ln(n)-scaled exponential-margin sample clouds: the
 cloud converges onto {x : g(x) <= 1}, a subset of the unit cube.  This
 module builds gauges analytically:
 
-* six bivariate families (independence, Gaussian, inverted EV, EV with
-  regularly varying spectral tails, asymmetric logistic),
+* five bivariate families (independence, Gaussian, inverted EV, EV with
+  regularly varying spectral tails, asymmetric logistic), the inverted EV
+  and EV ones as one-step plans of the vines below,
 * the vines, from one entry point, ``gauge_vine``, the only place that
   decides which specs have a gauge: the trivariate vine in all eight EV /
   inverted-EV family patterns, and D- and C-vines with inverted-EV
@@ -187,31 +188,18 @@ def inverted_ev_gauge(measure: ExponentMeasure) -> Gauge:
     return _vine_gauge(VineSpec(2, DVINE, {"12": PairCopula(IEV, measure)}), f"inverted-ev({measure!r})")
 
 
-def _bev_eval(x1, x2, s1, s2):
-    sm = np.where(x1 >= x2, s1, s2)
-    return (2.0 + sm) * np.maximum(x1, x2) - (1.0 + sm) * np.minimum(x1, x2)
-
-
-def _bev_eval_s(x1, x2, s1, s2):
-    # scalar twin of _bev_eval
-    sm, hi, lo = (s1, x1, x2) if x1 >= x2 else (s2, x2, x1)
-    return (2.0 + sm) * hi - (1.0 + sm) * lo
-
-
 def bev_gauge(s1: float, s2: float) -> Gauge:
     """Extreme value copula whose spectral density has regularly varying
     tails with exponents s1 (w -> 1) and s2 (w -> 0), both > -1.
 
-    Piecewise linear; the slope switch uses ">= selects s1" at the tie,
-    where both branches coincide anyway.
+    Piecewise linear: (2 + s1) x1 - (1 + s1) x2 where x1 >= x2, else
+    (2 + s2) x2 - (1 + s2) x1, the two coinciding at the tie.  It is the
+    vine plan's EV rule over two lower margins (``_EV_FORMS``), run as the
+    one-step plan of an EV edge with no measure (``_plan_gauge``).
     """
-    TailOrders(s1, s2, np.nan, np.nan)  # validates the exponents
-    return Gauge(
-        2,
-        lambda x: _bev_eval(x[..., 0], x[..., 1], s1, s2),
-        f"bev(s1={s1}, s2={s2})",
-        sfn=lambda x1, x2: _bev_eval_s(x1, x2, s1, s2),
-    )
+    t = TailOrders(s1, s2, np.nan, np.nan)  # validates the exponents
+    lower = (0, 0, True)
+    return _plan_gauge(2, [(2, 0, 1, None, None, (lower, lower), t)], f"bev(s1={s1}, s2={s2})")
 
 
 def bev_gauge_from_measure(measure: ExponentMeasure) -> Gauge:
@@ -292,9 +280,9 @@ def _compile_vine(spec: VineSpec):
     ev_tree1 = set()  # slots of the EV tree-1 edges
     plan = []
     for label, pc in spec.edges.items():  # tree order: every operand is computed first
-        (a, b), cond = label.pair, frozenset(label.cond)
+        (a, b), nodes = label.pair, label.nodes
         out = spec.d + len(plan)
-        left, right, inner = slot[cond | {a}], slot[cond | {b}], slot.get(cond)
+        left, right, inner = slot[nodes - {b}], slot[nodes - {a}], slot.get(nodes - {a, b})
         flip = pc.family == EV
         sp = (a - 1, inner, flip) if left in ev_tree1 else (0, 0, flip)
         sq = (b - 1, inner, flip) if right in ev_tree1 else (0, 0, flip)
@@ -309,9 +297,9 @@ def _compile_vine(spec: VineSpec):
                     f"for this family pattern: {exc}"
                 ) from exc
             plan.append((out, left, right, inner, pc.measure, (sp, sq), t))
-        if flip and not cond:
+        if flip and not label.cond:
             ev_tree1.add(out)
-        slot[cond | {a, b}] = out
+        slot[nodes] = out
     return plan
 
 
@@ -365,10 +353,11 @@ else:
 # The EV edge rules g_e(p, q) in step n over margins with a lower side, keyed
 # by (lower_p, lower_q), as the expressions both dialects emit: upper +
 # (2 + s) lower with one lower margin, s1 when it is p and s2 when it is q,
-# and with both lower the bev gauge, whose slope switch at p >= q
-# (``_bev_eval_s``) picks the first of its two expressions.  Over two upper
-# margins g_e is V(1/p, 1/q).  The tail-order sums are bound as
-# h{n}p = 2 + s1, h{n}q = 2 + s2, l{n}p = 1 + s1 and l{n}q = 1 + s2
+# and with both lower the bev gauge, whose slope switch at p >= q picks the
+# first of its two expressions; ``bev_gauge`` is that rule's one-step plan,
+# so this table is its only copy.  Over two upper margins g_e is
+# V(1/p, 1/q).  The tail-order sums are bound as h{n}p = 2 + s1,
+# h{n}q = 2 + s2, l{n}p = 1 + s1 and l{n}q = 1 + s2
 _EV_FORMS = {
     (False, True): "{p} + h{n}q * {q}",
     (True, False): "{q} + h{n}p * {p}",
@@ -494,8 +483,9 @@ def _bind_plan(d, plan, dialect):
     env = {"inf": math.inf, "recip": _recip, "where": np.where}
     shape = []
     for out, left, right, inner, m, sides, t in plan:
-        inline = dialect != ARRAY and type(m)._v is Logistic._v
-        env[f"v{out}"] = m._v
+        inline = m is not None and dialect != ARRAY and type(m)._v is Logistic._v
+        if m is not None:  # a step with no measure (``bev_gauge``) runs its EV rule alone
+            env[f"v{out}"] = m._v
         if inline:
             env.update({f"e{out}": -m._q, f"a{out}": m.alpha})
         if dialect == GRADIENT and inline:
@@ -519,27 +509,25 @@ def _has_gradient(plan):
     return all(sides is None for *_, sides, t in plan)
 
 
-def _vine_gauge(spec: VineSpec, tag: str) -> Gauge:
-    d = spec.d
-    plan = _compile_vine(spec)
-    # the array and gradient dialects, and the middle search of the vines
-    # with no gradient (trivariate, with an EV edge), bind on first use, once
+def _plan_gauge(d: int, plan, tag: str) -> Gauge:
+    """The gauge of a compiled plan on d coordinates.  The array and
+    gradient dialects, and the middle search of a 3-d plan with no gradient
+    (the trivariate vine with an EV edge), bind on first use, once; a 2-d
+    plan with no gradient (``bev_gauge``) keeps the face search."""
     array = cache(lambda: _bind_plan(d, plan, ARRAY))
     gradient = middle = None
     if _has_gradient(plan):
         gradient = cache(lambda: _bind_plan(d, plan, GRADIENT))
-    else:
+    elif d == 3:
         middle = cache(lambda: _middle_search(plan))
-    g = Gauge(d, lambda x: array()(*(x[..., k] for k in range(d))), tag, sfn=_bind_plan(d, plan, SCALAR),
-              gradient=gradient, middle=middle)
+    return Gauge(d, lambda x: array()(*(x[..., k] for k in range(d))), tag, sfn=_bind_plan(d, plan, SCALAR),
+                 gradient=gradient, middle=middle)
+
+
+def _vine_gauge(spec: VineSpec, tag: str) -> Gauge:
+    g = _plan_gauge(spec.d, _compile_vine(spec), tag)
     g.spec = spec
     return g
-
-
-def _is_trivariate(spec: VineSpec) -> bool:
-    """Whether spec is the trivariate vine, with edges 12, 23 and 13|2: the
-    trivariate structure or a 3-d D-vine."""
-    return spec.d == 3 and spec.structure in (TRIVARIATE, DVINE)
 
 
 def gauge_vine(spec: VineSpec) -> Gauge:
@@ -549,7 +537,7 @@ def gauge_vine(spec: VineSpec) -> Gauge:
     other spec raises UnsupportedCombinationError, as does an edge whose
     measure lacks the regularly varying spectral tails its family pattern
     needs (``_compile_vine``).  The named builders call it."""
-    if _is_trivariate(spec):
+    if spec.is_trivariate():
         tag = "trivariate-vine(" + ",".join(spec.families()) + ")"
     elif spec.all_iev():
         tag = f"{spec.structure}(d={spec.d})"
@@ -563,7 +551,7 @@ def gauge_vine(spec: VineSpec) -> Gauge:
 def gauge_trivariate(spec: VineSpec) -> Gauge:
     """Gauge of a trivariate vine with edges {12}, {23}, {13|2}, in any
     family pattern: the d = 3 case of the recursion (``gauge_vine``)."""
-    if not _is_trivariate(spec):
+    if not spec.is_trivariate():
         raise UnsupportedCombinationError("gauge_trivariate needs a trivariate vine with edges 12, 23, 13|2")
     return gauge_vine(spec)
 
@@ -783,11 +771,11 @@ def _panels(f, lo, hi, n_starts, best_t, best_val):
     far end, then one per panel between n_starts + 1 log-spaced seeds, from
     the best point and value so far.  f(t) >= t to a few ulps (g(x) >=
     max(x)), so the search stops at a panel whose lower end reaches the best
-    value.  Returns the best point, its value, each panel's value and the
-    evaluation count."""
+    value.  Returns the best point, its value, the number of panels
+    searched and the evaluation count."""
     seeds = [lo + s for s in [0.0, *np.geomspace(hi * 1e-6, hi, int(n_starts)).tolist()]]
     v_hi = f(lo + hi)
-    n_evals, runs = 1, []
+    n_evals, n_panels = 1, 0
     if v_hi < best_val:
         best_t, best_val = lo + hi, v_hi
     for a, b in zip(seeds[:-1], seeds[1:]):
@@ -795,10 +783,10 @@ def _panels(f, lo, hi, n_starts, best_t, best_val):
             break
         t, val, nfev = _fminbound(f, a, b, 1e-10)
         n_evals += nfev
-        runs.append(val)
+        n_panels += 1
         if val < best_val:
             best_t, best_val = t, val
-    return best_t, best_val, runs, n_evals
+    return best_t, best_val, n_panels, n_evals
 
 
 def _middle_search(plan):
@@ -819,8 +807,8 @@ def _middle_search(plan):
     bound as 2-d plans (``_EV_FORMS``).  An outer coordinate is capped at its
     bound plus hi of ``_panels``, beyond which g exceeds g(lower).
 
-    search(xs, free, corner_val, n_starts) returns the argmin, the panel
-    values and the count of such minima taken.  A held x2 takes one, with
+    search(xs, free, corner_val, n_starts) returns the argmin, the number
+    of panels searched and the count of such minima taken.  A held x2 takes one, with
     no panels.  A free x2 runs the Brent
     panels after the candidates x2 = l2, l1, l3, as minima sit on kinks,
     then bisects on the sign of a central difference in [x2 - w, x2 + w],
@@ -879,14 +867,14 @@ def _middle_search(plan):
         (l1, l2, l3), m = xs, max(xs)
         hi = max(10.0 * m, 1.05 * corner_val)
         b1, b3 = (l1, l1 + hi if 0 in free else l1), (l3, l3 + hi if 2 in free else l3)
-        v, runs, n = l2, [], 1
+        v, n_panels, n = l2, 0, 1
         if 1 in free:
             def phi(u):
                 return at(u, b1, b3)[0]
 
             candidates = sorted({u for u in (l1, l2, l3) if u >= l2})
             best_val, v = min((phi(u), u) for u in candidates)
-            v, best_val, runs, nfev = _panels(phi, l2, hi, n_starts, v, best_val)
+            v, best_val, n_panels, nfev = _panels(phi, l2, hi, n_starts, v, best_val)
             n += len(candidates) + nfev
             w = 1e-6 * max(v, m)
             a, b = max(l2, v - w), v + w
@@ -901,7 +889,7 @@ def _middle_search(plan):
                         v, best_val = u, val
                 a, b = (c - h if right <= left else a), (c + h if left <= right else b)
         _, P, p, Q, q = at(v, b1, b3)
-        return [invert(lambda x: g12(x, v) - v, P, p), v, invert(lambda x: g23(v, x) - v, Q, q)], runs, n
+        return [invert(lambda x: g12(x, v) - v, P, p), v, invert(lambda x: g23(v, x) - v, Q, q)], n_panels, n
 
     return search
 
@@ -909,14 +897,14 @@ def _middle_search(plan):
 class _BoxMinimum(NamedTuple):
     """What ``_minimise_gauge`` found: the best value, its argmin, the
     partials in the free coordinates there after a quasi-Newton solve (else
-    None), g(lower), the value each start or panel reached, the counts of
+    None), g(lower), the number of starts or panels run, the counts of
     value-only and value-and-gradient evaluations, and the solver."""
 
     value: float
     x: np.ndarray
     gradient: list | None
     corner_value: float
-    runs: list
+    n_runs: int
     n_evals: int
     n_gradient_evals: int
     solver: str
@@ -959,7 +947,7 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
                                               "it needs a gradient or a trivariate vine plan")
         faces = [_minimise_gauge(g, lower, [1 - c], n_starts) for c in (0, 1) if xs[c] > 0.0]
         best = min(faces, key=lambda face: face.value)  # the first on a tie
-        return best._replace(runs=[v for face in faces for v in face.runs],
+        return best._replace(n_runs=sum(face.n_runs for face in faces),
                              n_evals=sum(face.n_evals for face in faces), solver="face-search")
 
     if gradient is None:
@@ -976,16 +964,16 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
             return float(scalar(*xs))
 
         best_x = lower.copy()
-        best_x[j], best_val, runs, nfev = _panels(f, xs[j], max(10.0 * m, 1.05 * corner_val), n_starts, xs[j],
+        best_x[j], best_val, n_runs, nfev = _panels(f, xs[j], max(10.0 * m, 1.05 * corner_val), n_starts, xs[j],
                                                   corner_val)
-        return _BoxMinimum(best_val, best_x, None, corner_val, runs, n_evals + nfev, n_grad, "brent")
+        return _BoxMinimum(best_val, best_x, None, corner_val, n_runs, n_evals + nfev, n_grad, "brent")
 
     if gradient is None:
-        x, runs, nfev = g._middle()(xs, free, corner_val, n_starts)
+        x, n_runs, nfev = g._middle()(xs, free, corner_val, n_starts)
         val = float(scalar(*x))
         n_evals += nfev + 1
         best_x = np.array(x) if val < corner_val else lower.copy()
-        return _BoxMinimum(min(val, corner_val), best_x, None, corner_val, runs, n_evals, n_grad, "middle-search")
+        return _BoxMinimum(min(val, corner_val), best_x, None, corner_val, n_runs, n_evals, n_grad, "middle-search")
 
     if len(free) == len(xs):
         def fg(t):
@@ -998,16 +986,16 @@ def _minimise_gauge(g: Gauge, lower, free, n_starts: int = 8, maxfev: int = 400)
             return val, [grad[k] for k in free]
 
     lo = [xs[k] for k in free]
-    best_val, best_t, best_grad, runs = corner_val, lo, corner_grad, []
-    for s in [*np.geomspace(0.05, 20.0, int(n_starts)).tolist(), 1e-8]:
+    best_val, best_t, best_grad = corner_val, lo, corner_grad
+    starts = [*np.geomspace(0.05, 20.0, int(n_starts)).tolist(), 1e-8]
+    for s in starts:
         t, val, grad, nfev = _quasi_newton(fg, [a + s * m for a in lo], lo, maxfev)
         n_grad += nfev
-        runs.append(val)
         if val < best_val:
             best_val, best_t, best_grad = val, t, grad
     best_x = lower.copy()
     best_x[free] = best_t
-    return _BoxMinimum(best_val, best_x, best_grad, corner_val, runs, n_evals, n_grad, "quasi-newton")
+    return _BoxMinimum(best_val, best_x, best_grad, corner_val, len(starts), n_evals, n_grad, "quasi-newton")
 
 
 def gauge_project(g: Gauge, keep) -> Gauge:

@@ -203,7 +203,7 @@ def _compile_cascade(spec: VineSpec):
     # the trivariate vine draws x2 first: F(x1 | x2) is then its own
     # uniform, and the cascade needs no h-function
     order = (2, 1, 3) if spec.structure == TRIVARIATE else tuple(range(1, spec.d + 1))
-    by_nodes = {frozenset(e.pair + e.cond): e for e in spec.edges}
+    by_nodes = {e.nodes: e for e in spec.edges}
     slot = {(i, frozenset(order[:k])): i - 1 for k, i in enumerate(order)}
     steps = []
 

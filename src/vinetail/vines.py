@@ -21,10 +21,10 @@ import hashlib
 import json
 
 from .copulas import EV, IEV, PairCopula
-from .errors import SpecError
+from .errors import DomainError, SpecError
 from .measures import measure_from_dict
 
-__all__ = ["EdgeLabel", "VineSpec", "expected_edges", "STRUCTURES"]
+__all__ = ["EdgeLabel", "VineSpec", "expected_edges", "index_set", "STRUCTURES"]
 
 TRIVARIATE = "trivariate"
 DVINE = "dvine"
@@ -33,7 +33,8 @@ STRUCTURES = (TRIVARIATE, DVINE, CVINE)
 
 
 class EdgeLabel:
-    """Conditioned pair plus conditioning set, hashable and order-normalised.
+    """Conditioned pair plus conditioning set, hashable and order-normalised;
+    ``nodes`` is their union {a, b} u D, the node set of the sub-vine it tops.
 
     Labels are interned: building one returns the single shared object for
     its (pair, cond), and ``parse`` is memoised on the label text, so a
@@ -42,7 +43,7 @@ class EdgeLabel:
     Python call, and copies and unpickled labels are the shared object
     too."""
 
-    __slots__ = ("pair", "cond")
+    __slots__ = ("pair", "cond", "nodes")
     _table: dict = {}  # (pair, cond) -> the label
 
     def __new__(cls, pair, cond=()):
@@ -54,6 +55,7 @@ class EdgeLabel:
         if label is None:
             label = super().__new__(cls)
             label.pair, label.cond = key
+            label.nodes = frozenset(key[0] + key[1])
             if set(label.pair) & set(label.cond):
                 raise SpecError(f"conditioning set of {label} overlaps its conditioned pair")
             label = cls._table.setdefault(key, label)  # one object per key, even when two threads race
@@ -114,7 +116,7 @@ def _expected_edges(structure: str, d: int) -> tuple[EdgeLabel, ...]:
     if structure == TRIVARIATE:
         if d != 3:
             raise SpecError("trivariate structure requires dimension 3")
-        return (EdgeLabel((1, 2)), EdgeLabel((2, 3)), EdgeLabel((1, 3), (2,)))
+        return _expected_edges(DVINE, 3)  # 12, 23, 13|2
     if structure == DVINE:
         return tuple(
             EdgeLabel((i, i + k), range(i + 1, i + k))
@@ -128,6 +130,15 @@ def _expected_edges(structure: str, d: int) -> tuple[EdgeLabel, ...]:
             for j in range(k + 1, d + 1)
         )
     raise SpecError(f"unknown structure {structure!r}; expected one of {STRUCTURES}")
+
+
+def index_set(C, d: int) -> tuple:
+    """The index set C as a sorted tuple of distinct labels; DomainError
+    unless it is a nonempty subset of 1..d."""
+    C = tuple(sorted(set(int(c) for c in C)))
+    if not C or C[0] < 1 or C[-1] > d:
+        raise DomainError(f"index set must be a subset of 1..{d}")
+    return C
 
 
 class VineSpec:
@@ -187,13 +198,17 @@ class VineSpec:
     def all_iev(self) -> bool:
         return all(pc.family == IEV for pc in self.edges.values())
 
+    def is_trivariate(self) -> bool:
+        """Whether the edges are 12, 23 and 13|2 (``trivariate``, or a 3-d ``dvine``)."""
+        return tuple(self.edges) == _expected_edges(DVINE, 3)
+
     def mirrored(self) -> "VineSpec":
-        """The trivariate vine relabelled by x1 <-> x3.
+        """The trivariate vine (``is_trivariate``) relabelled by x1 <-> x3.
 
         Edges 12 and 23 swap and every measure is transposed, so
         (X3, X2, X1) follows the result when (X1, X2, X3) follows self.
         """
-        if self.d != 3 or self.structure == CVINE:
+        if not self.is_trivariate():
             raise SpecError(f"the x1 <-> x3 mirror needs a vine with edges 12, 23, 13|2, not {self!r}")
         return VineSpec(3, self.structure, {
             "12": self.copula(2, 3).swapped(),
@@ -202,24 +217,22 @@ class VineSpec:
         })
 
     def hull(self, labels) -> tuple:
-        """The nodes of the smallest sub-vine holding two or more labels: the
-        block [min, max] of a D-vine (or of the trivariate vine), and
-        {1..k, max} of a C-vine, with k the second-largest label."""
+        """The nodes of the smallest sub-vine holding two or more labels: those
+        of the first edge, in tree order (by node-set size), whose ``nodes`` hold them."""
         labels = sorted(set(int(v) for v in labels))
         if len(labels) < 2 or labels[0] < 1 or labels[-1] > self.d:
             raise SpecError(f"a sub-vine needs two or more nodes of 1..{self.d}, got {labels}")
-        if self.structure == CVINE:
-            return (*range(1, labels[-2] + 1), labels[-1])
-        return tuple(range(labels[0], labels[-1] + 1))
+        for label in self.edges:
+            if label.nodes.issuperset(labels):
+                return tuple(sorted(label.nodes))
 
     def marginal(self, nodes) -> "VineSpec":
         """The sub-vine on a node set, relabelled 1..len(nodes) in order.
 
-        A sub-vine's node set is a block {i..j} of a D-vine (or of the
-        trivariate vine) and a set {1..k, m} with m > k of a C-vine; the
-        edges among its nodes form that sub-vine, and the monotone
-        relabelling keeps each edge's copula unswapped and the structure.
-        Any other node set raises SpecError.
+        A node set of two or more nodes is that of a sub-vine when it is
+        its own ``hull``; the edges whose ``nodes`` lie in it form that
+        sub-vine, and the monotone relabelling keeps each edge's copula
+        unswapped and the structure.  Any other node set raises SpecError.
         """
         nodes = tuple(sorted(set(int(v) for v in nodes)))
         hull = self.hull(nodes)
@@ -230,7 +243,7 @@ class VineSpec:
         edges = {
             EdgeLabel([new[v] for v in label.pair], [new[c] for c in label.cond]): pc
             for label, pc in self.edges.items()
-            if {*label.pair, *label.cond} <= new.keys()
+            if label.nodes <= new.keys()
         }
         structure = DVINE if self.structure == TRIVARIATE and len(nodes) < 3 else self.structure
         return VineSpec(len(nodes), structure, edges)

@@ -414,7 +414,7 @@ def test_numeric_input_validation_and_diagnostics():
                 eta_mixed_trivariate(spec, C)
     res = eta_numeric(g)
     assert res.diagnostics["local_solver"] == "face-search" and res.diagnostics["n_starts"] >= 2
-    assert isinstance(res.diagnostics["spread"], float) and "suspicious_landscape" not in res.diagnostics
+    assert "spread" not in res.diagnostics and "suspicious_landscape" not in res.diagnostics
 
 
 def test_eta_result_validates_range():
@@ -571,12 +571,12 @@ def test_kkt_residual_replaces_the_start_spread_for_gradient_gauges():
 ], ids=["independence", "gaussian", "bev", "asymmetric-logistic", "iev-asymmetric-logistic", "eii", "iie"])
 def test_each_gauge_takes_the_solver_of_its_structure(g, solver):
     # no gradient: Brent searches on the faces of a 2-d gauge and in x2 alone
-    # on a trivariate vine, whose panels' spread flags nothing; every all-IEV
-    # vine, the asymmetric logistic one too, has a gradient
+    # on a trivariate vine; every all-IEV vine, the asymmetric logistic one
+    # too, has a gradient
     assert (g.gradient_evaluator() is None) == (solver != "quasi-newton")
     d = eta_numeric(g).diagnostics
     assert d["local_solver"] == solver and (d["n_gradient_evals"] == 0) == (solver != "quasi-newton")
-    assert isinstance(d["spread"], float)
+    assert "spread" not in d
     assert ("kkt_residual" in d) == ("suspicious_landscape" in d) == (solver == "quasi-newton")
 
 

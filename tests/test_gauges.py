@@ -29,7 +29,7 @@ from vinetail import (
     simplex_directions,
 )
 from vinetail import gauges
-from vinetail.eta import eta_mixed_trivariate
+from vinetail.eta import eta_mixed_trivariate, eta_numeric
 from vinetail.vines import expected_edges
 
 RNG = np.random.default_rng(1618)
@@ -85,6 +85,26 @@ def test_bev_asymmetric_axis_intercepts():
     assert g((1.0, 1.0)) == pytest.approx(1.0)
     assert g((1.0 / 2.5, 0.0)) == pytest.approx(1.0)
     assert g((0.0, 1.0 / 3.5)) == pytest.approx(1.0)
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape and a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("s1, s2", [(0.0, 0.0), (0.5, 1.5), (-0.9, 3.0), (18.0, 18.0)])
+def test_bev_gauge_is_the_plan_rule_bit_for_bit(s1, s2):
+    # a grid whose every value meets every other, so it holds ties and zeros
+    axis = [0.0, 5e-324, 1e-300, 0.1, 0.3, 1.0 / 3.0, 1.0, 1.0 + 2.0**-52, 2.0, 7.5, 1e6, 1e300]
+    grid = np.array(list(itertools.product(axis, repeat=2))).reshape(len(axis), len(axis), 2)
+    g = bev_gauge(s1, s2)
+    _assert_same_bits([[g(x) for x in row] for row in grid],
+                      [[_bev_oracle_s(x1, x2, s1, s2) for x1, x2 in row] for row in grid.tolist()])
+    _assert_same_bits(g(grid), _bev_oracle(grid[..., 0], grid[..., 1], TailOrders(s1, s2, np.nan, np.nan)))
+    # a plan with an EV step has no gradient, and at d = 2 no middle search,
+    # so its box minima take the face search
+    assert g.gradient_evaluator() is None and g._middle is None
+    assert eta_numeric(g).diagnostics["local_solver"] == "face-search"
 
 
 def test_bev_from_measure_matches_logistic_form():
@@ -318,8 +338,16 @@ def _recip_oracle(a):
 
 
 def _bev_oracle(a, b, t):
+    # the bev formula of the array path the plan's EV rule replaced, which
+    # ``bev_gauge`` ran until it became the one-step plan of that rule
     s = np.where(a >= b, t.s1, t.s2)
     return (2.0 + s) * np.maximum(a, b) - (1.0 + s) * np.minimum(a, b)
+
+
+def _bev_oracle_s(x1, x2, s1, s2):
+    # the scalar twin of _bev_oracle that ``bev_gauge`` ran on single points
+    sm, hi, lo = (s1, x1, x2) if x1 >= x2 else (s2, x2, x1)
+    return (2.0 + sm) * hi - (1.0 + sm) * lo
 
 
 def _piecewise_oracle(spec, x):

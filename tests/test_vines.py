@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import pickle
 
@@ -37,6 +38,10 @@ def test_edge_labels_are_interned():
     assert EdgeLabel.parse("31|2") is label and EdgeLabel((3, 1), [2]) is label
     assert copy.copy(label) is label and copy.deepcopy(label) is label
     assert pickle.loads(pickle.dumps(label)) is label
+    # the constraint set {a, b} u D, set once when the label is first made
+    for e in (label, EdgeLabel.parse("1,12|2,3"), EdgeLabel((4, 2))):
+        assert e.nodes == frozenset({*e.pair, *e.cond}) and isinstance(e.nodes, frozenset)
+        assert copy.deepcopy(e) is pickle.loads(pickle.dumps(e)) is e
     for structure in ("dvine", "cvine"):
         spec = VineSpec.uniform(structure, 6, ilog(0.4))
         again = VineSpec.from_json(spec.to_json())
@@ -179,10 +184,19 @@ def test_mirror_swaps_outer_edges_and_transposes():
 def test_mirror_needs_a_trivariate_vine():
     # a 4-d D-vine has a 13|2 edge of its own, so only the dimension check
     # keeps it from being mirrored into a wrong trivariate spec
-    with pytest.raises(VinetailError):
-        VineSpec.uniform("dvine", 4, ilog(0.5)).mirrored()
-    with pytest.raises(VinetailError):
-        VineSpec.uniform("cvine", 3, ilog(0.5)).mirrored()
+    for structure, d in (("dvine", 4), ("cvine", 3), ("dvine", 2)):
+        with pytest.raises(SpecError, match=r"the x1 <-> x3 mirror needs a vine with edges 12, 23, 13\|2, "
+                                            rf"not VineSpec\(d={d}, structure='{structure}'"):
+            VineSpec.uniform(structure, d, ilog(0.5)).mirrored()
+
+
+@pytest.mark.parametrize("structure, d, expected", [
+    ("trivariate", 3, True), ("dvine", 3, True), ("cvine", 3, False),
+    ("dvine", 2, False), ("cvine", 2, False), ("dvine", 4, False), ("cvine", 4, False),
+])
+def test_is_trivariate_reads_the_edges(structure, d, expected):
+    # true exactly for the edges 12, 23, 13|2, whatever the structure's name
+    assert VineSpec.uniform(structure, d, ilog(0.5)).is_trivariate() is expected
 
 
 @pytest.mark.parametrize("structure, d, nodes, relabel", [
@@ -228,3 +242,22 @@ def test_hull_is_the_smallest_sub_vine():
     for bad in ((3,), (3, 3), (0, 2), (2, 7)):
         with pytest.raises(SpecError):
             cvine.hull(bad)
+
+
+@pytest.mark.parametrize("structure", ["dvine", "cvine"])
+def test_hull_matches_the_edge_counting_oracle(structure):
+    # the oracle knows nothing of edge order or structure: a node set S is a
+    # sub-vine when |S|(|S| - 1)/2 of the spec's edges lie in it, and the
+    # hull of L is the unique smallest such S holding L
+    for d in range(2, 9):
+        spec = VineSpec.uniform(structure, d, ilog(0.5))
+        for size in range(2, d + 1):
+            for labels in itertools.combinations(range(1, d + 1), size):
+                rest = [v for v in range(1, d + 1) if v not in labels]
+                for extra in range(d - size + 1):
+                    found = [tuple(sorted(labels + more)) for more in itertools.combinations(rest, extra)
+                             if sum(e.nodes <= {*labels, *more} for e in spec.edges)
+                             == (size + extra) * (size + extra - 1) // 2]
+                    if found:
+                        break
+                assert found == [spec.hull(reversed(labels))], (structure, d, labels)
