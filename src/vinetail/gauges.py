@@ -808,8 +808,8 @@ def _middle_search(plan):
     bound plus hi of ``_panels``, beyond which g exceeds g(lower).
 
     search(xs, free, corner_val, n_starts) returns the argmin, the number
-    of panels searched and the count of such minima taken.  A held x2 takes one, with
-    no panels.  A free x2 runs the Brent
+    of panels searched and the count of such minima taken.  A held x2
+    takes one, with no panels.  A free x2 runs the Brent
     panels after the candidates x2 = l2, l1, l3, as minima sit on kinks,
     then bisects on the sign of a central difference in [x2 - w, x2 + w],
     w = 1e-6 max(x2, lower), closing in on a kink the Brent stop leaves up

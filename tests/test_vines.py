@@ -38,10 +38,6 @@ def test_edge_labels_are_interned():
     assert EdgeLabel.parse("31|2") is label and EdgeLabel((3, 1), [2]) is label
     assert copy.copy(label) is label and copy.deepcopy(label) is label
     assert pickle.loads(pickle.dumps(label)) is label
-    # the constraint set {a, b} u D, set once when the label is first made
-    for e in (label, EdgeLabel.parse("1,12|2,3"), EdgeLabel((4, 2))):
-        assert e.nodes == frozenset({*e.pair, *e.cond}) and isinstance(e.nodes, frozenset)
-        assert copy.deepcopy(e) is pickle.loads(pickle.dumps(e)) is e
     for structure in ("dvine", "cvine"):
         spec = VineSpec.uniform(structure, 6, ilog(0.4))
         again = VineSpec.from_json(spec.to_json())
@@ -58,6 +54,15 @@ def test_invalid_edge_labels_keep_their_messages(text, message):
     for _ in range(2):  # a failed parse is not memoised
         with pytest.raises(SpecError, match=message):
             EdgeLabel.parse(text)
+
+
+@pytest.mark.parametrize("text", ["13|2", "1,12|2,3", "42", "25|134"])
+def test_edge_label_nodes_are_its_constraint_set(text):
+    # {a, b} u D, set once when the label is first made, and shared by the
+    # copies, which are the label itself
+    e = EdgeLabel.parse(text)
+    assert isinstance(e.nodes, frozenset) and e.nodes == {*e.pair, *e.cond}
+    assert copy.copy(e) is e and copy.deepcopy(e) is e and pickle.loads(pickle.dumps(e)) is e
 
 
 def test_expected_edges_counts():
@@ -184,10 +189,18 @@ def test_mirror_swaps_outer_edges_and_transposes():
 def test_mirror_needs_a_trivariate_vine():
     # a 4-d D-vine has a 13|2 edge of its own, so only the dimension check
     # keeps it from being mirrored into a wrong trivariate spec
-    for structure, d in (("dvine", 4), ("cvine", 3), ("dvine", 2)):
-        with pytest.raises(SpecError, match=r"the x1 <-> x3 mirror needs a vine with edges 12, 23, 13\|2, "
-                                            rf"not VineSpec\(d={d}, structure='{structure}'"):
-            VineSpec.uniform(structure, d, ilog(0.5)).mirrored()
+    with pytest.raises(VinetailError):
+        VineSpec.uniform("dvine", 4, ilog(0.5)).mirrored()
+    with pytest.raises(VinetailError):
+        VineSpec.uniform("cvine", 3, ilog(0.5)).mirrored()
+
+
+@pytest.mark.parametrize("structure, d", [("dvine", 4), ("cvine", 3), ("dvine", 2), ("cvine", 2)])
+def test_mirror_refusals_keep_their_message(structure, d):
+    spec = VineSpec.uniform(structure, d, ilog(0.5))
+    with pytest.raises(SpecError, match=r"^the x1 <-> x3 mirror needs a vine with edges 12, 23, 13\|2, "
+                                        rf"not VineSpec\(d={d}, structure='{structure}', edges={len(spec.edges)}\)$"):
+        spec.mirrored()
 
 
 @pytest.mark.parametrize("structure, d, expected", [
