@@ -31,9 +31,11 @@ of a sub-vine gives that sub-vine's gauge.  One box-constrained minimiser,
 trivariate vine with an EV edge: with x2 held, its middle search
 (``_middle_search``) takes that minimum in closed form.  For more,
 ``_quasi_newton`` is a projected BFGS solve for the gauges with a gradient,
-whose starts are the whole solve; a trivariate vine with an EV edge runs
-the Brent panels in x2 alone, minimising over x1 and x3 in closed form at
-each x2, and a 2-d gauge without a gradient runs them on its faces.
+whose starts are the whole solve, run as straight-line code emitted per
+dimension like the plans (``_qn_source``); a trivariate vine with an EV
+edge runs the Brent panels in x2 alone, minimising over x1 and x3 in
+closed form at each x2, and a 2-d gauge without a gradient runs them on
+its faces.
 All run on Python floats, so the scalar evaluators get floats with no
 array round trip, and importing the package does not load scipy.
 """
@@ -43,7 +45,6 @@ from __future__ import annotations
 import math
 import types
 from functools import cache
-from operator import mul, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -664,10 +665,107 @@ def _projected_gradient(x, grad, lower):
     return [gk if gk <= v - lo else v - lo for v, gk, lo in zip(x, grad, lower)]
 
 
-def _dot(a, b):
-    """The exactly rounded sum of the products a_k b_k (``math.fsum``, so
-    the result does not depend on the Python version's ``sum``)."""
-    return math.fsum(map(mul, a, b))
+def _qn_source(n):
+    """The projected BFGS solve of ``_quasi_newton`` on n coordinates as
+    Python source: one function whose every vector and matrix operation is
+    written out per coordinate.  x, the gradient g, the step s, the gradient
+    change y, the direction e, the trial point u and H y (z) are n locals
+    each, H the n^2 locals h{i}_{j}, the mask of free coordinates the n
+    booleans m{k}, and each dot product one ``math.fsum`` of its n products
+    in coordinate order; the tilt 1.05^k is the global t{k}.  Every float
+    operation is that of the solve written with lists (the test oracle
+    ``_quasi_newton_lists``), in the same order: a masked entry is a zero
+    term of its sum, as it is there, so every result keeps its bits."""
+    ks = range(n)
+
+    def each(fmt):
+        return ", ".join(fmt.format(k=k) for k in ks)
+
+    def dot(fmt):
+        return f"fsum(({each(fmt)},))"
+
+    def lines(fmt):
+        return [fmt.format(k=k) for k in ks]
+
+    search = [  # the first point u of the projected arc x + step e that passes Armijo; ok if found
+        "step = 1.0",
+        "while nfev < maxfev:",
+        *("    " + line for k in ks for line in (f"v = x{k} + step * e{k}", f"u{k} = l{k} if v <= l{k} else v")),
+        f"    slope = {dot('g{k} * (u{k} - x{k})')}",
+        "    if -slope <= 1e-15 * abs(f):",
+        "        break",
+        f"    fu, gu = fg([{each('u{k}')}])",
+        "    nfev += 1",
+        "    if fu - f <= 1e-4 * slope:",
+        "        ok = True",
+        "        break",
+        "    step *= 0.5",
+    ]
+    fresh_h = [f"h{i}_{j} = {f'scale * t{i}' if i == j else '0.0'}" for i in ks for j in ks]
+    update = [line for i in ks for line in (f"a = c * s{i} - rho * z{i}", f"b = rho * s{i}",
+                                            *(f"h{i}_{j} = h{i}_{j} + a * s{j} - b * z{j}" for j in ks))]
+    body = [
+        f"{each('x{k}')}, = x",
+        f"{each('l{k}')}, = lower",
+        *lines("x{k} = l{k} if x{k} <= l{k} else x{k}"),
+        "if maxfev < 1:",
+        f"    return [{each('x{k}')}], inf, None, 0",
+        f"f, grad = fg([{each('x{k}')}])",
+        f"{each('g{k}')}, = grad",
+        "nfev = 1",
+        "fresh = True  # H is diag(tilt)",
+        "while nfev < maxfev:",
+        *("    " + line for line in [
+            *lines("v{k} = x{k} - l{k}"),
+            "# w = max |pg_k| and eps = min(1e-3, w), taking the first of equals as max and min do",
+            "w = abs(g0 if g0 <= v0 else v0)",
+            *(line for k in ks[1:] for line in (f"p = abs(g{k} if g{k} <= v{k} else v{k})", "w = p if p > w else w")),
+            "if w == 0.0:",
+            "    break",
+            "eps = w if w < 1e-3 else 1e-3",
+            *lines("m{k} = v{k} > eps or g{k} <= 0.0"),
+            "ok = False",
+            "if not fresh:",
+            *lines("    q{k} = g{k} if m{k} else 0.0"),
+            *(f"    e{i} = -{dot(f'h{i}_{{k}} * q{{k}}')} if m{i} else -g{i} * t{i}" for i in ks),
+            f"    if {dot('g{k} * e{k}')} < 0.0:",
+            *("        " + line for line in search),
+            "    fresh = not ok",
+            "if not ok:",
+            *lines("    e{k} = -g{k} * t{k}"),
+            *("    " + line for line in search),
+            "    if not ok:",
+            "        break",
+            f"{each('r{k}')}, = gu",
+            *lines("s{k} = u{k} - x{k} if m{k} else 0.0"),
+            *lines("y{k} = r{k} - g{k} if m{k} else 0.0"),
+            f"{each('x{k}')}, {each('g{k}')} = {each('u{k}')}, {each('r{k}')}",
+            "f, grad = fu, gu",
+            f"sy = {dot('s{k} * y{k}')}",
+            "if sy <= 0.0:",
+            "    continue",
+            "if fresh:",
+            f"    scale = sy / {dot('y{k} * y{k}')}",
+            *("    " + line for line in fresh_h),
+            "    fresh = False",
+            "# H <- (I - rho s y')H(I - rho y s') + rho s s', rho = 1/s'y",
+            "rho = 1.0 / sy",
+            *(f"z{i} = {dot(f'h{i}_{{k}} * y{{k}}')}" for i in ks),
+            f"c = rho * rho * {dot('y{k} * z{k}')} + rho",
+            *update,
+        ]),
+        f"return [{each('x{k}')}], f, grad, nfev",
+    ]
+    return "\n    ".join(["def quasi_newton(fg, x, lower, maxfev):", *body]) + "\n"
+
+
+@cache
+def _qn_code(n):
+    """The solver of ``_qn_source`` for n coordinates, compiled once per n
+    and shared by every solve of that n, with 1.05^k bound as t{k}."""
+    scope = {"fsum": math.fsum, "inf": math.inf, **{f"t{k}": 1.05**k for k in range(n)}}
+    exec(compile(_qn_source(n), f"<quasi-newton, n={n}>", "exec"), scope)
+    return scope["quasi_newton"]
 
 
 def _quasi_newton(fg, x, lower, maxfev):
@@ -695,75 +793,13 @@ def _quasi_newton(fg, x, lower, maxfev):
     decrease -grad'(x_t - x) a trial step predicts is at most 1e-15 |f(x)|
     (rounding level), or after maxfev calls of fg.  Returns the last point,
     its value and gradient, and the number of calls (inf, None and 0 if
-    maxfev < 1)."""
-    n = len(x)
-    tilt = [1.05**k for k in range(n)]
-    x = [lo if v <= lo else v for v, lo in zip(x, lower)]
-    if maxfev < 1:  # no evaluation at all
-        return x, math.inf, None, 0
-    f, grad = fg(x)
-    nfev = 1
-    H = None  # None is diag(tilt)
+    maxfev < 1).
 
-    def search(d):
-        # the first point of the projected arc x + t d that passes Armijo
-        nonlocal nfev
-        t = 1.0
-        while nfev < maxfev:
-            xt = [lo if (v := a + t * b) <= lo else v for a, b, lo in zip(x, d, lower)]
-            slope = _dot(grad, map(sub, xt, x))
-            if -slope <= 1e-15 * abs(f):
-                return None
-            ft, gt = fg(xt)
-            nfev += 1
-            if ft - f <= 1e-4 * slope:
-                return xt, ft, gt
-            t *= 0.5
-        return None
-
-    while nfev < maxfev:
-        w = max(map(abs, _projected_gradient(x, grad, lower)))
-        if w == 0.0:
-            break
-        eps = min(1e-3, w)
-        free = [v - lo > eps or gk <= 0.0 for v, gk, lo in zip(x, grad, lower)]
-        binds = not all(free)  # with none binding, the masks would be copies
-        found = None
-        if H is not None:
-            if binds:
-                gfree = [gk if fr else 0.0 for gk, fr in zip(grad, free)]
-                d = [-_dot(row, gfree) if fr else -gk * tk for row, fr, gk, tk in zip(H, free, grad, tilt)]
-            else:
-                d = [-_dot(row, grad) for row in H]
-            if _dot(grad, d) < 0.0:
-                found = search(d)
-            if found is None:
-                H = None
-        if found is None:
-            found = search([-gk * tk for gk, tk in zip(grad, tilt)])
-            if found is None:
-                break
-        xt, ft, gt = found
-        if binds:
-            s = [b - a if fr else 0.0 for a, b, fr in zip(x, xt, free)]
-            y = [b - a if fr else 0.0 for a, b, fr in zip(grad, gt, free)]
-        else:
-            s, y = list(map(sub, xt, x)), list(map(sub, gt, grad))
-        x, f, grad = found
-        sy = _dot(s, y)
-        if sy <= 0.0:
-            continue
-        if H is None:
-            scale = sy / _dot(y, y)
-            H = [[scale * tk if i == j else 0.0 for j in range(n)] for i, tk in enumerate(tilt)]
-        # H <- (I - rho s y')H(I - rho y s') + rho s s', rho = 1/s'y
-        rho = 1.0 / sy
-        hy = [_dot(row, y) for row in H]
-        c = rho * rho * _dot(y, hy) + rho
-        for i, (si, hi) in enumerate(zip(s, hy)):
-            a, b = c * si - rho * hi, rho * si
-            H[i] = [h + a * sj - b * hj for h, sj, hj in zip(H[i], s, hy)]
-    return x, f, grad, nfev
+    The solve runs as straight-line code for len(x) coordinates
+    (``_qn_source``), compiled once per dimension (``_qn_code``).  Each dot
+    product is a ``math.fsum``, exactly rounded, so no result depends on the
+    Python version's ``sum``."""
+    return _qn_code(len(x))(fg, x, lower, maxfev)
 
 
 def _panels(f, lo, hi, n_starts, best_t, best_val):

@@ -41,7 +41,8 @@ class EdgeLabel:
     parsed spec's labels are those of ``expected_edges``.  Equality and
     hash are the object's own, so a spec's dict and set lookups cost no
     Python call, and copies and unpickled labels are the shared object
-    too."""
+    too.  A label whose pair repeats a variable, whose conditioning set
+    repeats one or meets the pair raises SpecError and is not interned."""
 
     __slots__ = ("pair", "cond", "nodes")
     _table: dict = {}  # (pair, cond) -> the label
@@ -52,6 +53,9 @@ class EdgeLabel:
             raise SpecError(f"edge pair must name two distinct variables, got ({i}, {j})")
         key = ((min(i, j), max(i, j)), tuple(sorted(int(c) for c in cond)))
         label = cls._table.get(key)
+        if label is None and len(set(key[1])) < len(key[1]):
+            repeated = next(c for c, c2 in zip(key[1], key[1][1:]) if c == c2)
+            raise SpecError(f"conditioning set {key[1]} repeats variable {repeated}")
         if label is None:
             label = super().__new__(cls)
             label.pair, label.cond = key

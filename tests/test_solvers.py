@@ -11,7 +11,7 @@ import math
 import os
 import subprocess
 import sys
-from operator import sub
+from operator import mul, sub
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from scipy import optimize
 from vinetail import Logistic, PairCopula, VineSpec, gauge_cvine, gauge_dvine, gauges
 from vinetail.errors import ConvergenceError
 from vinetail.eta import _bisect, eta_numeric
-from vinetail.gauges import _dot, _fminbound, _projected_gradient, _quasi_newton
+from vinetail.gauges import _fminbound, _projected_gradient, _qn_code, _quasi_newton
 from vinetail.vines import expected_edges
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -113,7 +113,7 @@ def test_bisect_nan_raises_typed_error():
 def box_problems(draw):
     # f(x) = 1 + (x - c)'A(x - c)/2 + k sum (x - c)^4 on x >= lower, with A
     # positive definite; a centre below a bound makes that bound active
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 8))  # every n an eta query compiles, up to the 8-d C-vines
     rows = [[draw(st.floats(-1.0, 1.0)) for _ in range(n)] for _ in range(n)]
     A = np.array(rows) @ np.array(rows).T + draw(st.floats(0.05, 1.0)) * np.eye(n)
     lower = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
@@ -176,6 +176,12 @@ def test_quasi_newton_stops_at_its_budget():
         assert nfev == len(calls) <= maxfev and (fx, grad) == fg(x)
     calls.clear()
     assert _quasi_newton(fg, [-1.0, 2.0], [0.0, 0.0], 0) == ([0.0, 2.0], math.inf, None, 0) and not calls
+
+
+def _dot(a, b):
+    # the exactly rounded sum of the products a_k b_k, as each dot product
+    # of the emitted solve is
+    return math.fsum(map(mul, a, b))
 
 
 def _quasi_newton_lists(fg, x, lower, maxfev):
@@ -291,6 +297,65 @@ def test_quasi_newton_on_vine_gauges_is_bit_identical_to_the_list_oracle(structu
     old = eta_numeric(g, C)
     assert new.diagnostics["local_solver"] == "quasi-newton"
     assert (new.eta, new.argmin.tolist(), new.diagnostics) == (old.eta, old.argmin.tolist(), old.diagnostics)
+
+
+def _pinned_problem(n):
+    # f(x) = 1 + z'Az/2 + sum z^4/4, z = x - c, on x >= 0, with A tridiagonal
+    # (2 on the diagonal, -0.6 beside it) and c_1 = -0.5 below its bound, so
+    # that bound binds; only +, -, * and math.fsum, so that every float of f
+    # and its gradient is the same on every Python version
+    c = [-0.5 if k == 1 else 0.3 + 0.4 * k for k in range(n)]
+
+    def fg(x):
+        z = [v - ck for v, ck in zip(x, c)]
+        az = [2.0 * z[i] - 0.6 * ((z[i - 1] if i else 0.0) + (z[i + 1] if i + 1 < n else 0.0)) for i in range(n)]
+        cubes = [zk * zk * zk for zk in z]
+        f = 1.0 + math.fsum([0.5 * zk * ak for zk, ak in zip(z, az)] + [0.25 * q * zk for q, zk in zip(cubes, z)])
+        return f, [ak + q for ak, q in zip(az, cubes)]
+
+    return fg
+
+
+@pytest.mark.parametrize("n, expected", [
+    (4, (["0x1.cb20b94464b06p-2", "0x0.0p+0", "0x1.433097212fc81p+0", "0x1.8c7651373705bp+0"],
+         "0x1.37fd000304913p+0",
+         ["0x1.b76952d000000p-28", "0x1.e0838df1bcef8p-1", "-0x1.5ba17b4900000p-28", "0x1.4cdd6cf646000p-27"],
+         14)),
+    (6, (["0x1.cb20b980be6b6p-2", "0x0.0p+0", "0x1.439fc274c66e6p+0", "0x1.8df7b3ffbe8a6p+0",
+          "0x1.eb00fdf906a45p+0", "0x1.27172fadcef41p+1"],
+         "0x1.37ebc920dab57p+0",
+         ["0x1.d51421ce00000p-27", "0x1.dffe26ae86d64p-1", "0x1.43d14f5000000p-26", "-0x1.278c6ec828000p-28",
+          "-0x1.a36ea22c2c000p-32", "0x1.b78ac16ead600p-32"],
+         18)),
+])
+def test_quasi_newton_bits_are_pinned_across_python_versions(n, expected):
+    # literals from Python 3.11; each dot product of the solve is a
+    # math.fsum, exactly rounded, so 3.12's compensated sum changes none
+    start = [1.0 + 0.25 * k for k in range(n)]
+    assert _bits(_quasi_newton(_pinned_problem(n), start, [0.0] * n, 400)) == expected
+
+
+def test_quasi_newton_code_is_compiled_once_per_dimension():
+    _qn_code.cache_clear()
+    for n in (3, 3, 5):
+        fg = _pinned_problem(n)
+        start = [1.0 + 0.25 * k for k in range(n)]
+        assert _bits(_quasi_newton(fg, start, [0.0] * n, 400)) == _bits(_quasi_newton_lists(fg, start, [0.0] * n, 400))
+    info = _qn_code.cache_info()
+    assert (info.misses, info.hits) == (2, 1) and _qn_code(3).__code__ is _qn_code(3).__code__
+    assert _qn_code(3).__code__ is not _qn_code(5).__code__
+    # no evaluation at maxfev < 1, the start projected onto the box, at any n;
+    # and n = 2, the smallest an eta query solves, as the list solve
+    for n in (2, 5):
+        fg = _pinned_problem(n)
+        start = [-1.0 + 0.5 * k for k in range(n)]
+        for maxfev in (0, -3):
+            assert _bits(_quasi_newton(fg, start, [0.0] * n, maxfev)) == _bits(_quasi_newton_lists(fg, start, [0.0] * n,
+                                                                                                  maxfev))
+    for maxfev in (1, 3, 400):
+        assert _bits(_quasi_newton(_pinned_problem(2), [2.0, 2.0], [0.0, 1.0], maxfev)) == \
+            _bits(_quasi_newton_lists(_pinned_problem(2), [2.0, 2.0], [0.0, 1.0], maxfev))
+
 
 
 # ---------------------------------------------------------------------------

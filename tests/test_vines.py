@@ -56,6 +56,22 @@ def test_invalid_edge_labels_keep_their_messages(text, message):
             EdgeLabel.parse(text)
 
 
+def test_repeated_conditioning_variable_is_refused():
+    # 13|22 would share the nodes {1, 2, 3} of 13|2 while being another
+    # label; it is refused before it is interned, so a retry refuses again
+    message = r"conditioning set \(2, 2\) repeats variable 2"
+    for _ in range(2):
+        with pytest.raises(SpecError, match=message):
+            EdgeLabel.parse("13|22")
+        with pytest.raises(SpecError, match=message):
+            EdgeLabel((1, 3), (2, 2))
+    assert all(len(set(cond)) == len(cond) for _, cond in EdgeLabel._table)
+    doc = VineSpec.trivariate(ilog(0.5), ilog(0.4), ilog(0.3)).to_dict()
+    doc["edges"][2]["label"] = "13|22"
+    with pytest.raises(SpecError, match=message):
+        VineSpec.from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("text", ["13|2", "1,12|2,3", "42", "25|134"])
 def test_edge_label_nodes_are_its_constraint_set(text):
     # {a, b} u D, set once when the label is first made, and shared by the
