@@ -53,10 +53,11 @@ class EdgeLabel:
             raise SpecError(f"edge pair must name two distinct variables, got ({i}, {j})")
         key = ((min(i, j), max(i, j)), tuple(sorted(int(c) for c in cond)))
         label = cls._table.get(key)
-        if label is None and len(set(key[1])) < len(key[1]):
-            repeated = next(c for c, c2 in zip(key[1], key[1][1:]) if c == c2)
-            raise SpecError(f"conditioning set {key[1]} repeats variable {repeated}")
         if label is None:
+            cond = key[1]
+            repeated = [c for c, c2 in zip(cond, cond[1:]) if c == c2]  # cond is sorted
+            if repeated:
+                raise SpecError(f"conditioning set {cond} repeats variable {repeated[0]}")
             label = super().__new__(cls)
             label.pair, label.cond = key
             label.nodes = frozenset(key[0] + key[1])

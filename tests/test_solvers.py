@@ -336,26 +336,21 @@ def test_quasi_newton_bits_are_pinned_across_python_versions(n, expected):
 
 
 def test_quasi_newton_code_is_compiled_once_per_dimension():
+    def assert_as_lists(fg, x, lower, maxfev):
+        assert _bits(_quasi_newton(fg, x, lower, maxfev)) == _bits(_quasi_newton_lists(fg, x, lower, maxfev))
+
     _qn_code.cache_clear()
     for n in (3, 3, 5):
-        fg = _pinned_problem(n)
-        start = [1.0 + 0.25 * k for k in range(n)]
-        assert _bits(_quasi_newton(fg, start, [0.0] * n, 400)) == _bits(_quasi_newton_lists(fg, start, [0.0] * n, 400))
+        assert_as_lists(_pinned_problem(n), [1.0 + 0.25 * k for k in range(n)], [0.0] * n, 400)
     info = _qn_code.cache_info()
-    assert (info.misses, info.hits) == (2, 1) and _qn_code(3).__code__ is _qn_code(3).__code__
-    assert _qn_code(3).__code__ is not _qn_code(5).__code__
+    assert (info.misses, info.hits) == (2, 1) and _qn_code(3).__code__ is not _qn_code(5).__code__
     # no evaluation at maxfev < 1, the start projected onto the box, at any n;
     # and n = 2, the smallest an eta query solves, as the list solve
     for n in (2, 5):
-        fg = _pinned_problem(n)
-        start = [-1.0 + 0.5 * k for k in range(n)]
         for maxfev in (0, -3):
-            assert _bits(_quasi_newton(fg, start, [0.0] * n, maxfev)) == _bits(_quasi_newton_lists(fg, start, [0.0] * n,
-                                                                                                  maxfev))
+            assert_as_lists(_pinned_problem(n), [-1.0 + 0.5 * k for k in range(n)], [0.0] * n, maxfev)
     for maxfev in (1, 3, 400):
-        assert _bits(_quasi_newton(_pinned_problem(2), [2.0, 2.0], [0.0, 1.0], maxfev)) == \
-            _bits(_quasi_newton_lists(_pinned_problem(2), [2.0, 2.0], [0.0, 1.0], maxfev))
-
+        assert_as_lists(_pinned_problem(2), [2.0, 2.0], [0.0, 1.0], maxfev)
 
 
 # ---------------------------------------------------------------------------
